@@ -10,10 +10,10 @@ first-class subsystem — batch *and* online:
 * :mod:`repro.runtime.shard` — sharded sweep points for the multi-node
   scale-out scenario: one DES task per graph partition, with exact
   conservation counters and a bit-identity contract at one shard;
-* :mod:`repro.runtime.jobs` — the reusable scheduling core under the
-  sweep runner: the worker pool (:class:`ExecPool`) and an online
-  :class:`JobScheduler` with bounded admission, coalescing, and
-  breaker-guarded retries;
+* :mod:`repro.runtime.jobs` — the one dispatch core under sweeps,
+  shards, and the service: the worker pool (:class:`ExecPool`) and the
+  :class:`JobScheduler` that alone drives it, with timeouts, retries,
+  hedging, bounded admission, coalescing, and a circuit breaker;
 * :mod:`repro.runtime.service` — the tiered prediction frontend
   (``repro serve``): analytical tier 0, shared-cache tier 1, DES
   tier 2 with graceful degradation to the model under deadline,
@@ -66,7 +66,6 @@ from repro.runtime.errors import (
 from repro.runtime.chaos import (
     CHAOS_FRONTENDS,
     ChaosSchedule,
-    ChaoticTask,
     run_chaos,
 )
 from repro.runtime.faults import CrashTask, FaultyTask, ServiceFaultInjector
@@ -109,7 +108,6 @@ __all__ = [
     "CODE_VERSION",
     "CacheStats",
     "ChaosSchedule",
-    "ChaoticTask",
     "CircuitBreaker",
     "CircuitOpen",
     "CrashTask",

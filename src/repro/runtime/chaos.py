@@ -32,12 +32,12 @@ trustworthy:
 * **breaker returns to closed** — a tripped circuit recovers through
   its half-open probe.
 
-Faults inside tasks ride a :class:`ChaoticTask` wrapper whose cache /
+Faults inside tasks ride a :class:`~repro.runtime.faults.FaultyTask`
+wrapping the real task as its ``victim``: the carrier's cache /
 checkpoint identity **is the victim's** (``key_payload`` delegates), so
 resume and bit-identity comparisons run against the exact same keys an
-unfaulted run would use; per-attempt behavior lives in on-disk markers
-(the :class:`~repro.runtime.faults.FaultyTask` mechanism), surviving
-pool respawns and killed parents.
+unfaulted run would use; per-attempt behavior lives in on-disk markers,
+surviving pool respawns and killed parents.
 
 Surface: ``repro chaos --seed/--schedule/--frontend/--rounds`` with a
 JSON verdict artifact, and ``benchmarks/bench_chaos_recovery.py``.
@@ -46,13 +46,13 @@ JSON verdict artifact, and ``benchmarks/bench_chaos_recovery.py``.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import random
 import time
 from dataclasses import dataclass
 
-from repro.runtime.errors import SimulationDiverged, TaskError
+from repro.runtime.errors import TaskError
+from repro.runtime.faults import FaultyTask
 
 #: Frontends the orchestrator can drive.
 CHAOS_FRONTENDS = ("batch", "service", "multinode")
@@ -83,83 +83,6 @@ CHAOS_IDENTITY_FIELDS = (
 def record_identity(record):
     """The deterministic projection of one record (bit-identity key)."""
     return {name: record.get(name) for name in CHAOS_IDENTITY_FIELDS}
-
-
-@dataclass(frozen=True)
-class ChaoticTask:
-    """A victim task with a scripted per-attempt fault plan.
-
-    Unlike :class:`~repro.runtime.faults.FaultyTask` (a synthetic task
-    for unit tests), this wraps a *real* task: ``key_payload`` is the
-    victim's, so cache keys, checkpoint lines, and coalescing identity
-    are exactly what the unfaulted run produces — the property every
-    resume-bit-identity invariant rests on.  ``plan`` behaviors are
-    :data:`~repro.runtime.faults.BEHAVIORS`; an ``"ok"`` attempt (or a
-    ``"hang"`` that survives its sleep) executes the victim for real.
-    The cross-process attempt counter is a marker file per attempt
-    under ``scratch``, so the script survives pool respawns and killed
-    parents.
-    """
-
-    victim: object
-    name: str
-    scratch: str
-    plan: tuple = ("ok",)
-    hang_s: float = 3600.0
-
-    def __post_init__(self):
-        from repro.runtime.faults import BEHAVIORS
-
-        if not self.plan:
-            raise ValueError("plan must not be empty")
-        for behavior in self.plan:
-            if behavior not in BEHAVIORS:
-                raise ValueError(f"unknown behavior {behavior!r}")
-
-    def label(self):
-        return f"chaos:{self.victim.label()}"
-
-    def key_payload(self):
-        return self.victim.key_payload()
-
-    def attempts_made(self):
-        return len(list(
-            pathlib.Path(self.scratch).glob(f"{self.name}.attempt*")
-        ))
-
-    def _record_attempt(self):
-        directory = pathlib.Path(self.scratch)
-        directory.mkdir(parents=True, exist_ok=True)
-        attempt = self.attempts_made() + 1
-        (directory / f"{self.name}.attempt{attempt}").touch()
-        return attempt
-
-    def run(self):
-        attempt = self._record_attempt()
-        behavior = self.plan[min(attempt - 1, len(self.plan) - 1)]
-        if behavior == "raise":
-            raise RuntimeError(
-                f"chaos: injected exception (attempt {attempt})"
-            )
-        if behavior == "diverge":
-            raise SimulationDiverged(
-                f"chaos: injected divergence (attempt {attempt})",
-                cause="chaos",
-            )
-        if behavior == "crash":
-            os._exit(29)
-        if behavior == "hang":
-            time.sleep(self.hang_s)
-        return self.victim.run()
-
-    def fallback_record(self, error=None):
-        return self.victim.fallback_record(error)
-
-    def shard_fallback_record(self, error=None):
-        maker = getattr(self.victim, "shard_fallback_record", None)
-        if maker is not None:
-            return maker(error)
-        return self.victim.fallback_record(error)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +301,7 @@ class _BatchDriver:
 
         def wrap(index, task, phase):
             plan = plans.get(index, ("ok",))
-            return ChaoticTask(
+            return FaultyTask(
                 victim=task, name=f"r{rnd}-{phase}-{index}",
                 scratch=str(markers), plan=plan, hang_s=60.0,
             )
@@ -397,10 +320,10 @@ class _BatchDriver:
             # SIGKILL leaves (the subprocess variant lives in
             # tests/runtime/test_resume_chaos.py).
             phase_a = [
-                ChaoticTask(victim=task, name=f"r{rnd}-kill-{i}",
-                            scratch=str(markers),
-                            plan=("diverge",) if i == kill_resume
-                            else ("ok",))
+                FaultyTask(victim=task, name=f"r{rnd}-kill-{i}",
+                           scratch=str(markers),
+                           plan=("diverge",) if i == kill_resume
+                           else ("ok",))
                 for i, task in enumerate(tasks)
             ]
             try:
@@ -674,7 +597,7 @@ class _MultinodeDriver:
 
         def sabotage(tasks):
             return [
-                ChaoticTask(
+                FaultyTask(
                     victim=task, name=f"r{rnd}-s{i}",
                     scratch=str(markers), plan=plans.get(i, ("ok",)),
                     hang_s=60.0,

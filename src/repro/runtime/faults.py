@@ -5,13 +5,17 @@ schedule*: crash on the first attempt, succeed on the second; hang
 until killed; raise a divergence.  A :class:`FaultyTask` scripts that
 behavior as a per-attempt ``plan`` — and because attempts execute in
 separate worker processes, the attempt counter lives on disk (one
-marker file per attempt in a scratch directory), which also makes the
+marker file per attempt in a scratch directory, created exclusively so
+concurrent attempts never share a number), which also makes the
 schedule survive pool respawns and even a killed-and-resumed parent.
 
 The task implements the full runner protocol (``run`` / ``label`` /
-``key_payload`` / ``fallback_record``), so every ``run_sweep`` path —
+``key_payload`` / ``fallback_record`` / ``shard_fallback_record``).
+On its own it is a synthetic task, so every ``run_sweep`` path —
 cache, checkpoint, retry, policy — can be exercised without touching
-the simulator.
+the simulator; given a ``victim`` it wraps a *real* task instead (the
+chaos orchestrator's carrier), with the victim's identity and, on an
+``"ok"`` attempt, the victim's record.
 
 The *service-scoped* fault points (:class:`ServiceFaultInjector`,
 consumed by :class:`~repro.runtime.service.PredictionService`) inject
@@ -64,7 +68,13 @@ class FaultyTask:
         How long a ``"hang"`` attempt sleeps (default: effectively
         forever, so only a timeout+kill ends it).
     value:
-        Payload echoed into the success record.
+        Payload echoed into the synthetic success record.
+    victim:
+        Optional real task to wrap.  ``label``, ``key_payload`` and
+        both fallbacks are the victim's, so cache keys, checkpoint
+        lines, and coalescing identity are exactly what the unfaulted
+        run produces; an ``"ok"`` attempt (or a ``"hang"`` that
+        survives its sleep) returns ``victim.run()``.
     """
 
     name: str
@@ -72,6 +82,7 @@ class FaultyTask:
     plan: tuple = ("ok",)
     hang_s: float = 3600.0
     value: float = 1.0
+    victim: object = None
 
     def __post_init__(self):
         for behavior in self.plan:
@@ -81,9 +92,13 @@ class FaultyTask:
             raise ValueError("plan must not be empty")
 
     def label(self):
+        if self.victim is not None:
+            return self.victim.label()
         return f"fault:{self.name}"
 
     def key_payload(self):
+        if self.victim is not None:
+            return self.victim.key_payload()
         return {
             "fault": self.name,
             "plan": list(self.plan),
@@ -95,11 +110,18 @@ class FaultyTask:
         return len(list(pathlib.Path(self.scratch).glob(f"{self.name}.attempt*")))
 
     def _record_attempt(self):
+        """Claim the next attempt number with an exclusively created
+        marker, so two attempts racing from different processes can
+        never claim the same one."""
         directory = pathlib.Path(self.scratch)
         directory.mkdir(parents=True, exist_ok=True)
         attempt = self.attempts_made() + 1
-        (directory / f"{self.name}.attempt{attempt}").touch()
-        return attempt
+        while True:
+            try:
+                with open(directory / f"{self.name}.attempt{attempt}", "x"):
+                    return attempt
+            except FileExistsError:
+                attempt += 1
 
     def run(self):
         attempt = self._record_attempt()
@@ -116,6 +138,8 @@ class FaultyTask:
             os._exit(17)
         if behavior == "hang":
             time.sleep(self.hang_s)
+        if self.victim is not None:
+            return self.victim.run()
         return {
             "source": "simulation",
             "name": self.name,
@@ -125,6 +149,8 @@ class FaultyTask:
         }
 
     def fallback_record(self, error=None):
+        if self.victim is not None:
+            return self.victim.fallback_record(error)
         return {
             "source": "model_fallback",
             "name": self.name,
@@ -132,6 +158,12 @@ class FaultyTask:
             "sim_time_ns": 0.0,
             "error": None if error is None else error.payload(),
         }
+
+    def shard_fallback_record(self, error=None):
+        maker = getattr(self.victim, "shard_fallback_record", None)
+        if maker is None:
+            return self.fallback_record(error)
+        return maker(error)
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,38 @@
-"""Reusable job-execution primitives shared by batch sweeps and the
-online prediction service.
+"""The dispatch core: the only code in the package that drives a
+process pool.
 
-PR 1-5 grew :func:`repro.runtime.runner.run_sweep` a robust inner
-machine — windowed submission into a process pool, per-task wall-clock
-timeouts enforced by killing hung workers, pool respawn on
-``BrokenProcessPool``, bounded retries with deterministic backoff.
-That machine was welded into one batch-shaped loop ("run this finite
-grid, return when done").  This module extracts it into pieces an
-*online* frontend can also use:
+A DES point is a pure function of its task, so executing one is always
+the same machine: submit it to a worker process, wait, charge a crash
+or a timeout to the task that caused it, retry with backoff, and kill
+and respawn the pool when a worker dies or hangs.  :class:`JobScheduler`
+is that machine, and it has three callers:
+
+* :class:`~repro.runtime.service.PredictionService` keeps one
+  persistent scheduler with bounded admission, coalescing by content
+  key, and a circuit breaker;
+* :func:`~repro.runtime.runner.run_sweep` and
+  :func:`~repro.runtime.shard.run_shards` hand a batch's cache misses
+  to a private scheduler (no breaker, no coalescing, ``max_pending``
+  equal to the misses) and apply their own exhaustion policy to what
+  comes back.  Shards also pass a hedge policy: a straggling job gets a
+  second, speculative attempt, and the first result wins.
+
+The pieces:
 
 * :func:`backoff_delay` — the retry-delay policy (exponential with
-  deterministic jitter), shared verbatim with the batch runner;
+  deterministic jitter);
 * :class:`ExecPool` — a lazily spawned, kill-capable, respawnable
   ``ProcessPoolExecutor`` wrapper (the only sanctioned way to stop a
   hung worker is to kill its process, which takes the pool with it);
 * :class:`Job` — one admitted unit of work with a thread-safe
   completion latch, shared by however many callers coalesced onto it;
-* :class:`JobScheduler` — a persistent streaming scheduler: bounded
-  admission with explicit :class:`~repro.runtime.errors.QueueSaturated`
+* :class:`JobScheduler` — the streaming scheduler: bounded admission
+  with explicit :class:`~repro.runtime.errors.QueueSaturated`
   backpressure, coalescing of identical in-flight work by content key,
-  per-job timeouts, bounded retries, automatic pool respawn, and an
-  optional :class:`~repro.runtime.breaker.CircuitBreaker` consulted at
-  admission and fed by infrastructure outcomes (crashes / timeouts).
-
-The batch runner keeps its own drain loop (batch semantics — strict
-submission-order results, checkpoint integration — are different
-enough that sharing the *loop* would help neither) but now builds on
-:class:`ExecPool` and :func:`backoff_delay`, so pool lifecycle and
-retry policy have exactly one implementation.
+  per-attempt timeouts, bounded retries, hedged stragglers, automatic
+  pool respawn, and an optional
+  :class:`~repro.runtime.breaker.CircuitBreaker` consulted at admission
+  and fed by infrastructure outcomes (crashes / timeouts).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.runtime.errors import (
@@ -126,17 +132,28 @@ class Job:
     :meth:`wait` / :meth:`result`.  A job always reaches exactly one
     terminal state — a record or a :class:`TaskError` — even if every
     waiter gave up long ago (the scheduler never drops accepted work).
+
+    ``attempts`` counts the attempts charged to the job (its failures,
+    plus the one that succeeded).  ``started_at`` is the
+    ``time.perf_counter()`` dispatch time of the attempt that decided
+    the outcome, ``winner`` that attempt's kind (``"primary"``,
+    ``"retry"`` or ``"hedge"``), and ``hedged`` whether a speculative
+    duplicate was ever launched.
     """
 
     __slots__ = ("task", "key", "waiters", "attempts", "accepted_at",
-                 "record", "error", "_done")
+                 "started_at", "winner", "hedged", "record", "error",
+                 "_done")
 
-    def __init__(self, task, key, clock=time.monotonic):
+    def __init__(self, task, key):
         self.task = task
         self.key = key
         self.waiters = 1
         self.attempts = 0
-        self.accepted_at = clock()
+        self.accepted_at = time.perf_counter()
+        self.started_at = None
+        self.winner = None
+        self.hedged = False
         self.record = None
         self.error = None
         self._done = threading.Event()
@@ -181,7 +198,9 @@ class SchedulerStats:
     """Lifetime counters of one :class:`JobScheduler` (plain ints)."""
 
     FIELDS = ("accepted", "coalesced", "rejected_full", "rejected_open",
-              "completed", "failed", "retried", "crashes", "timeouts")
+              "completed", "failed", "retried", "crashes", "timeouts",
+              "dispatched", "hedges_launched", "hedges_won",
+              "hedges_cancelled")
 
     def __init__(self):
         for name in self.FIELDS:
@@ -192,19 +211,18 @@ class SchedulerStats:
 
 
 class JobScheduler:
-    """Persistent streaming job scheduler over a process pool.
+    """Streaming job scheduler over a process pool.
 
-    The online counterpart of :func:`~repro.runtime.runner.run_sweep`:
-    work arrives one job at a time from concurrent frontends instead of
-    as a finite grid, so admission control, coalescing, and breaker
-    integration live here rather than result ordering and checkpoints.
+    Work arrives one job at a time, from concurrent frontends (the
+    service) or as a batch's misses submitted at once (sweeps and
+    shards); either way every attempt goes through the same pump.
 
     Parameters
     ----------
     workers:
         Process-pool width (also the submission window: at most this
-        many jobs execute concurrently, so a job's ``timeout`` measures
-        execution, not queueing).
+        many attempts execute concurrently, so a job's ``timeout``
+        measures execution, not queueing).
     timeout:
         Per-attempt wall-clock budget in seconds; on expiry the worker
         processes are killed, the pool respawned, the expired job
@@ -228,22 +246,36 @@ class JobScheduler:
         and do not touch it.
     on_result / on_failure:
         Callbacks ``(job, record)`` / ``(job, error)`` invoked from the
-        scheduler thread when a job turns terminal — the service uses
-        ``on_result`` to backfill the shared cache *before* waiters
-        wake.  Exceptions are swallowed with a warning: a bookkeeping
-        callback must not kill the pump.
+        scheduler thread when a job turns terminal (including jobs
+        failed by :meth:`close`) — the service uses ``on_result`` to
+        backfill the shared cache *before* waiters wake.  Exceptions
+        are swallowed with a warning: a bookkeeping callback must not
+        kill the pump.
     backoff_s / backoff_cap_s / jitter / rng_seed:
         Retry-delay policy (:func:`backoff_delay`).
+    hedge:
+        Optional hedge policy ``hedge(durations, accepted)``: given the
+        run times of the jobs completed so far and the number of jobs
+        accepted, the seconds after which a running attempt gets one
+        speculative duplicate on a free worker, or ``None`` for "not
+        yet".  A job is hedged at most once.  The first attempt to
+        succeed wins, the earlier dispatch wins a tie within one wait
+        batch, and the loser is cancelled — or, when already running,
+        its worker killed with the pool (innocents re-queued
+        uncharged).  While one attempt of a job is still running, a
+        failed sibling is charged but not retried: the survivor *is*
+        the retry.
     poll_s:
-        Pump granularity: how often the scheduler re-checks queues and
-        timeouts while work is in flight.
+        Pause before the pump retries a dispatch the pool refused.  It
+        never polls otherwise: it sleeps until an attempt finishes,
+        :meth:`submit` or :meth:`close` wakes it, or a timeout, retry
+        backoff, or hedge threshold falls due.
     """
 
     def __init__(self, workers=2, *, timeout=None, retries=0,
                  max_pending=64, breaker=None, on_result=None,
                  on_failure=None, backoff_s=0.25, backoff_cap_s=8.0,
-                 jitter=0.0, rng_seed=1729, poll_s=0.05,
-                 clock=time.monotonic):
+                 jitter=0.0, rng_seed=1729, hedge=None, poll_s=0.05):
         import random
 
         if max_pending < 1:
@@ -260,19 +292,25 @@ class JobScheduler:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.jitter = jitter
+        self.hedge = hedge
         self.poll_s = poll_s
         self._rng = random.Random(rng_seed)
-        self._clock = clock
         self.pool = ExecPool(self.workers)
         self.stats = SchedulerStats()
 
         self._lock = threading.Lock()
-        self._wake = threading.Event()
+        # Resolved (lock held) to wake the pump from its wait; the pump
+        # swaps in a fresh one each time it has fired.
+        self._kick = Future()
         self._queue = deque()      # admitted jobs awaiting submission
         self._retry = []           # heap of (ready_at, seq, job)
         self._retry_seq = 0
         self._jobs = {}            # key -> live job (coalescing index)
-        self._inflight = {}        # future -> (job, started_at)
+        # future -> (job, started_at, seq, kind); dict order is dispatch
+        # order, and a hedged job has two entries.
+        self._inflight = {}
+        self._dispatch_seq = 0
+        self._durations = []       # run times of completed jobs (hedge)
         self._pending = 0          # queued + retrying + in-flight
         self._closed = False
         self._drain = False
@@ -332,13 +370,13 @@ class JobScheduler:
                     retry_after_s=max(1.0, self.breaker.retry_after_s()),
                     label=self._label(task),
                 )
-            job = Job(task, key, clock=self._clock)
+            job = Job(task, key)
             if key is not None:
                 self._jobs[key] = job
             self._queue.append(job)
             self._pending += 1
             self.stats.accepted += 1
-        self._wake.set()
+            self._nudge()
         return job
 
     def snapshot(self):
@@ -371,7 +409,7 @@ class JobScheduler:
         with self._lock:
             self._closed = True
             self._drain = drain
-        self._wake.set()
+            self._nudge()
         self._thread.join(timeout)
         drained = not self._thread.is_alive()
         if not drained:
@@ -380,13 +418,18 @@ class JobScheduler:
             # wedged pool, then give it a moment to do so.
             with self._lock:
                 self._drain = False
-            self._wake.set()
+                self._nudge()
             self._thread.join(5.0)
         self.pool.close(kill=True)
         return drained
 
     # ------------------------------------------------------------------
     # Pump internals (scheduler thread only)
+
+    def _nudge(self):
+        """Wake the pump (lock held)."""
+        if not self._kick.done():
+            self._kick.set_result(None)
 
     def _label(self, task):
         label = getattr(task, "label", None)
@@ -399,86 +442,147 @@ class JobScheduler:
         return max(1.0, self._pending * per_job / self.workers)
 
     def _run(self):
+        try:
+            self._pump()
+        finally:
+            # Also reached if the pump itself fails: every accepted job
+            # still turns terminal, so no waiter blocks forever.
+            self._abort_remaining()
+
+    def _pump(self):
         while True:
             with self._lock:
-                now = self._clock()
+                if self._kick.done():
+                    self._kick = Future()
+                kick = self._kick
+                now = time.perf_counter()
                 while self._retry and self._retry[0][0] <= now:
                     _ready, _seq, job = heapq.heappop(self._retry)
                     self._queue.append(job)
                 if self._closed and not self._drain:
-                    break
+                    return
                 while self._queue and len(self._inflight) < self.workers:
                     job = self._queue.popleft()
-                    try:
-                        future = self.pool.submit(run_task, job.task)
-                    except Exception:
-                        # Pool broke between completions; respawn on
-                        # the next pass and try again.
+                    kind = "retry" if job.attempts else "primary"
+                    if not self._dispatch(job, kind):
                         self._queue.appendleft(job)
-                        self.pool.close(kill=False)
                         break
-                    self._inflight[future] = (job, time.monotonic())
+                due = [self._hedge_stragglers()]
                 inflight = dict(self._inflight)
-                idle = not inflight and not self._queue
-                done_draining = (self._closed and self._drain and idle
-                                 and not self._retry)
-                next_retry = self._retry[0][0] if self._retry else None
+                done_draining = (self._closed and self._drain
+                                 and not (inflight or self._queue
+                                          or self._retry))
+                if self._retry:
+                    due.append(self._retry[0][0])
+                if inflight and self.timeout is not None:
+                    due.append(self.timeout + min(
+                        attempt[1] for attempt in inflight.values()))
+                if self._queue and len(inflight) < self.workers:
+                    # The pool refused a dispatch: try again shortly.
+                    due.append(now + self.poll_s)
             if done_draining:
-                break
+                return
+            due = [at for at in due if at is not None]
+            wait_s = (max(0.0, min(due) - time.perf_counter())
+                      if due else None)
             if not inflight:
-                delay = self.poll_s
-                if idle and next_retry is None:
-                    delay = 1.0  # nothing to do until a submit wakes us
-                elif next_retry is not None:
-                    delay = min(1.0, max(0.0, next_retry - self._clock()))
-                self._wake.wait(delay)
-                self._wake.clear()
+                wait([kick], timeout=wait_s)
                 continue
-            self._pump_inflight(inflight)
-        self._abort_remaining()
+            self._pump_inflight(inflight, kick, wait_s)
 
-    def _pump_inflight(self, inflight):
-        wait_s = self.poll_s
-        if self.timeout is not None:
-            oldest = min(at for _job, at in inflight.values())
-            wait_s = min(
-                wait_s, max(0.0, oldest + self.timeout - time.monotonic())
-            )
-        done, _pending = wait(list(inflight), timeout=wait_s,
+    def _dispatch(self, job, kind):
+        """Submit one attempt of ``job`` (lock held); False if the pool
+        broke between completions — it respawns on the next submit."""
+        try:
+            future = self.pool.submit(run_task, job.task)
+        except Exception:
+            self.pool.close(kill=False)
+            return False
+        self._dispatch_seq += 1
+        self._inflight[future] = (job, time.perf_counter(),
+                                  self._dispatch_seq, kind)
+        self.stats.dispatched += 1
+        return True
+
+    def _hedge_stragglers(self):
+        """Duplicate long-running attempts onto spare workers (lock
+        held): at most one hedge per job, and only into a free slot, so
+        speculation never delays first-run work.  Returns when the next
+        running attempt reaches the threshold, or ``None``."""
+        if self.hedge is None or len(self._inflight) >= self.workers:
+            return None
+        threshold = self.hedge(self._durations, self.stats.accepted)
+        if threshold is None:
+            return None
+        now = time.perf_counter()
+        due = []
+        for job, started_at, _seq, kind in list(self._inflight.values()):
+            if len(self._inflight) >= self.workers:
+                return None
+            if kind == "hedge" or job.hedged:
+                continue
+            if now - started_at < threshold:
+                due.append(started_at + threshold)
+                continue
+            job.hedged = True
+            if not self._dispatch(job, "hedge"):
+                break
+            self.stats.hedges_launched += 1
+        return min(due, default=None)
+
+    def _pump_inflight(self, inflight, kick, wait_s):
+        done, _pending = wait([*inflight, kick], timeout=wait_s,
                               return_when=FIRST_COMPLETED)
-        pool_broken = False
-        for future in done:
+        done.discard(kick)
+        now = time.perf_counter()
+        casualties = {}  # job -> started_at, for a broken pool
+        reap = False
+        # Resolve in dispatch order, so when a primary and its hedge
+        # land in the same wait batch the primary wins.
+        for future in sorted(done, key=lambda f: inflight[f][2]):
             with self._lock:
-                job, started_at = self._inflight.pop(future)
+                attempt = self._inflight.pop(future, None)
+            if attempt is None:
+                continue  # the loser of a race its sibling settled
+            job, started_at, _seq, kind = attempt
             try:
                 record = future.result()
             except BrokenProcessPool:
-                pool_broken = True
-                self._attempt_failed(job, WorkerCrash(
-                    "worker process died",
-                    label=self._label(job.task),
-                    attempts=job.attempts + 1,
-                    cause="BrokenProcessPool",
-                ), infra=True)
+                casualties.setdefault(job, started_at)
+                continue
             except Exception as raw:
+                if job in casualties:
+                    continue  # charged once, with the crash, below
+                job.started_at = started_at
                 error = wrap_failure(
                     raw, self._label(job.task), job.attempts + 1
                 )
-                self._attempt_failed(
+                reap |= self._attempt_failed(
                     job, error,
                     infra=isinstance(error, (WorkerCrash, TaskTimeout)),
                 )
-            else:
-                job.attempts += 1
-                self._job_done(job, record)
-        if pool_broken:
+                continue
+            job.started_at, job.winner = started_at, kind
+            job.attempts += 1
+            if self.hedge is not None:
+                self._durations.append(now - started_at)
+            if kind == "hedge":
+                self.stats.hedges_won += 1
+            reap |= self._job_done(job, record)
+        if casualties:
             # Every sibling future died with the pool; the culprit is
-            # indistinguishable, so each in-flight job is charged a
-            # crash attempt and the pool respawns for the rest.
+            # indistinguishable, so each job with an attempt in flight
+            # is charged one crash attempt and the pool respawns for
+            # the rest.  Tracking is cleared first so a retryable
+            # charge re-queues the job.
             with self._lock:
-                orphans = list(self._inflight.values())
+                for job, started_at, _seq, _kind in self._inflight.values():
+                    casualties.setdefault(job, started_at)
                 self._inflight.clear()
-            for job, _started_at in orphans:
+            for job, started_at in casualties.items():
+                if job.done:
+                    continue
+                job.started_at = started_at
                 self._attempt_failed(job, WorkerCrash(
                     "worker process died",
                     label=self._label(job.task),
@@ -487,34 +591,39 @@ class JobScheduler:
                 ), infra=True)
             self.pool.close(kill=False)
             return
-        if self.timeout is None:
+        expired = {}
+        if self.timeout is not None:
+            now = time.perf_counter()
+            with self._lock:
+                for job, started_at, _seq, _kind in self._inflight.values():
+                    if not job.done and now - started_at >= self.timeout:
+                        expired.setdefault(job, started_at)
+        if not (reap or expired):
             return
-        now = time.monotonic()
+        # Killing a hung worker, or a settled race's still-running
+        # loser, kills the whole pool; in-flight innocents are re-queued
+        # without being charged an attempt.
         with self._lock:
-            expired = [
-                (future, job, started_at)
-                for future, (job, started_at) in self._inflight.items()
-                if now - started_at >= self.timeout
-            ]
-            if not expired:
-                return
-            for future, _job, _at in expired:
-                del self._inflight[future]
-            # Killing the hung worker kills the whole pool; in-flight
-            # innocents are re-queued without being charged an attempt.
-            innocents = [job for job, _at in self._inflight.values()]
+            innocents = []
+            for job, _at, _seq, _kind in self._inflight.values():
+                if not (job.done or job in expired or job in innocents):
+                    innocents.append(job)
             self._inflight.clear()
             self._queue.extendleft(reversed(innocents))
-        for _future, job, _started_at in expired:
+        self.pool.close(kill=True)
+        for job, started_at in expired.items():
+            job.started_at = started_at
             self._attempt_failed(job, TaskTimeout(
                 f"no result after {self.timeout:.1f}s",
                 label=self._label(job.task),
                 attempts=job.attempts + 1,
                 cause=f"timeout={self.timeout}",
             ), infra=True)
-        self.pool.close(kill=True)
 
     def _attempt_failed(self, job, error, infra):
+        """Charge one failed attempt; True if the job turned terminal
+        with a sibling attempt still running (its worker must be
+        reaped)."""
         job.attempts = error.attempts
         if isinstance(error, WorkerCrash):
             self.stats.crashes += 1
@@ -523,29 +632,29 @@ class JobScheduler:
         if infra and self.breaker is not None:
             self.breaker.record_failure()
         if error.retryable and job.attempts <= self.retries:
-            delay = backoff_delay(job.attempts, self.backoff_s,
-                                  self.backoff_cap_s, self.jitter, self._rng)
             with self._lock:
+                if any(attempt[0] is job
+                       for attempt in self._inflight.values()):
+                    return False  # the running sibling is the retry
+                delay = backoff_delay(job.attempts, self.backoff_s,
+                                      self.backoff_cap_s, self.jitter,
+                                      self._rng)
                 heapq.heappush(
                     self._retry,
-                    (self._clock() + delay, self._retry_seq, job),
+                    (time.perf_counter() + delay, self._retry_seq, job),
                 )
                 self._retry_seq += 1
             self.stats.retried += 1
-            return
-        self._job_terminal(job)
-        self.stats.failed += 1
-        if self.on_failure is not None:
-            try:
-                self.on_failure(job, error)
-            except Exception as exc:  # pragma: no cover - defensive
-                warnings.warn(f"on_failure callback raised: {exc!r}",
-                              RuntimeWarning)
-        job._fail(error)
+            return False
+        running = self._cancel_siblings(job)
+        self._fail_job(job, error)
+        return running
 
     def _job_done(self, job, record):
+        """Finish ``job``; True if a sibling attempt is still running."""
         if self.breaker is not None:
             self.breaker.record_success()
+        running = self._cancel_siblings(job)
         self._job_terminal(job)
         self.stats.completed += 1
         if self.on_result is not None:
@@ -557,6 +666,33 @@ class JobScheduler:
                 warnings.warn(f"on_result callback raised: {exc!r}",
                               RuntimeWarning)
         job._finish(record)
+        return running
+
+    def _cancel_siblings(self, job):
+        """Cancel a settled job's other in-flight attempts; True if one
+        is already running (only killing its worker stops it)."""
+        running = False
+        with self._lock:
+            for future, attempt in list(self._inflight.items()):
+                if attempt[0] is not job:
+                    continue
+                self.stats.hedges_cancelled += 1
+                if future.cancel() or future.done():
+                    del self._inflight[future]
+                else:
+                    running = True
+        return running
+
+    def _fail_job(self, job, error):
+        self._job_terminal(job)
+        self.stats.failed += 1
+        if self.on_failure is not None:
+            try:
+                self.on_failure(job, error)
+            except Exception as exc:  # pragma: no cover - defensive
+                warnings.warn(f"on_failure callback raised: {exc!r}",
+                              RuntimeWarning)
+        job._fail(error)
 
     def _job_terminal(self, job):
         with self._lock:
@@ -571,12 +707,12 @@ class JobScheduler:
             self._queue.clear()
             leftovers.extend(job for _r, _s, job in self._retry)
             self._retry = []
-            leftovers.extend(job for job, _at in self._inflight.values())
+            for job, _at, _seq, _kind in self._inflight.values():
+                if not (job.done or job in leftovers):
+                    leftovers.append(job)
             self._inflight.clear()
         for job in leftovers:
-            self._job_terminal(job)
-            self.stats.failed += 1
-            job._fail(TaskError(
+            self._fail_job(job, TaskError(
                 "scheduler closed before the job finished",
                 label=self._label(job.task),
                 attempts=job.attempts,

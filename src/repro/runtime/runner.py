@@ -3,20 +3,18 @@
 Every figure of the paper is a sweep: a grid of (config, dataset,
 kernel, embedding-dim) points, each an independent pure function of its
 inputs.  The runner exploits exactly that — points are described by
-picklable :class:`SpMMTask` records, fanned across a
-``ProcessPoolExecutor``, memoized through the content-addressed
-:mod:`repro.runtime.cache`, and returned **in submission order** no
-matter which worker finished first, so downstream charts and
-assertions never depend on scheduling.
+picklable :class:`SpMMTask` records, memoized through the
+content-addressed :mod:`repro.runtime.cache`, executed on the dispatch
+core (:class:`~repro.runtime.jobs.JobScheduler`), and returned **in
+submission order** no matter which worker finished first, so
+downstream charts and assertions never depend on scheduling.
 
-Failures are contained, not fatal (see :mod:`repro.runtime.errors`):
+Failures are contained, not fatal (see :mod:`repro.runtime.errors`).
+The core supplies per-task wall-clock **timeouts** (hung workers are
+killed, the pool respawned), bounded **retries** with exponential
+backoff and deterministic jitter, and pool **respawn** on worker death;
+the runner adds
 
-* per-task wall-clock **timeouts** (hung workers are killed, the pool
-  respawned);
-* bounded **retries** with exponential backoff and deterministic
-  jitter;
-* automatic pool **respawn** on ``BrokenProcessPool``, re-submitting
-  only the unfinished points;
 * an ``on_error`` **policy** once retries are exhausted — ``"raise"``
   (abort the sweep), ``"skip"`` (record a structured failure entry),
   or ``"fallback"`` (degrade the point to the analytical Equation 5
@@ -31,24 +29,16 @@ small task descriptors and JSON records cross the process boundary.
 
 from __future__ import annotations
 
-import heapq
 import os
+import queue
 import random
 import time
 import warnings
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.runtime.cache import cache_key
-from repro.runtime.errors import (
-    TaskTimeout,
-    WorkerCrash,
-    failure_record,
-    wrap_failure,
-)
-from repro.runtime.jobs import ExecPool, backoff_delay
+from repro.runtime.errors import TaskError, failure_record, wrap_failure
+from repro.runtime.jobs import JobScheduler, SchedulerStats, backoff_delay
 from repro.runtime.progress import ProgressTracker
 
 #: Valid ``on_error`` policies of :func:`run_sweep`.
@@ -295,11 +285,6 @@ class SpMMTask:
         return record
 
 
-def _execute_task(task):
-    """Module-level trampoline so tasks pickle into worker processes."""
-    return task.run()
-
-
 def spmm_task(dataset, embedding_dim, kernel="dma", max_vertices=16384,
               seed=0, window_edges=None, **config_overrides):
     """Build an :class:`SpMMTask` from keyword config overrides.
@@ -379,7 +364,7 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
               timeout=None, retries=0, backoff_s=0.25, backoff_cap_s=8.0,
               jitter=0.25, on_error="raise", checkpoint=None, resume=False,
               check_level=None, degradation=None, scheduler=None,
-              engine=None, sleep=time.sleep):
+              engine=None):
     """Run every task; returns a :class:`SweepReport`.
 
     Parameters
@@ -453,8 +438,6 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
         runs on (``task.with_engine``).  Engines are bit-identical in
         results; the choice lands in each task's cache key and its
         records' ``"engine"`` provenance field.
-    sleep:
-        Injectable delay function (tests).
     """
     tasks = list(tasks)
     if check_level is not None:
@@ -487,272 +470,23 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
         )
     if retries < 0:
         raise ValueError("retries must be non-negative")
-    if workers is None:
-        workers = default_workers()
-    if progress is None:
-        progress = ProgressTracker(total=len(tasks))
-    rng = random.Random(1729)
-    started = time.perf_counter()
-
-    n_tasks = len(tasks)
-    records = [None] * n_tasks
-    keys = [None] * n_tasks
     failures = []
-    resumed = 0
-    store_warned = [False]
 
-    if cache is not None or checkpoint is not None:
-        for index, task in enumerate(tasks):
-            payload = task.key_payload()
-            keys[index] = (cache.key_for(payload) if cache is not None
-                           else cache_key(payload))
-
-    if checkpoint is not None:
-        # Declare the manifest live *before* any point resolves: a
-        # resumed sweep may restore everything from the manifest and
-        # never append again, and gc_manifests judges liveness by
-        # mtime — without this, a long-resumed sweep's manifest could
-        # be collected out from under it by concurrent housekeeping.
-        try:
-            checkpoint.touch()
-        except (OSError, AttributeError):
-            pass
-
-    if checkpoint is not None and resume:
-        prior = checkpoint.load()
-        for index, task in enumerate(tasks):
-            record = prior.get(keys[index])
-            if record is not None:
-                records[index] = record
-                resumed += 1
-                progress.point_done(
-                    task.label(), 0.0,
-                    record.get("sim_time_ns", 0.0), cached=True,
-                )
-
-    misses = []
-    for index, task in enumerate(tasks):
-        if records[index] is not None:
-            continue
-        if cache is not None:
-            hit = cache.get(keys[index])
-            if hit is not None:
-                records[index] = hit
-                progress.point_done(
-                    task.label(), 0.0,
-                    hit.get("sim_time_ns", 0.0), cached=True,
-                )
-                continue
-        misses.append(index)
-    cache_hits = n_tasks - len(misses) - resumed
-
-    def _store(index, record):
-        # A sweep that already paid for the simulation must not die on
-        # a bookkeeping write: full disk or a read-only cache directory
-        # degrades to "uncached" with a warning.
-        if cache is not None:
-            try:
-                cache.put(keys[index], record,
-                          payload=tasks[index].key_payload())
-            except OSError as error:
-                if not store_warned[0]:
-                    store_warned[0] = True
-                    warnings.warn(
-                        f"result-cache write failed ({error}); "
-                        "continuing without persisting records",
-                        RuntimeWarning,
-                    )
-        if checkpoint is not None:
-            try:
-                checkpoint.flush(keys[index], record)
-            except OSError as error:
-                if not store_warned[0]:
-                    store_warned[0] = True
-                    warnings.warn(
-                        f"checkpoint write failed ({error}); "
-                        "continuing without persisting records",
-                        RuntimeWarning,
-                    )
-
-    def _finish(index, record, wall_s):
-        records[index] = record
-        _store(index, record)
-        progress.point_done(
-            tasks[index].label(), wall_s,
-            record.get("sim_time_ns", 0.0), cached=False,
-            events=record.get("events", 0),
-            host_wall_s=record.get("host_wall_s", 0.0),
-        )
-
-    def _resolve_failure(index, error, wall_s):
+    def exhausted(task, error):
         """Attempts exhausted (or unretryable error): apply on_error."""
         if on_error == "raise":
             raise error
         failures.append(error.payload())
-        task = tasks[index]
         maker = getattr(task, "fallback_record", None)
         if on_error == "fallback" and maker is not None:
-            record = maker(error)
-        else:
-            record = failure_record(error)
-        # Degraded records keep the submission-order slot but are never
-        # cached or checkpointed: a later run should retry the point.
-        records[index] = record
-        progress.point_done(
-            task.label(), wall_s,
-            record.get("sim_time_ns", 0.0), cached=False,
-            status=record.get("source"),
-        )
+            return maker(error)
+        return failure_record(error)
 
-    if workers <= 1 or (len(misses) <= 1 and timeout is None):
-        pool_workers = 1
-        for index in misses:
-            attempts = 0
-            while True:
-                attempts += 1
-                point_start = time.perf_counter()
-                try:
-                    record = _execute_task(tasks[index])
-                except Exception as raw:
-                    error = wrap_failure(raw, tasks[index].label(), attempts)
-                    wall_s = time.perf_counter() - point_start
-                    if error.retryable and attempts <= retries:
-                        sleep(backoff_delay(attempts, backoff_s,
-                                            backoff_cap_s, jitter, rng))
-                        continue
-                    _resolve_failure(index, error, wall_s)
-                else:
-                    _finish(index, record,
-                            time.perf_counter() - point_start)
-                break
-    else:
-        pool_workers = min(workers, len(misses))
-        attempts = {index: 0 for index in misses}
-        queue = deque(misses)
-        retry_heap = []  # (ready_at, seq, index)
-        retry_seq = 0
-        inflight = {}  # future -> (index, started_at)
-        # Kill-capable respawnable pool wrapper shared with the online
-        # JobScheduler (repro.runtime.jobs): spawns lazily on the first
-        # submit, close(kill=True) hard-kills hung workers, and the
-        # next submit transparently respawns.
-        pool = ExecPool(pool_workers)
-
-        def _schedule_retry(index):
-            nonlocal retry_seq
-            delay = backoff_delay(attempts[index], backoff_s,
-                                  backoff_cap_s, jitter, rng)
-            heapq.heappush(
-                retry_heap,
-                (time.perf_counter() + delay, retry_seq, index),
-            )
-            retry_seq += 1
-
-        def _after_failure(index, error, wall_s):
-            attempts[index] = error.attempts
-            if error.retryable and attempts[index] <= retries:
-                _schedule_retry(index)
-            else:
-                _resolve_failure(index, error, wall_s)
-
-        try:
-            while queue or inflight or retry_heap:
-                now = time.perf_counter()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _ready, _seq, index = heapq.heappop(retry_heap)
-                    queue.append(index)
-                # Windowed submission: at most pool_workers points in
-                # flight, so a submitted point starts (nearly)
-                # immediately and its timeout measures execution, not
-                # queueing behind the rest of the grid.
-                while queue and len(inflight) < pool_workers:
-                    index = queue.popleft()
-                    try:
-                        future = pool.submit(_execute_task, tasks[index])
-                    except Exception:
-                        # Pool broke between completions; respawn on
-                        # the next iteration and try again.
-                        queue.appendleft(index)
-                        pool.close(kill=False)
-                        break
-                    inflight[future] = (index, time.perf_counter())
-                if not inflight:
-                    if retry_heap and not queue:
-                        sleep(max(0.0,
-                                  retry_heap[0][0] - time.perf_counter()))
-                    continue
-
-                wait_s = None
-                if timeout is not None:
-                    oldest = min(at for _i, at in inflight.values())
-                    wait_s = max(0.0, oldest + timeout - time.perf_counter())
-                done, _pending = wait(list(inflight), timeout=wait_s,
-                                      return_when=FIRST_COMPLETED)
-                now = time.perf_counter()
-                pool_broken = False
-                for future in done:
-                    index, started_at = inflight.pop(future)
-                    wall_s = now - started_at
-                    try:
-                        record = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        _after_failure(index, WorkerCrash(
-                            "worker process died",
-                            label=tasks[index].label(),
-                            attempts=attempts[index] + 1,
-                            cause="BrokenProcessPool",
-                        ), wall_s)
-                    except Exception as raw:
-                        _after_failure(index, wrap_failure(
-                            raw, tasks[index].label(), attempts[index] + 1,
-                        ), wall_s)
-                    else:
-                        attempts[index] += 1
-                        _finish(index, record, wall_s)
-                if pool_broken:
-                    # Every sibling future died with the pool; the
-                    # culprit is indistinguishable, so each in-flight
-                    # point is charged a crash attempt (bounded by the
-                    # window) and the pool is respawned for the rest.
-                    for future, (index, started_at) in list(inflight.items()):
-                        _after_failure(index, WorkerCrash(
-                            "worker process died",
-                            label=tasks[index].label(),
-                            attempts=attempts[index] + 1,
-                            cause="BrokenProcessPool",
-                        ), now - started_at)
-                    inflight.clear()
-                    pool.close(kill=False)
-                    continue
-                if timeout is not None and inflight:
-                    now = time.perf_counter()
-                    expired = [
-                        (future, index, started_at)
-                        for future, (index, started_at) in inflight.items()
-                        if now - started_at >= timeout
-                    ]
-                    if expired:
-                        for future, index, started_at in expired:
-                            del inflight[future]
-                            _after_failure(index, TaskTimeout(
-                                f"no result after {timeout:.1f}s",
-                                label=tasks[index].label(),
-                                attempts=attempts[index] + 1,
-                                cause=f"timeout={timeout}",
-                            ), now - started_at)
-                        # Killing the hung worker kills the whole pool;
-                        # in-flight innocents are re-queued without
-                        # being charged an attempt.
-                        for future, (index, _at) in inflight.items():
-                            queue.append(index)
-                        inflight.clear()
-                        pool.close(kill=True)
-        finally:
-            # Abnormal exit (on_error="raise" mid-flight) may leave
-            # running workers; kill only then, else close gracefully.
-            pool.close(kill=bool(inflight))
-
+    fields, _stats = run_batch(
+        tasks, workers, cache, checkpoint, resume, progress, exhausted,
+        timeout=timeout, retries=retries, backoff_s=backoff_s,
+        backoff_cap_s=backoff_cap_s, jitter=jitter,
+    )
     if checkpoint is not None:
         # The sweep ran to completion: compact the append-only manifest
         # so interrupted-and-resumed campaigns do not grow it without
@@ -762,14 +496,178 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
             checkpoint.compact()
         except (OSError, AttributeError):
             pass
+    return SweepReport(tasks=tasks, failures=failures, **fields)
 
-    return SweepReport(
-        tasks=tasks,
-        records=records,
-        cache_hits=cache_hits,
-        cache_misses=len(misses),
-        workers=pool_workers,
-        wall_s=time.perf_counter() - started,
-        failures=failures,
-        resumed=resumed,
-    )
+
+def run_batch(tasks, workers, cache, checkpoint, resume, progress,
+              exhausted, *, timeout=None, retries=0, backoff_s=0.0,
+              backoff_cap_s=0.0, jitter=0.0, hedge=None, annotate=None):
+    """The body :func:`run_sweep` and
+    :func:`~repro.runtime.shard.run_shards` share.
+
+    Resolves what needs no work first — checkpoint-manifest records
+    (``resume``) and cache hits, both reported to ``progress`` as
+    cached — then executes the misses: inline when ``workers <= 1`` or
+    when a lone miss has no ``timeout`` to enforce, otherwise on a
+    private :class:`~repro.runtime.jobs.JobScheduler` (no breaker, no
+    coalescing, ``max_pending`` equal to the misses, ``hedge`` passed
+    through).  Each computed record is written to the cache and the
+    checkpoint as computed (a failing write warns once and continues)
+    and reported to ``progress`` with its wall-clock, measured from the
+    dispatch of the attempt that produced it.
+
+    ``exhausted(task, error)`` is the caller's policy for a miss whose
+    attempts are spent: it returns the degraded record to report (never
+    cached or checkpointed, so a later run retries the point) or
+    raises, which aborts the batch and kills the pool.
+    ``annotate(record, job)`` may replace a record computed on the pool
+    in the returned list (not in the cache); inline records are
+    returned as computed.
+
+    Returns ``(fields, stats)``: the report fields both callers share
+    (``records`` in task order, ``cache_hits``, ``cache_misses``,
+    ``workers``, ``wall_s``, ``resumed``) and the
+    :class:`~repro.runtime.jobs.SchedulerStats` of the execution.
+    """
+    if workers is None:
+        workers = default_workers()
+    if progress is None:
+        progress = ProgressTracker(total=len(tasks))
+    started = time.perf_counter()
+    records = [None] * len(tasks)
+    keys = [None] * len(tasks)
+    if cache is not None or checkpoint is not None:
+        for index, task in enumerate(tasks):
+            payload = task.key_payload()
+            keys[index] = (cache.key_for(payload) if cache is not None
+                           else cache_key(payload))
+    if checkpoint is not None:
+        # Declare the manifest live *before* any point resolves: a
+        # resumed batch may restore everything from the manifest and
+        # never append again, and gc_manifests judges liveness by
+        # mtime — without this, a long-resumed batch's manifest could
+        # be collected out from under it by concurrent housekeeping.
+        try:
+            checkpoint.touch()
+        except (OSError, AttributeError):
+            pass
+    prior = checkpoint.load() if checkpoint is not None and resume else {}
+    resumed = 0
+    misses = []
+    for index, task in enumerate(tasks):
+        record = prior.get(keys[index])
+        if record is not None:
+            resumed += 1
+        elif cache is not None:
+            record = cache.get(keys[index])
+        if record is None:
+            misses.append(index)
+            continue
+        records[index] = record
+        progress.point_done(task.label(), 0.0,
+                            record.get("sim_time_ns", 0.0), cached=True)
+    warned = []
+
+    def store(what, write):
+        # A batch that already paid for the simulation must not die on
+        # a bookkeeping write: full disk or a read-only directory
+        # degrades to "unpersisted" with one warning.
+        try:
+            write()
+        except OSError as error:
+            if not warned:
+                warned.append(error)
+                warnings.warn(
+                    f"{what} write failed ({error}); "
+                    "continuing without persisting records",
+                    RuntimeWarning,
+                )
+
+    def finish(index, record, wall_s, job=None):
+        if cache is not None:
+            store("result-cache", lambda: cache.put(
+                keys[index], record, payload=tasks[index].key_payload()))
+        if checkpoint is not None:
+            store("checkpoint",
+                  lambda: checkpoint.flush(keys[index], record))
+        records[index] = (record if job is None or annotate is None
+                          else annotate(record, job))
+        progress.point_done(
+            tasks[index].label(), wall_s,
+            record.get("sim_time_ns", 0.0), cached=False,
+            events=record.get("events", 0),
+            host_wall_s=record.get("host_wall_s", 0.0),
+        )
+
+    def fail(index, error, wall_s):
+        record = exhausted(tasks[index], error)
+        records[index] = record
+        progress.point_done(
+            tasks[index].label(), wall_s,
+            record.get("sim_time_ns", 0.0), cached=False,
+            status=record.get("source"),
+        )
+
+    # Inline when a pool buys nothing: one worker, or a lone miss with
+    # no timeout that only killing a worker could enforce.
+    if not misses or workers <= 1 or (len(misses) == 1 and timeout is None):
+        pool_workers = 1
+        stats = SchedulerStats()
+        rng = random.Random(1729)
+        for index in misses:
+            attempts = 0
+            while True:
+                attempts += 1
+                stats.dispatched += 1
+                began = time.perf_counter()
+                try:
+                    record = tasks[index].run()
+                except Exception as raw:
+                    error = wrap_failure(raw, tasks[index].label(), attempts)
+                    if error.retryable and attempts <= retries:
+                        stats.retried += 1
+                        time.sleep(backoff_delay(attempts, backoff_s,
+                                                 backoff_cap_s, jitter, rng))
+                        continue
+                    fail(index, error, time.perf_counter() - began)
+                else:
+                    finish(index, record, time.perf_counter() - began)
+                break
+    else:
+        pool_workers = min(workers, len(misses))
+        landed = queue.SimpleQueue()
+
+        def on_outcome(job, outcome):
+            began = job.started_at
+            landed.put((job, outcome, 0.0 if began is None
+                        else time.perf_counter() - began))
+
+        scheduler = JobScheduler(
+            pool_workers, timeout=timeout, retries=retries,
+            max_pending=len(misses), backoff_s=backoff_s,
+            backoff_cap_s=backoff_cap_s, jitter=jitter, hedge=hedge,
+            on_result=on_outcome, on_failure=on_outcome,
+        )
+        try:
+            index_of = {scheduler.submit(tasks[index]): index
+                        for index in misses}
+            for _ in misses:
+                job, outcome, wall_s = landed.get()
+                if isinstance(outcome, TaskError):
+                    fail(index_of[job], outcome, wall_s)
+                else:
+                    finish(index_of[job], outcome, wall_s, job)
+        finally:
+            # Kills the pool: its workers are idle unless a policy
+            # raised mid-flight.
+            scheduler.close()
+        stats = scheduler.stats
+
+    return {
+        "records": records,
+        "cache_hits": len(tasks) - len(misses) - resumed,
+        "cache_misses": len(misses),
+        "workers": pool_workers,
+        "wall_s": time.perf_counter() - started,
+        "resumed": resumed,
+    }, stats

@@ -25,15 +25,11 @@ Two contracts make the sharding trustworthy (enforced by
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.runtime.runner import SpMMTask, _materialized
+from repro.runtime.runner import SpMMTask, _materialized, run_batch
 
 
 def shard_subgraph(adj, row_start, row_end):
@@ -381,13 +377,20 @@ class ShardRecovery:
         if self.hedge_factor <= 1.0:
             raise ValueError("hedge_factor must be > 1")
 
+    def hedge_threshold(self, durations, shards):
+        """Seconds after which a running shard is hedged, or ``None``.
 
-def _recovery_stats():
-    return {
-        "attempts": 0, "retries": 0, "crashes": 0, "timeouts": 0,
-        "hedges_launched": 0, "hedges_won": 0, "hedges_cancelled": 0,
-        "fallbacks": 0,
-    }
+        The :class:`~repro.runtime.jobs.JobScheduler` hedge policy:
+        ``durations`` are the run times of the shards finished so far
+        out of ``shards``.  The adaptive threshold waits until half the
+        fleet has reported.
+        """
+        if self.hedge_after_s is not None:
+            return self.hedge_after_s
+        if len(durations) * 2 >= max(2, shards):
+            median = sorted(durations)[len(durations) // 2]
+            return max(self.min_hedge_s, self.hedge_factor * median)
+        return None
 
 
 @dataclass
@@ -408,7 +411,7 @@ class ShardRunReport:
     wall_s: float
     failures: list = field(default_factory=list)
     resumed: int = 0
-    recovery: dict = field(default_factory=_recovery_stats)
+    recovery: dict = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.records)
@@ -434,357 +437,55 @@ def run_shards(tasks, recovery=None, *, workers=None, cache=None,
     """Run shard tasks under per-shard failure domains with hedging.
 
     The multi-node counterpart of :func:`~repro.runtime.runner.
-    run_sweep`: same submission-order records, content-cache and
-    checkpoint integration, pool respawn on crashes — but failure
-    handling is per *shard domain* (see :class:`ShardRecovery`) and
+    run_sweep`, on the same batch body and dispatch core: same
+    submission-order records, content-cache and checkpoint integration,
+    pool respawn on crashes — but retries are immediate, failure
+    handling is per *shard domain* (see :class:`ShardRecovery`), and
     stragglers are speculatively re-executed on free workers.  Shard
     tasks are deterministic, so whichever of a primary/hedge pair
     finishes first returns the identical record; the race only moves
-    wall-clock, never results.
+    wall-clock, never results.  A record computed on the pool carries
+    its ``"recovery"`` provenance (attempts, whether it was hedged,
+    which attempt won); the cache and checkpoint hold the raw record.
 
     Returns a :class:`ShardRunReport`.  Degraded (fallback) records are
     never written to the cache or the checkpoint manifest — a later run
     retries those shards, exactly like ``run_sweep``'s policy.
     """
-    from repro.runtime.cache import cache_key
-    from repro.runtime.errors import (
-        TaskTimeout,
-        WorkerCrash,
-        wrap_failure,
-    )
-    from repro.runtime.jobs import ExecPool
-    from repro.runtime.runner import _execute_task, default_workers
-
     tasks = list(tasks)
     if recovery is None:
         recovery = ShardRecovery()
-    if workers is None:
-        workers = default_workers()
-    started = time.perf_counter()
-
-    n_tasks = len(tasks)
-    records = [None] * n_tasks
-    keys = [None] * n_tasks
     failures = []
-    resumed = 0
-    stats = _recovery_stats()
 
-    if cache is not None or checkpoint is not None:
-        for index, task in enumerate(tasks):
-            payload = task.key_payload()
-            keys[index] = (cache.key_for(payload) if cache is not None
-                           else cache_key(payload))
-    if checkpoint is not None:
-        try:
-            checkpoint.touch()
-        except (OSError, AttributeError):
-            pass
-    if checkpoint is not None and resume:
-        prior = checkpoint.load()
-        for index in range(n_tasks):
-            record = prior.get(keys[index])
-            if record is not None:
-                records[index] = record
-                resumed += 1
-    misses = []
-    for index in range(n_tasks):
-        if records[index] is not None:
-            continue
-        if cache is not None:
-            hit = cache.get(keys[index])
-            if hit is not None:
-                records[index] = hit
-                continue
-        misses.append(index)
-    cache_hits = n_tasks - len(misses) - resumed
-
-    def _store(index, record):
-        if cache is not None:
-            try:
-                cache.put(keys[index], record,
-                          payload=tasks[index].key_payload())
-            except OSError:
-                pass
-        if checkpoint is not None:
-            try:
-                checkpoint.flush(keys[index], record)
-            except OSError:
-                pass
-
-    def _progress(index, wall_s, record, status=None):
-        if progress is not None:
-            progress.point_done(
-                tasks[index].label(), wall_s,
-                record.get("sim_time_ns", 0.0), cached=False, status=status,
-            )
-
-    def _exhaust(index, error, wall_s):
+    def exhausted(task, error):
         """Failure domain spent: degrade or abort per policy."""
         if recovery.on_exhausted == "raise":
             raise error
         failures.append(error.payload())
-        stats["fallbacks"] += 1
-        record = _shard_fallback(tasks[index], error)
-        records[index] = record
-        _progress(index, wall_s, record, status=record.get("source"))
+        return _shard_fallback(task, error)
 
-    if workers <= 1 or len(misses) <= 1:
-        # Inline execution: no pool, so no hedging and no enforceable
-        # timeout — but the retry/fallback domain semantics hold.
-        for index in misses:
-            fail_count = 0
-            while True:
-                stats["attempts"] += 1
-                point_start = time.perf_counter()
-                try:
-                    record = _execute_task(tasks[index])
-                except Exception as raw:
-                    fail_count += 1
-                    error = wrap_failure(
-                        raw, tasks[index].label(), fail_count
-                    )
-                    wall_s = time.perf_counter() - point_start
-                    if error.retryable and fail_count <= recovery.retries:
-                        stats["retries"] += 1
-                        continue
-                    _exhaust(index, error, wall_s)
-                else:
-                    records[index] = record
-                    _store(index, record)
-                    _progress(index, time.perf_counter() - point_start,
-                              record)
-                break
-        return ShardRunReport(
-            tasks=tasks, records=records, cache_hits=cache_hits,
-            cache_misses=len(misses), workers=1,
-            wall_s=time.perf_counter() - started, failures=failures,
-            resumed=resumed, recovery=stats,
-        )
+    def annotate(record, job):
+        return {**record, "recovery": {
+            "attempts": job.attempts,
+            "hedged": job.hedged,
+            "winner": job.winner,
+        }}
 
-    pool_workers = min(workers, len(misses))
-    pool = ExecPool(pool_workers)
-    remaining = set(misses)
-    queue = deque(misses)
-    fail_count = {index: 0 for index in misses}
-    inflight = {}          # future -> (index, attempt_id, kind, started_at)
-    live = {index: [] for index in misses}   # index -> live futures
-    hedged = set()
-    durations = []
-    attempt_seq = 0
-
-    def _hedge_threshold():
-        if recovery.hedge_after_s is not None:
-            return recovery.hedge_after_s
-        if len(durations) * 2 >= max(2, len(misses)):
-            ordered = sorted(durations)
-            median = ordered[len(ordered) // 2]
-            return max(recovery.min_hedge_s, recovery.hedge_factor * median)
-        return None
-
-    def _submit(index, kind):
-        nonlocal attempt_seq
-        attempt_seq += 1
-        try:
-            future = pool.submit(_execute_task, tasks[index])
-        except Exception:
-            pool.close(kill=False)
-            return False
-        stats["attempts"] += 1
-        inflight[future] = (index, attempt_seq, kind, time.perf_counter())
-        live[index].append(future)
-        return True
-
-    def _charge(index, error, wall_s):
-        """One failed attempt against ``index``'s domain."""
-        if index not in remaining:
-            return
-        fail_count[index] += 1
-        if isinstance(error, WorkerCrash):
-            stats["crashes"] += 1
-        elif isinstance(error, TaskTimeout):
-            stats["timeouts"] += 1
-        if error.retryable and fail_count[index] <= recovery.retries:
-            # The live sibling (a hedge still running) *is* the retry
-            # in flight; only resubmit when the domain has no attempt
-            # left running.
-            if not live[index]:
-                stats["retries"] += 1
-                queue.append(index)
-            return
-        remaining.discard(index)
-        _exhaust(index, error, wall_s)
-
-    try:
-        while remaining:
-            while queue and len(inflight) < pool_workers:
-                index = queue.popleft()
-                if index not in remaining:
-                    continue
-                if not _submit(index, "retry" if fail_count[index]
-                               else "primary"):
-                    queue.appendleft(index)
-                    break
-            # Hedge stragglers onto spare capacity: at most one hedge
-            # per shard, launched only when a worker slot is free so
-            # speculation never delays first-run work.
-            threshold = _hedge_threshold()
-            if threshold is not None and len(inflight) < pool_workers:
-                now = time.perf_counter()
-                for future, (index, _seq, kind, at) in sorted(
-                        inflight.items(), key=lambda kv: kv[1][3]):
-                    if len(inflight) >= pool_workers:
-                        break
-                    if (kind == "hedge" or index in hedged
-                            or index not in remaining
-                            or now - at < threshold):
-                        continue
-                    hedged.add(index)
-                    if _submit(index, "hedge"):
-                        stats["hedges_launched"] += 1
-            if not inflight:
-                if not queue and remaining:
-                    # Pool broke during submission; retry next pass.
-                    queue.extend(sorted(remaining - set(queue)))
-                continue
-
-            wait_s = 0.05
-            if recovery.timeout is not None:
-                oldest = min(
-                    at for _i, _s, _k, at in inflight.values()
-                )
-                wait_s = min(wait_s, max(
-                    0.0, oldest + recovery.timeout - time.perf_counter()
-                ))
-            done, _pending = wait(list(inflight), timeout=wait_s,
-                                  return_when=FIRST_COMPLETED)
-            now = time.perf_counter()
-            pool_broken = False
-            reap = False
-            # Deterministic tie-break: completions resolve in
-            # (shard index, attempt id) order, so when a primary and
-            # its hedge land in the same wait batch the primary wins.
-            for future in sorted(done, key=lambda f: inflight[f][:2]):
-                index, _seq, kind, started_at = inflight.pop(future)
-                if future in live.get(index, ()):
-                    live[index].remove(future)
-                wall_s = now - started_at
-                if index not in remaining:
-                    # Stale loser of a settled race.
-                    continue
-                try:
-                    record = future.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    _charge(index, WorkerCrash(
-                        "worker process died",
-                        label=tasks[index].label(),
-                        attempts=fail_count[index] + 1,
-                        cause="BrokenProcessPool",
-                    ), wall_s)
-                except Exception as raw:
-                    _charge(index, wrap_failure(
-                        raw, tasks[index].label(), fail_count[index] + 1,
-                    ), wall_s)
-                else:
-                    remaining.discard(index)
-                    durations.append(wall_s)
-                    if kind == "hedge":
-                        stats["hedges_won"] += 1
-                    # Cache/checkpoint the *raw* record (bit-identical
-                    # to an unfaulted run); the returned copy carries
-                    # the recovery provenance.
-                    _store(index, record)
-                    annotated = dict(record)
-                    annotated["recovery"] = {
-                        "attempts": fail_count[index] + 1,
-                        "hedged": index in hedged,
-                        "winner": kind,
-                    }
-                    records[index] = annotated
-                    _progress(index, wall_s, record)
-                    # Cancel the losing sibling: a not-yet-started
-                    # future cancels in place; a running one can only
-                    # be stopped by killing its worker, done below.
-                    for sibling in list(live[index]):
-                        if sibling.cancel() or sibling.done():
-                            live[index].remove(sibling)
-                            inflight.pop(sibling, None)
-                        else:
-                            reap = True
-                        stats["hedges_cancelled"] += 1
-            if pool_broken:
-                # Indistinguishable sibling deaths: each unresolved
-                # in-flight shard is charged one crash attempt, then
-                # the pool respawns for the rest.  Tracking is cleared
-                # *first* so a retryable charge re-queues the shard.
-                casualties = {}
-                for index, _s, _k, at in inflight.values():
-                    if index in remaining:
-                        casualties.setdefault(index, at)
-                inflight.clear()
-                for index in live:
-                    live[index] = []
-                for index, at in sorted(casualties.items()):
-                    _charge(index, WorkerCrash(
-                        "worker process died",
-                        label=tasks[index].label(),
-                        attempts=fail_count[index] + 1,
-                        cause="BrokenProcessPool",
-                    ), now - at)
-                pool.close(kill=False)
-                continue
-            if reap:
-                # A settled race left a loser *running*: the only way
-                # to cancel it is to kill its worker, which takes the
-                # pool.  Unresolved in-flight innocents are re-queued
-                # without being charged.
-                for future, (index, _s, _k, _at) in list(inflight.items()):
-                    if index in remaining and index not in queue:
-                        queue.append(index)
-                inflight.clear()
-                for index in live:
-                    live[index] = []
-                pool.close(kill=True)
-                continue
-            if recovery.timeout is not None and inflight:
-                now = time.perf_counter()
-                expired = {}
-                for index, _s, _k, at in inflight.values():
-                    if (now - at >= recovery.timeout
-                            and index in remaining):
-                        expired.setdefault(index, at)
-                if expired:
-                    # Killing the hung worker kills the whole pool;
-                    # innocents are re-queued without being charged.
-                    # Tracking is cleared before charging so a
-                    # retryable timeout re-queues its shard.
-                    innocents = sorted({
-                        index for index, _s, _k, _at in inflight.values()
-                        if index in remaining and index not in expired
-                    })
-                    inflight.clear()
-                    for index in live:
-                        live[index] = []
-                    for index, at in sorted(expired.items()):
-                        _charge(index, TaskTimeout(
-                            f"no result after {recovery.timeout:.1f}s",
-                            label=tasks[index].label(),
-                            attempts=fail_count[index] + 1,
-                            cause=f"timeout={recovery.timeout}",
-                        ), now - at)
-                    for index in innocents:
-                        if index not in queue:
-                            queue.append(index)
-                    pool.close(kill=True)
-    finally:
-        pool.close(kill=bool(inflight))
-
-    return ShardRunReport(
-        tasks=tasks, records=records, cache_hits=cache_hits,
-        cache_misses=len(misses), workers=pool_workers,
-        wall_s=time.perf_counter() - started, failures=failures,
-        resumed=resumed, recovery=stats,
+    fields, stats = run_batch(
+        tasks, workers, cache, checkpoint, resume, progress, exhausted,
+        timeout=recovery.timeout, retries=recovery.retries,
+        hedge=recovery.hedge_threshold, annotate=annotate,
     )
+    return ShardRunReport(tasks=tasks, failures=failures, recovery={
+        "attempts": stats.dispatched,
+        "retries": stats.retried,
+        "crashes": stats.crashes,
+        "timeouts": stats.timeouts,
+        "hedges_launched": stats.hedges_launched,
+        "hedges_won": stats.hedges_won,
+        "hedges_cancelled": stats.hedges_cancelled,
+        "fallbacks": len(failures),
+    }, **fields)
 
 
 def shard_tasks(dataset, embedding_dim, n_shards, strategy="block",

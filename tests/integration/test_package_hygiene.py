@@ -1,5 +1,6 @@
 """Package-level hygiene: every module imports, every __all__ resolves."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -39,6 +40,54 @@ def test_all_entries_resolve(name):
 def test_module_has_docstring(name):
     module = importlib.import_module(name)
     assert module.__doc__, f"{name} lacks a module docstring"
+
+
+#: The one module allowed to drive a process pool (DESIGN.md §7).
+DISPATCH_CORE = "repro/runtime/jobs.py"
+
+#: Names whose construction or handling means "this code owns a pool".
+POOL_NAMES = {"ExecPool", "ProcessPoolExecutor", "BrokenProcessPool"}
+
+
+def _dispatch_sites(path):
+    """``(line, what)`` for every pool construction, futures wait, or
+    ``BrokenProcessPool`` reference in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    waits = set()  # local names bound to concurrent.futures.wait
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("concurrent.futures")):
+            waits.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == "wait")
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and (
+                    func.id in POOL_NAMES or func.id in waits):
+                sites.append((node.lineno, f"{func.id}(...)"))
+            elif isinstance(func, ast.Attribute) and (
+                    func.attr in POOL_NAMES
+                    or (func.attr == "wait"
+                        and ast.unparse(func.value).endswith("futures"))):
+                sites.append((node.lineno, f"{ast.unparse(func)}(...)"))
+        elif isinstance(node, ast.Name) and node.id == "BrokenProcessPool":
+            sites.append((node.lineno, "BrokenProcessPool"))
+    return sites
+
+
+def test_only_the_dispatch_core_drives_a_process_pool():
+    """One dispatch core: sweeps, shards, and the service all execute
+    through ``JobScheduler``, so no other module may build a pool, wait
+    on its futures, or handle its breakage."""
+    assert _dispatch_sites(PACKAGE_ROOT.parent / DISPATCH_CORE)
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT.parent).as_posix()
+        if name != DISPATCH_CORE:
+            offenders += [f"{name}:{line}: {what}"
+                          for line, what in _dispatch_sites(path)]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_expected_subpackages_present():

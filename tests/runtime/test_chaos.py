@@ -17,28 +17,30 @@ from repro.runtime.chaos import (
     CHAOS_FRONTENDS,
     CHAOS_IDENTITY_FIELDS,
     ChaosSchedule,
-    ChaoticTask,
     record_identity,
     run_chaos,
 )
 from repro.runtime.errors import SimulationDiverged
+from repro.runtime.faults import FaultyTask
 from repro.runtime.runner import spmm_task
 
 pytestmark = pytest.mark.timeout(600)
 
 
 class TestChaoticTask:
+    """The chaos carrier: a :class:`FaultyTask` wrapping a real victim."""
+
     def test_key_payload_is_the_victims(self, tmp_path):
         victim = spmm_task("products", 8, max_vertices=512, seed=3)
-        wrapped = ChaoticTask(victim=victim, name="w", plan=("ok",),
-                              scratch=str(tmp_path))
+        wrapped = FaultyTask(victim=victim, name="w", plan=("ok",),
+                             scratch=str(tmp_path))
         assert wrapped.key_payload() == victim.key_payload()
         assert victim.label() in wrapped.label()
 
     def test_ok_attempt_runs_the_victim(self, tmp_path):
         victim = spmm_task("products", 8, max_vertices=512, seed=3)
-        wrapped = ChaoticTask(victim=victim, name="w", plan=("ok",),
-                              scratch=str(tmp_path))
+        wrapped = FaultyTask(victim=victim, name="w", plan=("ok",),
+                             scratch=str(tmp_path))
         assert record_identity(wrapped.run()) == \
             record_identity(victim.run())
         assert wrapped.attempts_made() == 1
@@ -47,34 +49,34 @@ class TestChaoticTask:
         """Attempt markers live on disk, so a respawned process (a new
         deserialized instance) continues the same script."""
         victim = spmm_task("products", 8, max_vertices=512, seed=3)
-        first = ChaoticTask(victim=victim, name="w",
-                            plan=("raise", "ok"), scratch=str(tmp_path))
+        first = FaultyTask(victim=victim, name="w",
+                           plan=("raise", "ok"), scratch=str(tmp_path))
         with pytest.raises(RuntimeError, match="injected"):
             first.run()
-        clone = ChaoticTask(victim=victim, name="w",
-                            plan=("raise", "ok"), scratch=str(tmp_path))
+        clone = FaultyTask(victim=victim, name="w",
+                           plan=("raise", "ok"), scratch=str(tmp_path))
         assert clone.run()["source"] == "simulation"
 
     def test_diverge_raises_unretryable(self, tmp_path):
         victim = spmm_task("products", 8, max_vertices=512, seed=3)
-        wrapped = ChaoticTask(victim=victim, name="d",
-                              plan=("diverge",), scratch=str(tmp_path))
+        wrapped = FaultyTask(victim=victim, name="d",
+                             plan=("diverge",), scratch=str(tmp_path))
         with pytest.raises(SimulationDiverged):
             wrapped.run()
 
     def test_rejects_unknown_behaviors(self, tmp_path):
         victim = spmm_task("products", 8, max_vertices=512, seed=3)
         with pytest.raises(ValueError):
-            ChaoticTask(victim=victim, name="x", plan=("explode",),
-                        scratch=str(tmp_path))
+            FaultyTask(victim=victim, name="x", plan=("explode",),
+                       scratch=str(tmp_path))
         with pytest.raises(ValueError):
-            ChaoticTask(victim=victim, name="x", plan=(),
-                        scratch=str(tmp_path))
+            FaultyTask(victim=victim, name="x", plan=(),
+                       scratch=str(tmp_path))
 
     def test_forwards_fallback_records(self, tmp_path):
         victim = spmm_task("products", 8, max_vertices=512, seed=3)
-        wrapped = ChaoticTask(victim=victim, name="f", plan=("ok",),
-                              scratch=str(tmp_path))
+        wrapped = FaultyTask(victim=victim, name="f", plan=("ok",),
+                             scratch=str(tmp_path))
         assert wrapped.fallback_record(None)["source"] == \
             "model_fallback"
 

@@ -7,6 +7,8 @@ leave the sweep completing with submission-ordered records, fallback
 points carry Eq.5 provenance, and divergence is never retried.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.runtime import (
@@ -160,6 +162,46 @@ class TestFaultHarness:
         task = make_task("counted", ("raise", "raise", "ok"))
         run_sweep([task, make_task("b")], workers=2, retries=2, **FAST)
         assert task.attempts_made() == 3
+
+
+def _claim_attempts(scratch, trials, barrier, results):
+    """Race the other process into ``_record_attempt`` once per trial."""
+    for trial in range(trials):
+        barrier.wait(timeout=60)
+        task = FaultyTask(name=f"race{trial}", scratch=scratch)
+        results.put((trial, task._record_attempt()))
+
+
+class TestAttemptMarkers:
+    def test_concurrent_attempts_claim_distinct_numbers(self, tmp_path):
+        """Two processes released together from a barrier into the
+        marker writer always come out as attempts 1 and 2 — the
+        count-then-create race never hands both the same number."""
+        trials = 100
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        results = context.Queue()
+        workers = [
+            context.Process(
+                target=_claim_attempts,
+                args=(str(tmp_path), trials, barrier, results),
+            )
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            claimed = {trial: [] for trial in range(trials)}
+            for _ in range(2 * trials):
+                trial, attempt = results.get(timeout=60)
+                claimed[trial].append(attempt)
+        finally:
+            for worker in workers:
+                worker.join(timeout=60)
+        assert all(w.exitcode == 0 for w in workers)
+        bad = [t for t, a in claimed.items() if sorted(a) != [1, 2]]
+        assert not bad, (f"{len(bad)}/{trials} trials collided, e.g. "
+                         f"trial {bad[0]}: {claimed[bad[0]]}")
 
 
 class TestServiceFaultInjector:

@@ -5,7 +5,9 @@ so every path (success, crash, hang, saturation) runs in real worker
 processes without touching the simulator.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -63,12 +65,76 @@ class TestBasics:
         with pytest.raises(TaskError):
             job.result()
 
+    def test_close_reports_aborted_jobs_to_on_failure(self, tmp_path):
+        # Shutdown is a terminal outcome like any other: a caller that
+        # tracks its jobs through on_failure sees it too.
+        failed = []
+        scheduler = JobScheduler(
+            workers=1, on_failure=lambda job, error: failed.append(error))
+        scheduler.submit(task_for(tmp_path, "slow", plan=("hang",),
+                                  hang_s=30.0))
+        scheduler.close(drain=False)
+        assert [error.cause for error in failed] == ["shutdown"]
+
     def test_close_drain_finishes_accepted_work(self, tmp_path):
         scheduler = JobScheduler(workers=1)
         jobs = [scheduler.submit(task_for(tmp_path, f"d{i}"))
                 for i in range(3)]
         scheduler.close(drain=True, timeout=60)
         assert all(job.record is not None for job in jobs)
+
+    def test_pump_wakes_on_events_not_polls(self, tmp_path):
+        # With a poll interval far beyond the test, a job submitted
+        # while another runs must still dispatch to the free worker at
+        # once, and the running job must still time out on its own
+        # deadline.
+        scheduler = JobScheduler(workers=2, timeout=5.0, poll_s=3600.0)
+        try:
+            hung = scheduler.submit(task_for(tmp_path, "hung",
+                                             plan=("hang",)))
+            while scheduler.snapshot()["inflight"] == 0:
+                time.sleep(0.01)
+            quick = scheduler.submit(task_for(tmp_path, "quick"))
+            assert quick.result(timeout=60)["source"] == "simulation"
+            assert not hung.done
+            with pytest.raises(TaskError) as excinfo:
+                hung.result(timeout=60)
+            assert excinfo.value.kind == "timeout"
+        finally:
+            scheduler.close()
+
+    def test_concurrent_submits_never_lose_a_wakeup(self, tmp_path):
+        # The pump sleeps until woken, so a lost wake-up would strand a
+        # queued job, or keep the pump alive past close(): submit from
+        # many threads at a tiny switch interval and require every job
+        # to finish and the pump to stop at once.
+        interval = sys.getswitchinterval()
+        scheduler = JobScheduler(workers=2, poll_s=3600.0)
+        barrier = threading.Barrier(8)
+        jobs = []
+
+        def client(i):
+            barrier.wait()
+            for j in range(4):
+                jobs.append(scheduler.submit(task_for(tmp_path, f"c{i}.{j}")))
+                time.sleep(0.002 * (i % 3))
+
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            sys.setswitchinterval(interval)
+            assert len(jobs) == 32
+            for job in jobs:
+                assert job.result(timeout=30)["source"] == "simulation"
+            assert scheduler.close(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.close()
 
 
 class TestCoalescing:
@@ -211,6 +277,43 @@ class TestFailures:
                 scheduler.submit(task_for(tmp_path, "refused"))
             assert excinfo.value.retry_after_s >= 1.0
             assert scheduler.stats.rejected_open == 1
+        finally:
+            scheduler.close()
+
+
+class TestHedging:
+    def test_hedge_beats_a_straggler_and_the_loser_is_reaped(self,
+                                                              tmp_path):
+        scheduler = JobScheduler(workers=2, hedge=lambda durations,
+                                 accepted: 0.2)
+        try:
+            task = task_for(tmp_path, "slow", plan=("hang", "ok"),
+                            hang_s=60.0)
+            job = scheduler.submit(task)
+            record = job.result(timeout=60)
+            assert record["attempt"] == 2
+            assert (job.winner, job.hedged, job.attempts) == \
+                ("hedge", True, 1)
+            stats = scheduler.stats
+            assert (stats.hedges_launched, stats.hedges_won,
+                    stats.hedges_cancelled) == (1, 1, 1)
+            # The hung primary could only be stopped by killing its
+            # worker: the next job runs on a respawned pool.
+            assert scheduler.submit(task_for(tmp_path, "next")).result(
+                timeout=60)["source"] == "simulation"
+            assert scheduler.pool.spawns == 2
+        finally:
+            scheduler.close()
+
+    def test_no_policy_no_hedges(self, tmp_path):
+        scheduler = JobScheduler(workers=2)
+        try:
+            task = task_for(tmp_path, "calm", plan=("hang", "ok"),
+                            hang_s=0.3)
+            job = scheduler.submit(task)
+            assert job.result(timeout=60)["attempt"] == 1
+            assert job.winner == "primary" and not job.hedged
+            assert scheduler.stats.hedges_launched == 0
         finally:
             scheduler.close()
 

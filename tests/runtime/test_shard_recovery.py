@@ -18,7 +18,6 @@ from repro.piuma.multinode import (
     run_multinode,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.chaos import ChaoticTask
 from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.errors import TaskError
 from repro.runtime.faults import FaultyTask
@@ -111,6 +110,19 @@ class TestBoundedRetry:
             ["simulation", "simulation"]
         assert report.recovery["timeouts"] >= 1
 
+    def test_lone_shard_timeout_is_enforced(self, tmp_path):
+        """A single pending shard under a timeout still runs on the
+        pool, where a hang can be killed: the timeout is charged and
+        the retry succeeds instead of the hang being waited out."""
+        tasks = [_faulty(tmp_path, "lone", ("hang", "ok"), hang_s=8.0)]
+        report = run_shards(
+            tasks,
+            ShardRecovery(retries=1, timeout=1.0, hedge_after_s=60.0),
+            workers=2,
+        )
+        assert report.recovery["timeouts"] == 1
+        assert report.records[0]["source"] == "simulation"
+
     def test_inline_path_retries_without_a_pool(self, tmp_path):
         tasks = [_faulty(tmp_path, "solo", ("raise", "ok"))]
         report = run_shards(tasks, ShardRecovery(retries=1), workers=1)
@@ -192,8 +204,8 @@ _POINT = dict(max_vertices=2048, seed=0)
 def _sabotage(plans, scratch):
     def apply(tasks):
         return [
-            ChaoticTask(victim=task, name=f"s{i}", scratch=str(scratch),
-                        plan=plans.get(i, ("ok",)), hang_s=60.0)
+            FaultyTask(victim=task, name=f"s{i}", scratch=str(scratch),
+                       plan=plans.get(i, ("ok",)), hang_s=60.0)
             for i, task in enumerate(tasks)
         ]
     return apply
