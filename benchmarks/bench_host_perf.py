@@ -1,4 +1,4 @@
-"""Host performance of the DES engine across its backends.
+"""Host performance of the DES engine across its main loops.
 
 This bench measures how fast the *simulator itself* runs on the host
 (events per wall-clock second), not anything about PIUMA.  It executes
@@ -9,9 +9,6 @@ every main loop the engine ships, selected by the unified
 * ``fast``: peek-ahead continuation over the binary heap —
   type-dispatch with a fused DMA closure, per-op execution plans,
   timeline compaction, fused ``heappushpop`` switch;
-* ``calendar``: the same loop semantics over the calendar queue
-  (Brown 1988) — bucketed ring with lazy overflow spill and dynamic
-  width retuning;
 * ``vector``: compiled op-program replay
   (``repro.piuma.vector_engine``) — every (op, core, mtp) plan is
   compiled at ``spawn_program`` time into a constant-bound closure,
@@ -25,10 +22,10 @@ enforced by ``tests/piuma/test_engine_fastpath.py``,
 ``tests/piuma/test_vector_engine.py`` and ``repro check``); here the
 bench additionally guards the performance relationships.  Thresholds
 are *relative* ratios measured in the same process with the rounds
-interleaved round-robin across backends — host-frequency drift during
-the bench then hits every backend equally instead of biasing whichever
+interleaved round-robin across engines — host-frequency drift during
+the bench then hits every engine equally instead of biasing whichever
 ran last — so the guards are machine-independent and tolerant of slow
-CI hosts.  Each backend reports the *median* of its rounds (stable
+CI hosts.  Each engine reports the *median* of its rounds (stable
 against one noisy round in either direction, unlike best-of) and the
 raw per-round samples go into the JSON artifact so a flaky CI run can
 be diagnosed from the record alone.
@@ -48,14 +45,6 @@ median per-round ratio — high enough that losing the deferred-counter
 machinery, spawn-time plan compilation, or the sentinel-terminated
 tight loop each trips it immediately, low enough that a noisy shared
 CI host does not — and the recorded columns track the real ratio.
-
-On the calendar backend: at this point's queue population (~500
-entries, one per runnable thread) CPython's C-implemented
-``heappushpop`` is only a few percent of the per-event cost, so the
-pure-Python bucket ring cannot beat it — measured ~0.82-0.87x of the
-heap-backed fast path.  The 0.70x guard is the tripwire for a
-*structural* regression (a broken cursor scan shows up as 10x, not
-15%), not a claim that it wins.
 
 The reference loop shares the kernel-side optimizations (op interning,
 vectorized owner-core resolution, memoized topology tables), so the
@@ -93,7 +82,7 @@ PRE_PR_BASELINE = {
 #: vector engine runs immediately after the fast path inside every
 #: round so the guarded pair is measured back-to-back — the tightest
 #: pairing against host-frequency drift.
-BACKENDS = ("fast", "vector", "calendar", "reference")
+BACKENDS = ("fast", "vector", "reference")
 
 #: Floor on the median per-round vector/fast ratio (see docstring).
 VECTOR_VS_FAST_FLOOR = 1.7
@@ -120,7 +109,7 @@ def test_host_perf(emit):
         "seed": PRODUCTS_WINDOW["seed"],
     })
     started = time.perf_counter()
-    # One untimed warmup pass per backend (JIT-free, but it faults in
+    # One untimed warmup pass per engine (JIT-free, but it faults in
     # code objects, datasets, and the branch predictor), then ROUNDS
     # timed rounds interleaved round-robin so host drift is unbiased.
     results = {}
@@ -166,12 +155,11 @@ def test_host_perf(emit):
         for engine in BACKENDS
     }
     fast_evs = columns["fast"]["events_per_s"]
-    cal_evs = columns["calendar"]["events_per_s"]
     vec_evs = columns["vector"]["events_per_s"]
     ref_evs = columns["reference"]["events_per_s"]
 
     def vs_fast(engine):
-        # Rounds are interleaved, so pairing each backend round with
+        # Rounds are interleaved, so pairing each engine round with
         # the fast round of the same sweep cancels host-frequency
         # drift; the median of the per-round ratios is far more stable
         # than a ratio of independent medians.
@@ -181,7 +169,6 @@ def test_host_perf(emit):
         return statistics.median(ratios)
 
     vs_ref = 1 / vs_fast("reference")
-    cal_vs_fast = 1 / vs_fast("calendar")
     vec_vs_fast = vs_fast("vector")
     vs_pre_pr = fast_evs / PRE_PR_BASELINE["events_per_s"]
     check_overhead = statistics.median(
@@ -208,7 +195,6 @@ def test_host_perf(emit):
         },
         "check_level1_overhead": check_overhead,
         "fast_vs_reference": vs_ref,
-        "calendar_vs_fast": cal_vs_fast,
         "vector_vs_fast": vec_vs_fast,
         "pre_pr_baseline": PRE_PR_BASELINE,
         "fast_vs_pre_pr": vs_pre_pr,
@@ -226,8 +212,6 @@ def test_host_perf(emit):
             "interleaved rounds)",
             f"fast (heap):      {medians['fast']:.4f}s  "
             f"({fast_evs:,.0f} events/s)",
-            f"calendar:         {medians['calendar']:.4f}s  "
-            f"({cal_evs:,.0f} events/s)",
             f"vector replay:    {medians['vector']:.4f}s  "
             f"({vec_evs:,.0f} events/s)",
             f"reference:        {medians['reference']:.4f}s  "
@@ -235,7 +219,6 @@ def test_host_perf(emit):
             f"check_level=1:    {checked_s:.4f}s  "
             f"({check_overhead:.3f}x the unchecked fast path)",
             f"fast vs reference: {vs_ref:.2f}x",
-            f"calendar vs fast: {cal_vs_fast:.2f}x",
             f"vector vs fast: {vec_vs_fast:.2f}x",
             f"fast vs pre-PR engine (recorded "
             f"{PRE_PR_BASELINE['events_per_s']:,} ev/s): {vs_pre_pr:.2f}x",
@@ -253,14 +236,6 @@ def test_host_perf(emit):
     assert vs_ref >= 1.05, (
         f"fast path only {vs_ref:.2f}x the reference loop "
         f"({fast_evs:,.0f} vs {ref_evs:,.0f} events/s)"
-    )
-
-    # See the module docstring for why the calendar backend cannot win
-    # at this queue population; 0.70x is the structural tripwire.
-    assert cal_vs_fast >= 0.70, (
-        f"calendar backend at {cal_vs_fast:.2f}x the heap-backed fast "
-        f"path ({cal_evs:,.0f} vs {fast_evs:,.0f} events/s) — "
-        "pathological scheduler regression"
     )
 
     # The vector replay engine must hold its measured lead over the

@@ -48,9 +48,9 @@ N_CORES = 8
 SEVERITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _config(degradation, fast_path=True):
+def _config(degradation, engine="fast"):
     return PIUMAConfig(
-        n_cores=N_CORES, engine_fast_path=fast_path, check_level=1,
+        n_cores=N_CORES, engine=engine, check_level=1,
         degradation=degradation,
     )
 
@@ -66,7 +66,7 @@ def test_resilience(emit):
         spec = (DegradationSpec.at_severity(severity)
                 if severity > 0.0 else None)
         fast = simulate_spmm(adj, K, _config(spec))
-        reference = simulate_spmm(adj, K, _config(spec, fast_path=False))
+        reference = simulate_spmm(adj, K, _config(spec, engine="reference"))
 
         # Bit-identity under faults, sanitizer armed on both paths.
         assert result_signature(fast) == result_signature(reference), (

@@ -32,6 +32,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.piuma.config import ENGINES
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -72,17 +74,9 @@ def _build_parser():
     simulate.add_argument("--threads-per-mtp", type=int, default=16)
     simulate.add_argument("--max-vertices", type=int, default=16384,
                           help="down-scale the graph to this many vertices")
-    simulate.add_argument("--scheduler", choices=("heap", "calendar"),
-                          default="heap",
-                          help="event-scheduler backend of the DES loop "
-                               "(bit-identical results; host speed only)")
-    simulate.add_argument("--engine",
-                          choices=("auto", "fast", "calendar", "vector",
-                                   "reference"),
-                          default="auto",
+    simulate.add_argument("--engine", choices=ENGINES, default="fast",
                           help="DES main loop (bit-identical results; "
-                               "host speed only); \"auto\" resolves from "
-                               "the legacy --scheduler knob")
+                               "host speed only)")
     simulate.add_argument("--no-cache", action="store_true",
                           help="bypass the on-disk result cache")
 
@@ -136,18 +130,11 @@ def _build_parser():
     sweep.add_argument("--profile", action="store_true",
                        help="report host DES throughput (events/s) and "
                             "the slowest computed points")
-    sweep.add_argument("--engine",
-                       choices=("fast", "calendar", "vector", "reference"),
-                       default=None,
+    sweep.add_argument("--engine", choices=ENGINES, default=None,
                        help="run every point on this DES main loop "
                             "(bit-identical results; host speed only; "
                             "records carry an \"engine\" provenance "
                             "field)")
-    sweep.add_argument("--scheduler", choices=("heap", "calendar"),
-                       default=None,
-                       help="run every point on this event-scheduler "
-                            "backend (bit-identical results; records "
-                            "carry a \"scheduler\" provenance field)")
     sweep.add_argument("--degrade", default=None, metavar="SPEC",
                        help="run the whole grid on a degraded fabric: a "
                             "preset name (mild, moderate, severe, links, "
@@ -205,16 +192,9 @@ def _build_parser():
     multinode.add_argument("--resume", action="store_true",
                            help="resume interrupted runs from their "
                                 "per-shard checkpoint manifests")
-    multinode.add_argument("--engine",
-                           choices=("fast", "calendar", "vector",
-                                    "reference"),
-                           default=None,
+    multinode.add_argument("--engine", choices=ENGINES, default=None,
                            help="DES main loop for every shard "
                                 "(bit-identical results; host speed only)")
-    multinode.add_argument("--scheduler", choices=("heap", "calendar"),
-                           default=None,
-                           help="event-scheduler backend for every shard "
-                                "(bit-identical results)")
     multinode.add_argument("--degrade", default=None, metavar="SPEC",
                            help="run every shard on a degraded fabric: a "
                                 "preset name or a JSON spec file")
@@ -262,20 +242,14 @@ def _build_parser():
                             choices=(0, 1, 2),
                             help="invariant sanitizer level armed inside "
                                  "every point (default 1)")
-    resilience.add_argument("--engine",
-                            choices=("auto", "fast", "calendar", "vector",
-                                     "reference"),
-                            default="auto",
+    resilience.add_argument("--engine", choices=ENGINES, default="fast",
                             help="DES main loop for the curve "
                                  "(bit-identical results; host speed "
                                  "only)")
-    resilience.add_argument("--scheduler", choices=("heap", "calendar"),
-                            default="heap",
-                            help="event-scheduler backend for the curve "
-                                 "(bit-identical results)")
     resilience.add_argument("--verify-engines", action="store_true",
                             help="additionally run every point through the "
-                                 "reference engine and require bit-identity")
+                                 "reference engine and require bit-identity "
+                                 "with --engine")
     resilience.add_argument("--workers", type=int, default=None)
     resilience.add_argument("--no-cache", action="store_true",
                             help="bypass the on-disk result cache")
@@ -295,12 +269,10 @@ def _build_parser():
                        help="seeded conformance cases to generate")
     check.add_argument("--seed", type=int, default=0,
                        help="case-population seed")
-    check.add_argument("--engine",
-                       choices=("fast", "reference", "calendar", "vector",
-                                "both", "all"),
+    check.add_argument("--engine", choices=ENGINES + ("both", "all"),
                        default="both",
-                       help="engine path(s) to run (default both; "
-                            "\"all\" spans every backend incl. vector)")
+                       help="engine path(s) to run (default both: fast "
+                            "and reference; \"all\" adds vector)")
     check.add_argument("--no-metamorphic", action="store_true",
                        help="skip the metamorphic relations")
     check.add_argument("--no-mutations", action="store_true",
@@ -538,7 +510,6 @@ def _cmd_simulate(args, out):
         dram_latency_ns=args.latency_ns,
         dram_bandwidth_scale=args.bandwidth_scale,
         threads_per_mtp=args.threads_per_mtp,
-        scheduler=args.scheduler,
         engine=args.engine,
     )
     cache = ResultCache(enabled=not args.no_cache)
@@ -617,11 +588,9 @@ def _cmd_sweep(args, out):
         # never shares a manifest (or cache records) with a healthy one.
         spec = _resolve_degradation(args.degrade)
         tasks = [task.with_degradation(spec) for task in tasks]
-    if args.scheduler:
-        # Same ordering rule as --degrade: the backend is part of each
-        # task's identity (cache key + checkpoint manifest).
-        tasks = [task.with_scheduler(args.scheduler) for task in tasks]
     if args.engine:
+        # Same ordering rule as --degrade: the engine is part of each
+        # task's identity (cache key + checkpoint manifest).
         tasks = [task.with_engine(args.engine) for task in tasks]
     cache = ResultCache(directory=args.cache_dir,
                         enabled=not args.no_cache)
@@ -677,9 +646,6 @@ def _cmd_sweep(args, out):
     if args.degrade:
         out(f"degraded fabric: --degrade {args.degrade} (records carry "
             "a \"degradation\" provenance field)")
-    if args.scheduler:
-        out(f"event scheduler: --scheduler {args.scheduler} "
-            "(bit-identical results; host speed only)")
     if args.engine:
         out(f"DES engine: --engine {args.engine} "
             "(bit-identical results; host speed only)")
@@ -715,7 +681,6 @@ def _cmd_multinode(args, out):
         "on_error": args.on_error,
         "check_level": args.check_level,
         "engine": args.engine,
-        "scheduler": args.scheduler,
     }
     if args.degrade:
         sweep_kwargs["degradation"] = _resolve_degradation(args.degrade)
@@ -813,8 +778,8 @@ def _cmd_multinode(args, out):
     return 0 if not breaches else 1
 
 
-#: Record fields that must be bit-identical across the fast and
-#: reference engines (``repro resilience --verify-engines``).
+#: Record fields that must be bit-identical between the curve's engine
+#: and the reference engine (``repro resilience --verify-engines``).
 _ENGINE_IDENTITY_FIELDS = (
     "sim_time_ns", "gflops", "projected_time_ns", "events",
     "window_edges", "memory_utilization", "achieved_bandwidth",
@@ -835,17 +800,17 @@ def _cmd_resilience(args, out):
     severities = [float(s) for s in args.severities]
     if sorted(severities) != severities:
         raise ValueError("--severities must be non-decreasing")
+    if args.verify_engines and args.engine == "reference":
+        raise ValueError("--verify-engines compares --engine with the "
+                         "reference engine; pick --engine fast or vector")
 
-    def task_for(severity, fast_path=True):
+    def task_for(severity, engine=args.engine):
         # The primary curve runs on --engine; the --verify-engines leg
-        # pins the reference loop through the unified knob (the legacy
-        # fast_path flag spelled the same request before it existed).
-        engine = args.engine if fast_path else "reference"
+        # runs the same points on the reference loop.
         task = spmm_task(
             args.dataset, args.hidden, kernel=args.kernel,
             max_vertices=args.max_vertices, seed=args.seed,
             n_cores=args.cores, engine=engine,
-            scheduler=args.scheduler,
         )
         if severity > 0.0:
             task = task.with_degradation(
@@ -861,16 +826,16 @@ def _cmd_resilience(args, out):
     mismatches = []
     if args.verify_engines:
         reference = run_sweep(
-            [task_for(s, fast_path=False) for s in severities],
+            [task_for(s, engine="reference") for s in severities],
             workers=args.workers, cache=cache,
             check_level=args.check_level,
         )
-        for severity, fast, ref in zip(
+        for severity, got, ref in zip(
             severities, report.records, reference.records
         ):
             diverged = [
                 name for name in _ENGINE_IDENTITY_FIELDS
-                if fast[name] != ref[name]
+                if got[name] != ref[name]
             ]
             if diverged:
                 mismatches.append((severity, diverged))
@@ -932,8 +897,8 @@ def _cmd_resilience(args, out):
                 out(f"engine mismatch at severity {severity:.2f}: "
                     + ", ".join(diverged))
         else:
-            out("fast and reference engines bit-identical at every "
-                "severity")
+            out(f"{args.engine} and reference engines bit-identical at "
+                "every severity")
     if args.json:
         path = pathlib.Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)

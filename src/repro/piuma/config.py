@@ -15,12 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.piuma.degradation import DegradationSpec
-from repro.piuma.scheduler import SCHEDULERS
 
-#: Valid values of :attr:`PIUMAConfig.engine`.  ``"auto"`` defers to the
-#: legacy ``engine_fast_path``/``scheduler`` knobs (back-compat); the
-#: named engines select a main loop directly.
-ENGINES = ("auto", "fast", "calendar", "vector", "reference")
+#: Valid values of :attr:`PIUMAConfig.engine`, one per DES main loop.
+ENGINES = ("fast", "vector", "reference")
 
 
 @dataclass(frozen=True)
@@ -98,32 +95,14 @@ class PIUMAConfig:
     # STP-side kernel launch / teardown overhead.
     launch_overhead_ns: float = 2000.0
 
-    #: Select the DES main loop: ``True`` (default) runs the fast path
-    #: (type-dispatch table + peek-ahead thread continuation), ``False``
-    #: the reference pop/execute/push loop.  Both are bit-identical in
-    #: results and event accounting — the switch exists as an escape
-    #: hatch and as the differential-test oracle (DESIGN.md, "Host
-    #: performance").
-    engine_fast_path: bool = True
-
-    #: Event-scheduler backend of the DES main loops
-    #: (``repro.piuma.scheduler``): ``"heap"`` (default) drives the
-    #: original ``heapq`` binary heap, ``"calendar"`` a calendar queue —
-    #: a bucketed ring indexed by quantized timestamp with lazy overflow
-    #: spill and dynamic width retuning.  Composes with
-    #: :attr:`engine_fast_path`; every (loop, scheduler) combination is
-    #: bit-identical in results and event accounting.
-    scheduler: str = "heap"
-
-    #: Unified main-loop selector: ``"fast"`` (peek-ahead loop over the
-    #: binary heap), ``"calendar"`` (same loop over the calendar queue),
+    #: DES main loop: ``"fast"`` (default; type-dispatch table plus
+    #: peek-ahead thread continuation over the binary heap),
     #: ``"vector"`` (compiled op-program replay,
     #: ``repro.piuma.vector_engine``), or ``"reference"`` (the plain
-    #: pop/execute/push oracle, honoring :attr:`scheduler`).  The
-    #: default ``"auto"`` preserves the historical knobs: it resolves
-    #: from :attr:`engine_fast_path` and :attr:`scheduler`.  All engines
-    #: are bit-identical in results and event accounting.
-    engine: str = "auto"
+    #: pop/execute/push loop, kept as the differential-test oracle).
+    #: All engines are bit-identical in results and event accounting
+    #: (DESIGN.md, "Host performance").
+    engine: str = "fast"
 
     #: Runtime invariant sanitizer level (``repro.piuma.invariants``):
     #: 0 disables all checking (the default — zero overhead), 1 enables
@@ -168,11 +147,6 @@ class PIUMAConfig:
             raise ValueError("watchdog ceilings must be non-negative")
         if self.check_level not in (0, 1, 2):
             raise ValueError("check_level must be 0, 1, or 2")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, "
-                f"got {self.scheduler!r}"
-            )
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
@@ -189,33 +163,8 @@ class PIUMAConfig:
 
     @property
     def resolved_engine(self):
-        """The main loop :meth:`~repro.piuma.engine.Simulator.run` uses.
-
-        ``"auto"`` maps the legacy knobs onto the named engines:
-        ``engine_fast_path=False`` is the reference loop, otherwise the
-        fast loop over whichever scheduler backend is selected.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if not self.engine_fast_path:
-            return "reference"
-        return "calendar" if self.scheduler == "calendar" else "fast"
-
-    @property
-    def resolved_scheduler(self):
-        """Event-queue backend implied by the resolved engine.
-
-        The fast and vector loops require the heap (the vector loop
-        drains the initial population into its own sorted pending list),
-        the calendar loop its bucket ring; only the reference loop
-        honors :attr:`scheduler` as an independent axis.
-        """
-        engine = self.resolved_engine
-        if engine == "calendar":
-            return "calendar"
-        if engine == "reference":
-            return self.scheduler
-        return "heap"
+        """Alias of :attr:`engine`, kept for callers outside the package."""
+        return self.engine
 
     @property
     def n_dies(self):

@@ -100,7 +100,7 @@ def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
     # Dense MM's op stream is static (see dense_thread.program_safe):
     # under the vector engine, drain each generator into an OpProgram.
     compile_programs = (
-        config.resolved_engine == "vector" and dense_thread.program_safe
+        config.engine == "vector" and dense_thread.program_safe
     )
     spawned_rows = 0
     for t in range(n_threads):

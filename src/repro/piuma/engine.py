@@ -11,26 +11,27 @@ This is a *down-scaled* simulator in the sense of the paper's ref [18]:
 kernels simulate a bounded edge window at full mechanism fidelity and
 project steady-state throughput to the full graph.
 
-Two main loops implement identical semantics (see DESIGN.md, "Host
-performance"):
+Three main loops implement identical semantics, selected by
+``PIUMAConfig.engine`` (see DESIGN.md, "Host performance"):
 
-* the **fast path** (``PIUMAConfig.engine_fast_path=True``, default)
-  dispatches ops through a type table and keeps driving a thread's
-  generator without heap traffic while its resume time precedes every
-  other queued event (peek-ahead continuation);
-* the **reference path** (``engine_fast_path=False``) is the plain
-  pop/execute/push loop with an ``isinstance`` ladder.
+* ``"fast"`` (default) dispatches ops through a type table and keeps
+  driving a thread's generator without heap traffic while its resume
+  time precedes every other queued event (peek-ahead continuation);
+* ``"vector"`` replays op programs compiled at spawn time
+  (:mod:`repro.piuma.vector_engine`);
+* ``"reference"`` is the plain pop/execute/push loop, kept as the
+  semantics oracle.
 
-Both produce bit-identical results — same ``end_time``, per-tag stats,
-resource utilizations, and watchdog/event accounting — which the
-differential suite in ``tests/piuma/test_engine_fastpath.py`` enforces.
+All three share one event queue, a :mod:`heapq` list, and produce
+bit-identical results — same ``end_time``, per-tag stats, resource
+utilizations, and watchdog/event accounting — which the differential
+suite in ``tests/piuma/test_engine_fastpath.py`` enforces.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from bisect import insort
 from collections import defaultdict
 
 from repro.piuma.degradation import DegradationModel
@@ -47,7 +48,6 @@ from repro.piuma.ops import (
 )
 from repro.piuma.invariants import InvariantChecker
 from repro.piuma.resources import DRAMSlice, FluidResource
-from repro.piuma.scheduler import make_scheduler
 from repro.runtime.errors import HardwareExhausted, SimulationDiverged
 
 
@@ -155,12 +155,10 @@ class Simulator:
         self.setup_end = 0.0  # latest PhaseMarker across threads
         self.events = 0
         self.host_wall_s = 0.0
-        # Event-scheduler backend (repro.piuma.scheduler).  Both main
-        # loops and the sanitizer talk to it through push/pop/peek;
-        # `_heap` stays bound to the heap backend's raw entry list so
-        # the fast-path loop keeps its fused heappushpop switch.
-        self._scheduler = make_scheduler(config.resolved_scheduler)
-        self._heap = getattr(self._scheduler, "entries", [])
+        # The event queue: a heapq list of (when, seq, idx, value)
+        # entries, one per runnable thread.  Tuple order is the global
+        # event order (time, then FIFO by sequence number).
+        self._heap = []
         self._seq = 0
         self._threads = []
         # Compiled op programs by thread index (repro.piuma.ops
@@ -229,7 +227,7 @@ class Simulator:
         """Register a compiled :class:`~repro.piuma.ops.OpProgram`.
 
         The program's generator view goes into the thread table, so the
-        fast/calendar/reference loops run it unchanged; the vector loop
+        fast and reference loops run it unchanged; the vector loop
         recognizes the registered program and replays it without
         generator resumption.
         """
@@ -240,14 +238,14 @@ class Simulator:
         idx = len(self._threads)
         self._threads.append((program.replay(), core, mtp))
         self._programs[idx] = program
-        if self.config.resolved_engine == "vector":
+        if self.config.engine == "vector":
             from repro.piuma.vector_engine import compile_thread
 
             compile_thread(self, idx, program, core, mtp)
         self._push(0.0, idx, None)
 
     def _push(self, when, idx, value):
-        self._scheduler.push((when, self._seq, idx, value))
+        heapq.heappush(self._heap, (when, self._seq, idx, value))
         self._seq += 1
 
     # -- op execution ----------------------------------------------------------
@@ -622,21 +620,17 @@ class Simulator:
         :class:`~repro.runtime.errors.SimulationDiverged` instead of
         spinning forever on a buggy kernel or pathological point.
 
-        ``PIUMAConfig.engine_fast_path`` selects the loop and
-        ``PIUMAConfig.scheduler`` the event-queue backend: the fast
-        path (default) and the reference path produce bit-identical
-        results under either scheduler; the reference path exists as
-        the escape hatch and the differential-test oracle.
+        ``PIUMAConfig.engine`` selects the loop; all three produce
+        bit-identical results, and the reference loop exists as the
+        escape hatch and the differential-test oracle.
         """
         started = time.perf_counter()
         try:
-            engine = self.config.resolved_engine
+            engine = self.config.engine
             if engine == "fast":
                 result = self._run_fast()
             elif engine == "vector":
                 result = self._run_vector()
-            elif engine == "calendar":
-                result = self._run_calendar()
             else:
                 result = self._run_reference()
             if self.checker is not None:
@@ -783,194 +777,21 @@ class Simulator:
 
         return run_vector(self)
 
-    def _run_calendar(self):
-        """Calendar-queue main loop (``scheduler="calendar"`` fast path).
-
-        Same peek-ahead thread continuation and event accounting as
-        ``_run_fast``, with the binary heap replaced by the calendar
-        queue's bucket ring (see ``repro.piuma.scheduler``).  The ring
-        internals are bound to locals; the rare slow paths — overflow
-        migration, year jumps, width retuning — drop into the
-        ``CalendarQueue`` methods and re-sync.
-
-        Where ``_run_fast`` fuses its switch into ``heappushpop``, this
-        loop caches the queue head: after each pop it scans forward for
-        the *next* head (a peek), drives the popped thread against that
-        bound, and on a switch pushes the running thread's entry and
-        consumes the cached head.  The pushed entry can never precede
-        the cached head (its resume time is >= the head's, and on a tie
-        its sequence number is larger), so the global event order — and
-        with it every result bit — matches both other loops exactly.
-
-        The width retune runs at the same ``events & 2047`` boundary as
-        DRAM-timeline compaction and is equally result-transparent: it
-        re-buckets the queued population without reordering it.
-        """
-        cfg = self.config
-        q = self._scheduler
-        threads = self._threads
-        slices = self.slices
-        execute = self._execute if "_execute" in self.__dict__ else None
-        dispatch_get = self._dispatch.get
-        heappush = heapq.heappush
-        inf = float("inf")
-        max_events = cfg.max_events or inf
-        max_sim_ns = cfg.max_sim_ns or inf
-        stall_limit = cfg.stall_events or inf
-        latest = 0.0
-        events = 0
-        stalled = 0
-        last_now = -1.0
-        seq = self._seq
-        # Ring internals as locals (re-synced around queue method calls;
-        # `buckets` and `overflow` are the queue's own mutable objects,
-        # re-read only after a rebuild replaces them).
-        buckets = q.buckets
-        mask = q.mask
-        inv_width = q.inv_width
-        cur = q.cur
-        year_end = q.year_end
-        ring = q.ring_size
-        overflow = q.overflow
-        try:
-            # Prime the cached head (a peek — the entry stays queued).
-            if ring or overflow:
-                q.cur, q.ring_size = cur, ring
-                head_b, head_e = q._seek()
-                cur, year_end, ring = q.cur, q.year_end, q.ring_size
-                hw = head_e[0]
-            else:
-                head_e = None
-            while head_e is not None:
-                now, _seq, idx, value = head_e
-                del head_b[0]
-                ring -= 1
-                # Scan forward from the cursor for the new head.  The
-                # common case qualifies within a probe or two; crossing
-                # the year horizon drops to the queue's slow path
-                # (overflow migration / global-minimum jump).
-                if ring:
-                    i = cur
-                    while True:
-                        b = buckets[i & mask]
-                        if b:
-                            e = b[0]
-                            if int(e[0] * inv_width) <= i:
-                                cur = i
-                                head_b, head_e, hw = b, e, e[0]
-                                break
-                        i += 1
-                        if i >= year_end:
-                            q.cur, q.ring_size = i, ring
-                            head_b, head_e = q._seek()
-                            cur, year_end = q.cur, q.year_end
-                            ring = q.ring_size
-                            hw = head_e[0]
-                            break
-                elif overflow:
-                    q.cur, q.ring_size = cur, ring
-                    head_b, head_e = q._seek()
-                    cur, year_end, ring = q.cur, q.year_end, q.ring_size
-                    hw = head_e[0]
-                else:
-                    head_e = None
-                    hw = inf
-                generator, core, mtp = threads[idx]
-                while True:
-                    events += 1
-                    if not events & 2047:
-                        # Same boundary as _run_fast: retire dead DRAM
-                        # timeline history, then let the queue re-fit
-                        # its bucket geometry to the observed deltas.
-                        cutoff = now - 1.0
-                        for s in slices:
-                            s.retire_before(cutoff)
-                        q.cur, q.ring_size = cur, ring
-                        if q.retune():
-                            buckets = q.buckets
-                            mask = q.mask
-                            inv_width = q.inv_width
-                            overflow = q.overflow
-                            year_end = q.year_end
-                            cur = q.cur
-                            ring = q.ring_size
-                            if head_e is not None:
-                                # Same minimal entry, new bucket list.
-                                head_b, head_e = q._seek()
-                                cur, year_end = q.cur, q.year_end
-                                ring = q.ring_size
-                    if events > max_events:
-                        raise self._diverged_events(events, now)
-                    if now > max_sim_ns:
-                        raise self._diverged_sim_ns(now)
-                    if now == last_now:
-                        stalled += 1
-                        if stalled > stall_limit:
-                            raise self._diverged_stall(stalled, now)
-                    else:
-                        stalled = 0
-                        last_now = now
-                    try:
-                        op = generator.send(value)
-                    except StopIteration:
-                        if now > latest:
-                            latest = now
-                        break
-                    if execute is None:
-                        handler = dispatch_get(op.__class__)
-                        if handler is None:
-                            raise TypeError(f"unknown op {op!r}")
-                        resume, completion = handler(op, now, core, mtp)
-                    else:
-                        resume, completion = execute(op, now, core, mtp)
-                    if completion > latest:
-                        latest = completion
-                    if hw <= resume:
-                        # Switch: queue this thread's entry and let the
-                        # outer loop consume the cached head.  Inline
-                        # push — the engine's pops are monotone, so the
-                        # entry is never behind the cursor, and queue
-                        # size is capped by the thread count, so the
-                        # growth check is dead weight here.
-                        entry = (resume, seq, idx, completion)
-                        seq += 1
-                        ab = int(resume * inv_width)
-                        if ab >= year_end:
-                            heappush(overflow, entry)
-                        else:
-                            b = buckets[ab & mask]
-                            if b and entry < b[-1]:
-                                insort(b, entry)
-                            else:
-                                b.append(entry)
-                            ring += 1
-                        break
-                    now, value = resume, completion
-        finally:
-            self._seq = seq
-            self.events = events
-            q.cur, q.ring_size = cur, ring
-        self.end_time = latest + cfg.launch_overhead_ns
-        return self.end_time
-
     def _run_reference(self):
-        """The original pop/execute/push loop (``engine_fast_path=False``).
+        """The original pop/execute/push loop (``engine="reference"``).
 
         Kept as the semantics oracle: the differential suite asserts
-        both fast loops reproduce it bit-for-bit.  It drives whichever
-        scheduler backend the config selects through the abstract
-        ``pop``/``push`` surface — no peek-ahead, no bound internals —
-        so it also oracles the calendar queue itself.
+        the fast and vector loops reproduce it bit-for-bit.
         """
         cfg = self.config
-        scheduler = self._scheduler
+        heap = self._heap
         latest = 0.0
         events = 0
         stalled = 0
         last_now = -1.0
         try:
-            while scheduler:
-                now, _seq, idx, value = scheduler.pop()
+            while heap:
+                now, _seq, idx, value = heapq.heappop(heap)
                 events += 1
                 if not events & 2047:
                     cutoff = now - 1.0

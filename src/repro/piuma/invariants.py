@@ -68,11 +68,8 @@ INVARIANTS = {
                                "spec stays silent: dead pipelines "
                                "execute nothing, dead DMA engines "
                                "accept no descriptors"),
-    "scheduler-drained": (1, "the event scheduler is empty after a "
-                             "completed run and its size counters "
-                             "match the entries physically present — "
-                             "no stranded or double-counted events in "
-                             "any backend"),
+    "scheduler-drained": (1, "the event queue is empty after a "
+                             "completed run — no stranded events"),
     "program-replay-complete": (1, "the vector engine replayed every "
                                    "compiled op program to its end — "
                                    "no thread stopped mid-program"),
@@ -223,23 +220,14 @@ class InvariantChecker:
     def after_run(self):
         """Post-run cross-checks against the completed simulator state."""
         sim = self.simulator
-        # A completed run must have consumed every queued event, and the
-        # scheduler's O(1) size counters must agree with the entries
-        # physically present (the calendar queue's bucket ring keeps a
-        # separate ring_size; drift there is the classic lost-event bug
-        # class of bucketed schedulers).
-        scheduler = getattr(sim, "_scheduler", None)
-        if scheduler is not None:
-            counted = len(scheduler)
-            present = scheduler.stranded()
-            if counted or present:
-                raise violation(
-                    "scheduler-drained",
-                    f"{type(scheduler).__name__} reports {counted} "
-                    f"queued entr{'y' if counted == 1 else 'ies'} after "
-                    f"run() with {present} physically present — "
-                    "stranded events or corrupted size accounting",
-                )
+        # A completed run must have consumed every queued event.
+        stranded = len(sim._heap)
+        if stranded:
+            raise violation(
+                "scheduler-drained",
+                f"{stranded} queued event{'' if stranded == 1 else 's'} "
+                "left in the event queue after run()",
+            )
         # Vector-engine replay completeness: a completed run must have
         # consumed every step of every compiled program (the analogue of
         # a generator thread reaching StopIteration).  `_program_pcs` is

@@ -206,7 +206,7 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     # kernel, whose stream depends on runtime interleaving) stay
     # generator-driven — the vector loop runs both kinds side by side.
     compile_programs = (
-        config.resolved_engine == "vector"
+        config.engine == "vector"
         and getattr(thread_factory, "program_safe", False)
     )
     for work in work_items:

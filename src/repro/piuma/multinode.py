@@ -282,7 +282,7 @@ def run_multinode(dataset, n_nodes, strategy="block", embedding_dim=None,
     ``config_overrides`` says otherwise), executed through
     :func:`repro.runtime.run_sweep` — pass ``sweep_kwargs`` to thread
     workers / cache / timeout / retries / on_error / engine /
-    scheduler / degradation / check_level through unchanged.
+    degradation / check_level through unchanged.
     ``checkpoint_dir`` arms per-shard checkpointing (a manifest keyed
     by the shard tasks' identities; ``resume=True`` loads it first), so
     a killed multi-node run restarts from the shards it completed.
@@ -297,9 +297,9 @@ def run_multinode(dataset, n_nodes, strategy="block", embedding_dim=None,
     :func:`multinode_verdict` widens the envelope accordingly; the run
     completes instead of raising.  The shard execution then goes
     through :func:`~repro.runtime.shard.run_shards` (``workers`` /
-    ``cache`` / ``engine`` / ``scheduler`` / ``check_level`` /
-    ``degradation`` are honored from ``sweep_kwargs``; the remaining
-    sweep knobs are superseded by the recovery spec).
+    ``cache`` / ``engine`` / ``check_level`` / ``degradation`` are
+    honored from ``sweep_kwargs``; the remaining sweep knobs are
+    superseded by the recovery spec).
 
     ``task_filter`` (when given) maps the built shard task list to the
     one actually executed — the chaos orchestrator's injection hook.
@@ -332,7 +332,7 @@ def run_multinode(dataset, n_nodes, strategy="block", embedding_dim=None,
         checkpoint = SweepCheckpoint.for_tasks(tasks, directory=checkpoint_dir)
         kwargs.update(checkpoint=checkpoint, resume=resume)
     if recovery is not None:
-        for knob in ("check_level", "degradation", "scheduler", "engine"):
+        for knob in ("check_level", "degradation", "engine"):
             value = kwargs.pop(knob, None)
             if value is not None:
                 method = f"with_{knob}"

@@ -39,6 +39,11 @@ from dataclasses import dataclass
 #: carry a ``"scheduler"`` provenance field.
 #: v6: configs grew ``engine`` (the unified main-loop selector) and
 #: records carry an ``"engine"`` provenance field.
+#: Still v6: configs lost ``engine_fast_path`` and ``scheduler`` (the
+#: calendar-queue backend was deleted; ``engine`` alone picks the main
+#: loop).  Keys changed on their own, because the payload hashes every
+#: config field; records did not change (``"scheduler"`` is always
+#: ``"heap"``), so the salt stayed.
 CODE_VERSION = "runtime-v6"
 
 #: Memoized cwd-fallback directory (installed-package use).  Resolved

@@ -131,28 +131,15 @@ class SpMMTask:
         merged["degradation"] = spec
         return replace(self, overrides=tuple(sorted(merged.items())))
 
-    def with_scheduler(self, name):
-        """Copy of this task running on a specific scheduler backend.
-
-        Merges ``scheduler=name`` (``"heap"`` or ``"calendar"``) into
-        the override tuple.  Like every config field it participates in
-        the cache key, so records from different backends never alias —
-        and since backends are bit-identical, a mixed cache stays
-        semantically consistent anyway.
-        """
-        merged = dict(self.overrides)
-        merged["scheduler"] = name
-        return replace(self, overrides=tuple(sorted(merged.items())))
-
     def with_engine(self, name):
         """Copy of this task running on a specific DES main loop.
 
-        Merges ``engine=name`` (``"fast"``, ``"calendar"``,
-        ``"vector"``, ``"reference"``, or ``"auto"``) into the override
-        tuple.  Engines are bit-identical in results, so this only
-        moves host wall-clock; like every config field it participates
-        in the cache key, and the record's ``"engine"`` provenance
-        field says which loop measured it.
+        Merges ``engine=name`` (``"fast"``, ``"vector"``, or
+        ``"reference"``) into the override tuple.  Engines are
+        bit-identical in results, so this only moves host wall-clock;
+        like every config field it participates in the cache key, and
+        the record's ``"engine"`` provenance field says which loop
+        measured it.
         """
         merged = dict(self.overrides)
         merged["engine"] = name
@@ -223,15 +210,12 @@ class SpMMTask:
                 for tag, s in sorted(result.tag_stats.items())
             },
             "source": "simulation",
-            # Provenance: which event-scheduler backend produced the
-            # record.  Backends are bit-identical, but a throughput
-            # number (events_per_s) is only comparable within one
-            # backend, so the record says which one it measured.
-            "scheduler": config.scheduler,
-            # Same story one level up: the resolved DES main loop
-            # (fast / calendar / vector / reference) that produced the
-            # record's host-throughput numbers.
-            "engine": config.resolved_engine,
+            # Provenance: the DES main loop (fast / vector / reference)
+            # that produced the record's host-throughput numbers.  Every
+            # loop runs on the one binary-heap event queue; its name
+            # stays in the record schema.
+            "scheduler": "heap",
+            "engine": config.engine,
         }
         if config.degradation is not None:
             # Provenance next to "source": a record measured on a
@@ -275,8 +259,8 @@ class SpMMTask:
             "events_per_s": 0.0,
             "tag_stats": {},
             "source": "model_fallback",
-            "scheduler": config.scheduler,
-            "engine": config.resolved_engine,
+            "scheduler": "heap",
+            "engine": config.engine,
         }
         if config.degradation is not None:
             record["degradation"] = asdict(config.degradation)
@@ -363,8 +347,7 @@ class SweepReport:
 def run_sweep(tasks, workers=None, cache=None, progress=None, *,
               timeout=None, retries=0, backoff_s=0.25, backoff_cap_s=8.0,
               jitter=0.25, on_error="raise", checkpoint=None, resume=False,
-              check_level=None, degradation=None, scheduler=None,
-              engine=None):
+              check_level=None, degradation=None, engine=None):
     """Run every task; returns a :class:`SweepReport`.
 
     Parameters
@@ -426,18 +409,11 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
         cache key and its records' ``"degradation"`` provenance field;
         a :class:`~repro.runtime.errors.HardwareExhausted` point is
         deterministic and never retried.
-    scheduler:
-        When not ``None``, the event-scheduler backend (``"heap"`` or
-        ``"calendar"``) every task runs on (``task.with_scheduler``).
-        Backends are bit-identical in results, so this only moves host
-        wall-clock; it lands in each task's cache key and its records'
-        ``"scheduler"`` provenance field.
     engine:
-        When not ``None``, the DES main loop (``"fast"``,
-        ``"calendar"``, ``"vector"``, or ``"reference"``) every task
-        runs on (``task.with_engine``).  Engines are bit-identical in
-        results; the choice lands in each task's cache key and its
-        records' ``"engine"`` provenance field.
+        When not ``None``, the DES main loop (``"fast"``, ``"vector"``,
+        or ``"reference"``) every task runs on (``task.with_engine``).
+        Engines are bit-identical in results; the choice lands in each
+        task's cache key and its records' ``"engine"`` provenance field.
     """
     tasks = list(tasks)
     if check_level is not None:
@@ -450,12 +426,6 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
         tasks = [
             task.with_degradation(degradation)
             if hasattr(task, "with_degradation") else task
-            for task in tasks
-        ]
-    if scheduler is not None:
-        tasks = [
-            task.with_scheduler(scheduler)
-            if hasattr(task, "with_scheduler") else task
             for task in tasks
         ]
     if engine is not None:

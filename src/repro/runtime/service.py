@@ -119,7 +119,7 @@ def parse_query(data):
     known = {
         "dataset", "embedding_dim", "k", "kernel", "platform",
         "max_vertices", "seed", "window_edges", "overrides",
-        "degradation", "scheduler", "tier", "deadline_s",
+        "degradation", "tier", "deadline_s",
     }
     unknown = set(data) - known
     if unknown:
@@ -157,7 +157,6 @@ def parse_query(data):
                              else int(data["window_edges"])),
             "overrides": overrides,
             "degradation": resolve_degradation(data.get("degradation")),
-            "scheduler": data.get("scheduler"),
             "tier": tier,
             "deadline_s": None if deadline_s is None else float(deadline_s),
         }
@@ -181,8 +180,6 @@ def task_from_query(query):
     )
     if query["degradation"] is not None:
         task = task.with_degradation(query["degradation"])
-    if query["scheduler"] is not None:
-        task = task.with_scheduler(query["scheduler"])
     return task
 
 

@@ -232,8 +232,8 @@ class ShardTask(SpMMTask):
                 "kernel": self.kernel,
                 **_zero_kernel_fields(None, 0),
                 "source": "simulation",
-                "scheduler": config.scheduler,
-                "engine": config.resolved_engine,
+                "scheduler": "heap",
+                "engine": config.engine,
             }
         else:
             result = simulate_spmm(
@@ -268,8 +268,8 @@ class ShardTask(SpMMTask):
                     for tag, s in sorted(result.tag_stats.items())
                 },
                 "source": "simulation",
-                "scheduler": config.scheduler,
-                "engine": config.resolved_engine,
+                "scheduler": "heap",
+                "engine": config.engine,
             }
         if config.degradation is not None:
             from dataclasses import asdict
@@ -296,8 +296,8 @@ class ShardTask(SpMMTask):
             "kernel": self.kernel,
             **_zero_kernel_fields(model, sub.nnz),
             "source": "model_fallback",
-            "scheduler": config.scheduler,
-            "engine": config.resolved_engine,
+            "scheduler": "heap",
+            "engine": config.engine,
         }
         if model is not None:
             record.update({

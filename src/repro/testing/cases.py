@@ -95,7 +95,7 @@ class ConformanceCase:
     #: (:data:`repro.graphs.partition.PARTITION_STRATEGIES`).
     partition_strategy: str = "block"
 
-    def config(self, check_level=0, engine_fast_path=True, **overrides):
+    def config(self, check_level=0, **overrides):
         """The :class:`PIUMAConfig` this case runs under."""
         fields = {
             "n_cores": self.n_cores,
@@ -103,7 +103,6 @@ class ConformanceCase:
             "dram_latency_ns": self.dram_latency_ns,
             "dram_bandwidth_scale": self.dram_bandwidth_scale,
             "check_level": check_level,
-            "engine_fast_path": engine_fast_path,
             "degradation": self.degradation,
         }
         fields.update(overrides)

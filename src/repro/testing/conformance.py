@@ -22,24 +22,19 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 
+from repro.piuma.config import ENGINES
 from repro.testing.cases import generate_cases, shrink
 from repro.testing.metamorphic import metamorphic_failures
 from repro.testing.mutations import MUTATIONS, run_mutation
 from repro.testing.oracle import differential_failures, run_case
 
-#: Engine selections understood by :func:`run_conformance`.  Names
-#: resolve through :data:`repro.testing.oracle.ENGINE_BACKENDS`;
-#: ``"both"`` keeps its historical meaning (heap-backed fast vs
-#: reference), ``"all"`` adds the vector replay engine and the
-#: calendar-queue backend on both legacy loops.
+#: Engine selections understood by :func:`run_conformance`: each name
+#: in :data:`~repro.piuma.config.ENGINES` alone, ``"both"`` (fast vs
+#: reference), and ``"all"`` (every engine).
 ENGINE_CHOICES = {
-    "fast": ("fast",),
-    "reference": ("reference",),
-    "calendar": ("calendar",),
-    "vector": ("vector",),
+    **{engine: (engine,) for engine in ENGINES},
     "both": ("fast", "reference"),
-    "all": ("fast", "calendar", "vector", "reference",
-            "reference-calendar"),
+    "all": ENGINES,
 }
 
 
@@ -121,10 +116,10 @@ def run_conformance(n_cases=25, seed=0, check_level=2, engine="both", *,
         Sanitizer level armed inside every differential run (the
         metamorphic and mutation stages manage their own levels).
     engine:
-        ``"fast"``, ``"reference"``, ``"calendar"``, ``"both"``, or
-        ``"all"`` (every loop x scheduler backend).  Bit-identity
-        needs at least two; a single-engine run still exercises the
-        sanitizer and the model envelope.
+        ``"fast"``, ``"vector"``, ``"reference"``, ``"both"``, or
+        ``"all"`` (every engine).  Bit-identity needs at least two; a
+        single-engine run still exercises the sanitizer and the model
+        envelope.
     metamorphic / mutations:
         Disable individual stages (the mutation stage patches engine
         classes, so e.g. a profiling run may want it off).

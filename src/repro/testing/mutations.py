@@ -280,18 +280,14 @@ SMOKE_CASE = ConformanceCase(
 )
 
 
-def run_mutation(name, check_level=None, engine_fast_path=None, case=None,
-                 scheduler=None, engine=None):
+def run_mutation(name, check_level=None, case=None, engine="fast"):
     """Run the smoke case under one mutation.
 
     Returns the :class:`InvariantViolation` the sanitizer raised, or
     ``None`` if the perturbed run completed silently (which the
     conformance harness treats as a failure of the safety net).
     ``check_level`` defaults to the mutation's guaranteed level.
-    ``engine`` names a backend from
-    :data:`repro.testing.oracle.ENGINE_BACKENDS`; the legacy
-    ``engine_fast_path``/``scheduler`` knobs are still honored, as in
-    :func:`repro.testing.oracle.run_case`.
+    ``engine`` names one of :data:`repro.piuma.config.ENGINES`.
     """
     mutation = MUTATIONS[name]
     if case is None:
@@ -300,9 +296,7 @@ def run_mutation(name, check_level=None, engine_fast_path=None, case=None,
     level = mutation.level if check_level is None else check_level
     with mutation.patch():
         try:
-            run_case(case, check_level=level,
-                     engine_fast_path=engine_fast_path,
-                     scheduler=scheduler, engine=engine)
+            run_case(case, check_level=level, engine=engine)
         except InvariantViolation as error:
             return error
     return None

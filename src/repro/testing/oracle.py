@@ -20,6 +20,7 @@ from repro.piuma import (
     simulate_spmm,
     spmm_model,
 )
+from repro.piuma.config import ENGINES
 from repro.runtime.errors import InvariantViolation
 
 #: Per-kernel (min, max) bounds on DES gflops / Eq.5 model gflops,
@@ -35,41 +36,13 @@ ENVELOPES = {
     "vertex": (0.12, 1.35),
 }
 
-#: Engine backends the oracle can drive: name -> PIUMAConfig knob
-#: overrides.  ``"fast"``, ``"calendar"``, ``"vector"``, and
-#: ``"reference"`` select main loops through the unified ``engine``
-#: knob; ``"reference-calendar"`` exercises the legacy knob pair
-#: (reference loop over the calendar queue), which doubles as the
-#: back-compat regression for ``engine="auto"`` resolution.  All five
-#: promise bit-identical results.
-ENGINE_BACKENDS = {
-    "fast": {"engine": "fast"},
-    "calendar": {"engine": "calendar"},
-    "vector": {"engine": "vector"},
-    "reference": {"engine": "reference"},
-    "reference-calendar": {"engine_fast_path": False,
-                           "scheduler": "calendar"},
-}
-
-
-def run_case(case, check_level=0, engine_fast_path=None, scheduler=None,
-             engine=None):
-    """Execute one conformance case; returns the ``KernelResult``.
-
-    ``engine`` names a backend from :data:`ENGINE_BACKENDS`; the
-    legacy ``engine_fast_path``/``scheduler`` keywords are still
-    honored (and compose with it) for callers predating the unified
-    knob.
-    """
-    knobs = dict(ENGINE_BACKENDS[engine]) if engine else {}
-    if engine_fast_path is not None:
-        knobs["engine_fast_path"] = engine_fast_path
-    if scheduler is not None:
-        knobs["scheduler"] = scheduler
+def run_case(case, check_level=0, engine="fast"):
+    """Execute one conformance case on one engine of
+    :data:`~repro.piuma.config.ENGINES`; returns the ``KernelResult``."""
     return simulate_spmm(
         case.graph(),
         case.embedding_dim,
-        config=case.config(check_level=check_level, **knobs),
+        config=case.config(check_level=check_level, engine=engine),
         kernel=case.kernel,
         window_edges=case.window_edges,
     )
@@ -92,9 +65,8 @@ def result_signature(result):
     }
 
 
-def run_sharded_case(case, check_level=0, engine_fast_path=None,
-                     scheduler=None, engine=None):
-    """Simulate every shard of a sharded case on one engine backend.
+def run_sharded_case(case, check_level=0, engine="fast"):
+    """Simulate every shard of a sharded case on one engine.
 
     The case's graph is partitioned ``case.n_shards`` ways with
     ``case.partition_strategy`` (the exact code path of the multi-node
@@ -104,13 +76,8 @@ def run_sharded_case(case, check_level=0, engine_fast_path=None,
     """
     from repro.runtime.shard import shard_geometry
 
-    knobs = dict(ENGINE_BACKENDS[engine]) if engine else {}
-    if engine_fast_path is not None:
-        knobs["engine_fast_path"] = engine_fast_path
-    if scheduler is not None:
-        knobs["scheduler"] = scheduler
     adj = case.graph()
-    config = case.config(check_level=check_level, **knobs)
+    config = case.config(check_level=check_level, engine=engine)
     shards = []
     for index in range(case.n_shards):
         sub, info = shard_geometry(
@@ -197,9 +164,10 @@ def model_efficiency(case, result):
 def differential_failures(case, check_level=2, engines=("fast", "reference")):
     """Run the oracle on one case; returns failure records (empty = pass).
 
-    ``engines`` names backends from :data:`ENGINE_BACKENDS`; every
-    result is compared bit-for-bit against the reference engine (or the
-    first backend that completed, when the reference was not requested).
+    ``engines`` names engines from :data:`~repro.piuma.config.ENGINES`;
+    every result is compared bit-for-bit against the reference engine
+    (or the first engine that completed, when the reference was not
+    requested).
     Each failure is a plain dict: ``{"case", "check", "detail"}`` with
     ``check`` one of ``invariant:<engine>``, ``engine-mismatch``, or
     ``model-envelope:<engine>``.  An ``InvariantViolation`` raised by
@@ -210,8 +178,8 @@ def differential_failures(case, check_level=2, engines=("fast", "reference")):
     failures = []
     results = {}
     for engine in engines:
-        if engine not in ENGINE_BACKENDS:
-            raise KeyError(f"unknown engine backend {engine!r}")
+        if engine not in ENGINES:
+            raise KeyError(f"unknown engine {engine!r}")
         try:
             if sharded:
                 results[engine] = run_sharded_case(

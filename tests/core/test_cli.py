@@ -246,6 +246,63 @@ class TestCacheCommand:
         assert "0 record(s)" in text
 
 
+class TestEngineFlags:
+    """One engine knob: every ``--engine`` takes its choices from
+    ``ENGINES`` and no subcommand still offers ``--scheduler``."""
+
+    @staticmethod
+    def _subcommands():
+        import argparse
+
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_every_subcommand(self):
+        from repro.piuma.config import ENGINES
+
+        engine_choices = {}
+        for name, sub in self._subcommands().items():
+            flags = {flag: action for action in sub._actions
+                     for flag in action.option_strings}
+            assert "--scheduler" not in flags, name
+            if "--engine" in flags:
+                engine_choices[name] = tuple(flags["--engine"].choices)
+        assert engine_choices == {
+            "simulate": ENGINES,
+            "sweep": ENGINES,
+            "multinode": ENGINES,
+            "resilience": ENGINES,
+            "check": ENGINES + ("both", "all"),
+        }
+
+    @pytest.mark.parametrize("engine", ("auto", "calendar"))
+    def test_removed_engine_names_rejected(self, engine):
+        with pytest.raises(SystemExit):
+            main(["simulate", "products", "--engine", engine],
+                 out=lambda line: None)
+
+    def test_resilience_names_the_verified_engine(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        _code, text = run_cli([
+            "resilience", "--engine", "vector", "--verify-engines",
+            "--max-vertices", "1024", "--cores", "2", "--hidden", "16",
+            "--severities", "0", "0.5", "--workers", "1",
+        ])
+        assert "vector and reference engines bit-identical" in text
+        assert "engine mismatch" not in text
+
+    def test_resilience_refuses_to_verify_reference_against_itself(self):
+        code, text = run_cli(["resilience", "--engine", "reference",
+                              "--verify-engines"])
+        assert code == 2
+        assert "pick --engine fast or vector" in text
+
+
 class TestServeParser:
     def test_serve_is_registered_with_defaults(self):
         from repro.cli import _build_parser

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.piuma.config import PIUMAConfig
+from repro.piuma.config import ENGINES, PIUMAConfig
 from repro.piuma.network import Network
 
 
@@ -51,6 +51,26 @@ class TestConfig:
             PIUMAConfig(dram_bandwidth_scale=0.0)
         with pytest.raises(ValueError):
             PIUMAConfig(threads_per_mtp=0)
+
+    def test_one_engine_knob(self):
+        assert ENGINES == ("fast", "vector", "reference")
+        assert PIUMAConfig().engine == "fast"
+        assert PIUMAConfig().resolved_engine == "fast"
+        for engine in ENGINES:
+            assert PIUMAConfig(engine=engine).resolved_engine == engine
+
+    @pytest.mark.parametrize("knob", (
+        {"scheduler": "heap"},
+        {"engine_fast_path": True},
+    ))
+    def test_removed_engine_knobs_rejected(self, knob):
+        with pytest.raises(TypeError):
+            PIUMAConfig(**knob)
+
+    @pytest.mark.parametrize("engine", ("auto", "calendar"))
+    def test_removed_engine_names_rejected(self, engine):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            PIUMAConfig(engine=engine)
 
 
 class TestNetwork:

@@ -1,26 +1,18 @@
-"""Fast-path vs reference-path engine equivalence.
+"""Bit-identity of the three DES main loops (``PIUMAConfig.engine``).
 
-The DES has two main loops (``PIUMAConfig.engine_fast_path``): the
-peek-ahead/type-dispatch fast path and the plain pop/execute/push
-reference loop.  The contract is **bit-identical results** — same
-``end_time``, per-tag stats, utilizations, bandwidth, and event count.
-This suite pins golden numbers on a fixed window and differentially
-fuzzes the two paths across a randomized RMAT grid covering every
-kernel, so any divergence introduced by a hot-path "optimization" fails
-loudly.
+The peek-ahead/type-dispatch ``fast`` loop, the compiled-program
+``vector`` replay loop, and the plain pop/execute/push ``reference``
+loop must produce **bit-identical results** — same ``end_time``,
+per-tag stats, utilizations, bandwidth, and event count.  This suite
+pins golden numbers on a fixed window and differentially fuzzes the
+loops across a randomized RMAT grid covering every kernel, so any
+divergence introduced by a hot-path "optimization" fails loudly.
 
-The contract extends across the event-scheduler axis
-(``PIUMAConfig.scheduler``): the calendar-queue backend must reproduce
-the heap backend bit-for-bit.  Goldens and every fuzz point also run
-the fast loop over the calendar queue with the runtime sanitizer armed
-(``check_level=1``), so a divergence or a stranded event in the
-bucketed ring fails the same assertions.
-
-And across the main-loop axis (``PIUMAConfig.engine``): the vector
-replay engine — op programs compiled at spawn time, deferred integral
-counters settled post-run — joins the goldens, the full 21-point fuzz
-grid, and the dynamic-kernel point, also with the sanitizer armed, so
-its batched bookkeeping is held to the same exact fingerprint.
+The vector engine — op programs compiled at spawn time, deferred
+integral counters settled post-run — runs the goldens, the full
+21-point fuzz grid, and the dynamic-kernel point with the sanitizer
+armed, so its batched bookkeeping is held to the same exact
+fingerprint.
 """
 
 import random
@@ -29,11 +21,12 @@ import pytest
 
 from repro.graphs.rmat import rmat_for_size
 from repro.piuma import simulate_spmm
-from repro.piuma.config import PIUMAConfig
+from repro.piuma.config import ENGINES, PIUMAConfig
 from repro.piuma.engine import Simulator
 from repro.piuma.ops import DMAOp
 from repro.piuma.spmm_dma import dma_thread
 from repro.piuma.spmm_dynamic import simulate_spmm_dynamic
+from repro.runtime.errors import SimulationDiverged
 
 
 def _result_fingerprint(result):
@@ -56,28 +49,13 @@ def _result_fingerprint(result):
 def _both_paths(adj, embedding_dim, kernel="dma", **overrides):
     fast = simulate_spmm(
         adj, embedding_dim,
-        PIUMAConfig(engine_fast_path=True, **overrides), kernel=kernel,
+        PIUMAConfig(engine="fast", **overrides), kernel=kernel,
     )
     ref = simulate_spmm(
         adj, embedding_dim,
-        PIUMAConfig(engine_fast_path=False, **overrides), kernel=kernel,
+        PIUMAConfig(engine="reference", **overrides), kernel=kernel,
     )
     return fast, ref
-
-
-def _calendar_path(adj, embedding_dim, kernel="dma", **overrides):
-    """Fast loop over the calendar-queue backend, sanitizer armed.
-
-    ``check_level=1`` arms the runtime invariant checker (including the
-    ``scheduler-drained`` post-run check) inside the run; the result it
-    returns must still be bit-identical to the heap backend's.
-    """
-    return simulate_spmm(
-        adj, embedding_dim,
-        PIUMAConfig(engine_fast_path=True, scheduler="calendar",
-                    check_level=1, **overrides),
-        kernel=kernel,
-    )
 
 
 def _vector_path(adj, embedding_dim, kernel="dma", **overrides):
@@ -108,8 +86,6 @@ class TestGolden:
     def test_pinned_end_time_and_stats(self, window):
         fast, ref = _both_paths(window, 64, n_cores=4)
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        cal = _calendar_path(window, 64, n_cores=4)
-        assert _result_fingerprint(cal) == _result_fingerprint(fast)
         vec = _vector_path(window, 64, n_cores=4)
         assert _result_fingerprint(vec) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(41025.25, rel=1e-12)
@@ -125,8 +101,6 @@ class TestGolden:
     def test_loop_kernel_pinned(self, window):
         fast, ref = _both_paths(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        cal = _calendar_path(window, 64, kernel="loop", n_cores=4)
-        assert _result_fingerprint(cal) == _result_fingerprint(fast)
         vec = _vector_path(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(vec) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(42644.5625, rel=1e-12)
@@ -170,12 +144,6 @@ class TestDifferential:
             threads_per_mtp=point["threads_per_mtp"],
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref), point
-        cal = _calendar_path(
-            adj, point["embedding_dim"], kernel=point["kernel"],
-            n_cores=point["n_cores"],
-            threads_per_mtp=point["threads_per_mtp"],
-        )
-        assert _result_fingerprint(cal) == _result_fingerprint(fast), point
         vec = _vector_path(
             adj, point["embedding_dim"], kernel=point["kernel"],
             n_cores=point["n_cores"],
@@ -190,15 +158,9 @@ class TestDifferential:
         )
         ref = simulate_spmm_dynamic(
             adj, 32,
-            PIUMAConfig(n_cores=2, threads_per_mtp=2, engine_fast_path=False),
+            PIUMAConfig(n_cores=2, threads_per_mtp=2, engine="reference"),
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        cal = simulate_spmm_dynamic(
-            adj, 32,
-            PIUMAConfig(n_cores=2, threads_per_mtp=2, scheduler="calendar",
-                        check_level=1),
-        )
-        assert _result_fingerprint(cal) == _result_fingerprint(fast)
         # The work-stealing kernel is not program_safe: under the
         # vector engine its threads stay generator-driven and run in
         # the general loop, still bit-identical.
@@ -208,6 +170,20 @@ class TestDifferential:
                         check_level=1),
         )
         assert _result_fingerprint(vec) == _result_fingerprint(fast)
+
+    def test_watchdog_trips_identically(self):
+        """The max_events ceiling must fire on the same event with the
+        same cause on every engine — the watchdogs count the same
+        events in the same global order."""
+        adj = rmat_for_size(2048, 2048 * 8, seed=11)
+        messages = set()
+        for engine in ENGINES:
+            config = PIUMAConfig(engine=engine, n_cores=4, max_events=5000)
+            with pytest.raises(SimulationDiverged) as err:
+                simulate_spmm(adj, 32, config, kernel="dma")
+            assert err.value.cause == "max_events", engine
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 class TestStripeTargets:

@@ -15,7 +15,8 @@ import pytest
 
 from repro.graphs.rmat import RMATParams, rmat_graph
 from repro.piuma import simulate_spmm
-from repro.piuma.config import PIUMAConfig
+from repro.piuma.config import ENGINES, PIUMAConfig
+from repro.piuma.engine import Simulator
 from repro.piuma.invariants import (
     INVARIANTS,
     verify_kernel_result,
@@ -32,10 +33,8 @@ def small_graph():
     )
 
 
-def _run(adj, kernel, check_level, fast):
-    config = PIUMAConfig(
-        n_cores=2, check_level=check_level, engine_fast_path=fast
-    )
+def _run(adj, kernel, check_level, engine):
+    config = PIUMAConfig(n_cores=2, check_level=check_level, engine=engine)
     return simulate_spmm(
         adj, 16, config=config, kernel=kernel, window_edges=512
     )
@@ -43,14 +42,50 @@ def _run(adj, kernel, check_level, fast):
 
 @pytest.mark.parametrize("kernel", ["dma", "loop", "vertex"])
 def test_checking_preserves_bit_identity(small_graph, kernel):
-    baseline = _run(small_graph, kernel, check_level=0, fast=True)
-    for fast in (True, False):
+    baseline = _run(small_graph, kernel, check_level=0, engine="fast")
+    for engine in ENGINES:
         for level in (0, 1, 2):
-            result = _run(small_graph, kernel, check_level=level, fast=fast)
+            result = _run(small_graph, kernel, check_level=level,
+                          engine=engine)
             assert result.sim_time_ns == baseline.sim_time_ns
             assert result.gflops == baseline.gflops
             assert result.events == baseline.events
             assert result.memory_utilization == baseline.memory_utilization
+
+
+def _tiny_simulator(engine="fast"):
+    from repro.piuma.ops import Compute
+
+    def tiny_thread():
+        yield Compute(16)
+
+    sim = Simulator(PIUMAConfig(n_cores=1, check_level=1, engine=engine))
+    sim.spawn(tiny_thread(), 0, 0)
+    return sim
+
+
+class TestSchedulerDrained:
+    """The level-1 ``scheduler-drained`` post-run check."""
+
+    def test_scheduler_drained_invariant_fires(self):
+        """A stranded entry after run() must trip the invariant."""
+        sim = _tiny_simulator()
+        sim.run()
+        # Simulate the lost-event bug class: an entry the main loop
+        # never consumed is still queued when the post-run check walks
+        # the event queue.
+        sim._heap.append((1.0, sim._seq, 0, None))
+        sim._seq += 1
+        with pytest.raises(InvariantViolation) as err:
+            sim.checker.after_run()
+        assert err.value.invariant == "scheduler-drained"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_clean_run_passes_drained_invariant(self, engine):
+        """The same level-1 run without the seeded bug completes."""
+        sim = _tiny_simulator(engine)
+        assert sim.run() > 0.0
+        assert sim._heap == []
 
 
 class TestRegistry:

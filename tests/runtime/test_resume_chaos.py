@@ -1,13 +1,13 @@
-"""Resume bit-identity under real SIGKILL, on every engine backend.
+"""Resume bit-identity under real SIGKILL, on every engine.
 
 Satellite of the chaos PR (DESIGN.md §13): a checkpointed sweep is
 run in a child process, SIGKILLed mid-run at three different seeded
 points (after 1, 2, and 3 completed manifest lines), then resumed
 in-process with ``resume=True``.  The resumed records must be
 bit-identical — on every deterministic field — to an unfaulted run of
-the same grid, across all five engine backends (the DES engines are
-pure functions of their inputs, so a kill/resume must be invisible in
-the results).  The in-process ``kill_resume`` emulation lives in
+the same grid, across all three engines (the DES engines are pure
+functions of their inputs, so a kill/resume must be invisible in the
+results).  The in-process ``kill_resume`` emulation lives in
 ``repro.runtime.chaos``; this is the real-signal version.
 """
 
@@ -23,7 +23,7 @@ import pytest
 from repro.runtime.chaos import record_identity
 from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.runner import run_sweep, spmm_task
-from repro.testing.oracle import ENGINE_BACKENDS
+from repro.piuma.config import ENGINES
 
 pytestmark = [pytest.mark.slow, pytest.mark.timeout(600)]
 
@@ -92,7 +92,7 @@ _BASELINES = {}
 
 def _baseline(engine):
     if engine not in _BASELINES:
-        report = run_sweep(_tasks(dict(ENGINE_BACKENDS[engine])),
+        report = run_sweep(_tasks({"engine": engine}),
                            workers=1)
         _BASELINES[engine] = report.records
     return _BASELINES[engine]
@@ -132,10 +132,10 @@ def _kill_after(n_lines, knobs, manifest_dir, script_path):
     return len(manifest.load())
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_BACKENDS))
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kill_point", (1, 2, 3))
 def test_sigkill_resume_is_bit_identical(engine, kill_point, tmp_path):
-    knobs = dict(ENGINE_BACKENDS[engine])
+    knobs = {"engine": engine}
     flushed = _kill_after(kill_point, knobs, tmp_path,
                           tmp_path / "child.py")
     assert flushed >= kill_point

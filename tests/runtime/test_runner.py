@@ -13,6 +13,7 @@ import pytest
 
 from repro.graphs.datasets import get_dataset
 from repro.piuma import simulate_spmm
+from repro.piuma.config import ENGINES
 from repro.runtime import (
     ProgressTracker,
     ResultCache,
@@ -21,6 +22,7 @@ from repro.runtime import (
     run_sweep,
     spmm_task,
 )
+from repro.runtime.shard import shard_tasks
 
 WINDOW = dict(max_vertices=512, seed=0, window_edges=512)
 
@@ -146,6 +148,17 @@ class TestInstrumentation:
         json.dumps(record)
         for stats in record["tag_stats"].values():
             assert set(stats) == {"count", "bytes", "wait_ns"}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_provenance_fields(self, engine):
+        """Every record names the engine that ran and the one event
+        queue (perfbench's pinned record digests include both)."""
+        task = spmm_task("products", 8, **WINDOW, n_cores=1, engine=engine)
+        shard = shard_tasks("products", 8, 2, n_cores=1, engine=engine,
+                            **WINDOW)[0]
+        for record in (task.run(), task.fallback_record(), shard.run()):
+            assert record["engine"] == engine
+            assert record["scheduler"] == "heap"
 
     def test_task_label_names_the_point(self):
         task = spmm_task("products", 64, **WINDOW, n_cores=4)

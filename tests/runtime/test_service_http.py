@@ -111,6 +111,17 @@ class TestStructuredErrors:
         assert doc["error"]["kind"] == "bad_request"
         assert "bogus" in doc["error"]["message"]
 
+    def test_scheduler_field_is_400(self, stack):
+        """The event-queue backend is no longer a query knob."""
+        base, _service, _faults = stack
+        status, _headers, doc = post(
+            f"{base}/predict",
+            {**MODEL_QUERY, "scheduler": "heap"},
+        )
+        assert status == 400
+        assert doc["error"]["kind"] == "bad_request"
+        assert doc["error"]["message"] == "unknown query field(s): scheduler"
+
     def test_invalid_body_is_400(self, stack):
         base, _service, _faults = stack
         status, _headers, doc = post(f"{base}/predict", b"{not json")

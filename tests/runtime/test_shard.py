@@ -25,7 +25,7 @@ from repro.runtime.shard import (
     shard_subgraph,
     shard_tasks,
 )
-from repro.testing.oracle import ENGINE_BACKENDS
+from repro.piuma.config import ENGINES
 
 #: Kernel observables of the monolithic record schema that must be
 #: bit-equal between a 1-shard task and the plain task.  Host-clock
@@ -120,12 +120,11 @@ class TestConservation:
 
 
 class TestOneShardBitIdentity:
-    @pytest.mark.parametrize("engine", sorted(ENGINE_BACKENDS))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_identical_to_monolithic_on_every_engine(self, engine):
-        knobs = dict(ENGINE_BACKENDS[engine])
-        mono = spmm_task(**_POINT, **knobs).run()
+        mono = spmm_task(**_POINT, engine=engine).run()
         sharded = shard_tasks("arxiv", 32, 1, max_vertices=1024, seed=3,
-                              **knobs)[0].run()
+                              engine=engine)[0].run()
         for field in _BIT_FIELDS:
             assert sharded[field] == mono[field], field
 

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.piuma.config import ENGINES
 from repro.runtime.errors import InvariantViolation
 from repro.testing import (
     MUTATIONS,
@@ -23,7 +24,7 @@ from repro.testing import (
     shrink,
 )
 from repro.testing.metamorphic import metamorphic_failures
-from repro.testing.oracle import ENGINE_BACKENDS, ENVELOPES, model_efficiency
+from repro.testing.oracle import ENVELOPES, model_efficiency
 
 
 class TestCaseGeneration:
@@ -91,7 +92,7 @@ class TestMutationsCaught:
     def test_at_least_four_level1_mutations(self):
         assert sum(1 for m in MUTATIONS.values() if m.level == 1) >= 4
 
-    @pytest.mark.parametrize("engine", sorted(ENGINE_BACKENDS))
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_sanitizer_fires_with_exact_attribution(self, name, engine):
         # The full backend matrix: every seeded perturbation must be

@@ -117,5 +117,5 @@ class TestShardedOracle:
         case = _first_sharded(healthy=True)
         assert differential_failures(
             case, check_level=1,
-            engines=("fast", "calendar", "vector", "reference"),
+            engines=("fast", "vector", "reference"),
         ) == []
