@@ -245,11 +245,13 @@ def _build_parser():
     resilience.add_argument("--engine", choices=ENGINES, default="fast",
                             help="DES main loop for the curve "
                                  "(bit-identical results; host speed "
-                                 "only)")
+                                 "only; at check level 1 or above the "
+                                 "vector engine runs the fast loop)")
     resilience.add_argument("--verify-engines", action="store_true",
                             help="additionally run every point through the "
                                  "reference engine and require bit-identity "
-                                 "with --engine")
+                                 "with --engine (--engine vector needs "
+                                 "--check-level 0)")
     resilience.add_argument("--workers", type=int, default=None)
     resilience.add_argument("--no-cache", action="store_true",
                             help="bypass the on-disk result cache")
@@ -272,7 +274,10 @@ def _build_parser():
     check.add_argument("--engine", choices=ENGINES + ("both", "all"),
                        default="both",
                        help="engine path(s) to run (default both: fast "
-                            "and reference; \"all\" adds vector)")
+                            "and reference; \"all\" adds vector; at "
+                            "--level 1 or above the vector engine runs "
+                            "the fast loop, so only --level 0 checks "
+                            "its compiled replay)")
     check.add_argument("--no-metamorphic", action="store_true",
                        help="skip the metamorphic relations")
     check.add_argument("--no-mutations", action="store_true",
@@ -803,6 +808,10 @@ def _cmd_resilience(args, out):
     if args.verify_engines and args.engine == "reference":
         raise ValueError("--verify-engines compares --engine with the "
                          "reference engine; pick --engine fast or vector")
+    if args.verify_engines and args.engine == "vector" and args.check_level:
+        raise ValueError("--verify-engines --engine vector needs "
+                         "--check-level 0: at check level 1 or above the "
+                         "vector engine runs the fast loop")
 
     def task_for(severity, engine=args.engine):
         # The primary curve runs on --engine; the --verify-engines leg

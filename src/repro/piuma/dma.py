@@ -1,4 +1,4 @@
-"""DMA offload engine.
+"""DMA offload engine state.
 
 One engine per core.  Requests from all threads of the core are
 serialized in arrival order (the property Section IV-C leans on: a
@@ -6,6 +6,12 @@ single thread that keeps the engine fed saturates it without help).
 The engine itself is latency *tolerant*: it occupies only for descriptor
 setup plus streaming time, while the DRAM access latency is paid by the
 data, not by the engine — so back-to-back requests pipeline.
+
+This module holds the per-core state only.  The one implementation of
+a descriptor is the simulator's DMA dispatch closure
+(``Simulator._dispatch[DMAOp]``, built by ``Simulator._make_exec_dma``),
+which every main loop runs; the vector engine's compiled DMA plans
+share its per-(op, core) plan cache and repeat its arithmetic.
 """
 
 from __future__ import annotations
@@ -13,29 +19,28 @@ from __future__ import annotations
 import collections
 
 from repro.piuma.resources import FluidResource
-from repro.runtime.errors import HardwareExhausted
 
 
 class DMAEngine:
     """Per-core DMA engine with an in-order request queue.
 
-    Under a degradation spec an engine may be *dead* (every submit
-    raises :class:`HardwareExhausted` — the core's threads cannot
-    offload at all) or *flaky*: every ``fail_period``-th descriptor
-    fails and is retried after ``retry_backoff_ns``, a delay the
-    issuing thread observes.  Both behaviors are pure functions of the
-    submission order, which is identical on both engine main loops.
+    Under a degradation spec an engine may be *dead* (every descriptor
+    raises :class:`~repro.runtime.errors.HardwareExhausted` — the
+    core's threads cannot offload at all) or *flaky*: every
+    ``fail_period``-th descriptor fails and is retried after
+    ``retry_backoff_ns``, a delay the issuing thread observes.  Both
+    behaviors are pure functions of the submission order, which is
+    identical on every engine main loop.
     """
 
-    __slots__ = ("core_id", "_config", "_engine", "ops", "bytes_moved",
+    __slots__ = ("core_id", "_engine", "ops", "bytes_moved",
                  "_inflight", "_inflight_bytes", "_inflight_limit",
-                 "_overhead_ns", "_lat_to", "alive", "retries",
+                 "_overhead_ns", "alive", "retries",
                  "_fail_period", "_fail_countdown", "_retry_backoff_ns")
 
     def __init__(self, core_id, config, alive=True, fail_period=0,
                  retry_backoff_ns=0.0):
         self.core_id = core_id
-        self._config = config
         self._engine = FluidResource(config.dma_rate_gbps, name=f"dma{core_id}")
         self.ops = 0
         self.bytes_moved = 0.0
@@ -44,8 +49,6 @@ class DMAEngine:
         self._fail_period = int(fail_period)
         self._fail_countdown = int(fail_period)
         self._retry_backoff_ns = retry_backoff_ns
-        # Hot-path constants hoisted out of `submit` (attribute chains
-        # through `_config` showed up in DES profiles).
         self._inflight_limit = config.dma_inflight_bytes
         self._overhead_ns = config.dma_overhead_ns
         # Bounded memory credits: the engine keeps at most
@@ -56,148 +59,6 @@ class DMAEngine:
         # in flight (a per-op limit would starve small embedding dims).
         self._inflight = collections.deque()  # (completion, nbytes)
         self._inflight_bytes = 0.0
-        # Per-destination one-way latency, filled lazily from the
-        # network (int key — avoids building a (src, dst) tuple per
-        # submit target).
-        self._lat_to = {}
-
-    def submit_internal(self, now, nbytes):
-        """Engine-internal request (scratchpad copy-add): descriptor
-        overhead plus streaming occupancy, no DRAM traffic.
-
-        Returns when the engine can accept its next request (which is
-        also the completion time).  The :class:`FluidResource` reserve
-        is inlined — this runs once per edge in the DMA kernels.
-        """
-        if not self.alive:
-            raise HardwareExhausted(
-                f"DMA engine on core {self.core_id} is dead",
-                cause="dead-dma",
-            )
-        if self._fail_period:
-            self._fail_countdown -= 1
-            if not self._fail_countdown:
-                self._fail_countdown = self._fail_period
-                self.retries += 1
-                now += self._retry_backoff_ns
-        eng = self._engine
-        busy = eng.busy_until
-        start = now if now > busy else busy
-        duration = nbytes / eng.rate + self._overhead_ns
-        engine_free = start + duration
-        eng.busy_until = engine_free
-        eng.busy_time += duration
-        eng.units_served += nbytes
-        eng.requests += 1
-        self.ops += 1
-        self.bytes_moved += nbytes
-        return engine_free
-
-    def submit(self, now, nbytes, targets=None, network=None):
-        """Enqueue a request of ``nbytes`` at time ``now``.
-
-        Parameters
-        ----------
-        nbytes:
-            Payload size.  Zero-byte requests (e.g. buffer init with a
-            broadcast value) still pay the descriptor overhead.
-        targets:
-            List of ``(DRAMSlice, core_id)`` stripes the payload spreads
-            over (line interleaving), or None for engine-internal
-            operations (scratchpad copy-add) that move no DRAM traffic.
-        network:
-            :class:`Network` used to reach remote slices.
-
-        Returns
-        -------
-        (engine_free, completion):
-            When the engine can accept its next request, and when the
-            data movement finished.
-
-        The network injection, latency lookup, and DRAM request are
-        inlined against the resources' slots: this method executes a
-        couple of times per simulated edge and the call overhead of the
-        layered form dominated host time (DESIGN.md, "Host
-        performance").  Semantics are bit-identical to the layered
-        ``reserve``/``transfer``/``request`` calls it replaces.
-        """
-        if not targets:
-            engine_free = self.submit_internal(now, nbytes)
-            return engine_free, engine_free
-        if not self.alive:
-            raise HardwareExhausted(
-                f"DMA engine on core {self.core_id} is dead",
-                cause="dead-dma",
-            )
-        if self._fail_period:
-            self._fail_countdown -= 1
-            if not self._fail_countdown:
-                self._fail_countdown = self._fail_period
-                self.retries += 1
-                now += self._retry_backoff_ns
-        # Retire outstanding requests that completed by now, then
-        # wait for the oldest ones until the new payload fits in the
-        # staging buffer (backpressure toward the issuing threads'
-        # descriptor stream).
-        gate = now
-        limit = self._inflight_limit
-        if nbytes > limit:
-            limit = nbytes
-        inflight = self._inflight
-        inflight_bytes = self._inflight_bytes
-        popleft = inflight.popleft
-        while inflight and inflight[0][0] <= gate:
-            inflight_bytes -= popleft()[1]
-        while inflight and inflight_bytes + nbytes > limit:
-            done, size = popleft()
-            inflight_bytes -= size
-            if done > gate:
-                gate = done
-        eng = self._engine
-        busy = eng.busy_until
-        start = gate if gate > busy else busy
-        duration = nbytes / eng.rate + self._overhead_ns
-        engine_free = start + duration
-        eng.busy_until = engine_free
-        eng.busy_time += duration
-        eng.units_served += nbytes
-        eng.requests += 1
-        self.ops += 1
-        self.bytes_moved += nbytes
-        share = nbytes / len(targets)
-        completion = start
-        core_id = self.core_id
-        if network is None:
-            for memory, _dst_core in targets:
-                end = memory.bulk_request(start, share)
-                if end > completion:
-                    completion = end
-        else:
-            inj = network._injection[core_id]
-            lat_to = self._lat_to
-            inj_service = share / inj.rate
-            for memory, dst_core in targets:
-                if dst_core == core_id:
-                    arrival = start
-                else:
-                    busy = inj.busy_until
-                    sent = (start if start > busy else busy) + inj_service
-                    inj.busy_until = sent
-                    inj.busy_time += inj_service
-                    inj.units_served += share
-                    inj.requests += 1
-                    lat = lat_to.get(dst_core)
-                    if lat is None:
-                        lat = lat_to[dst_core] = network.latency(
-                            core_id, dst_core
-                        )
-                    arrival = sent + lat
-                end = memory.bulk_request(arrival, share)
-                if end > completion:
-                    completion = end
-        inflight.append((completion, nbytes))
-        self._inflight_bytes = inflight_bytes + nbytes
-        return engine_free, completion
 
     def utilization(self, horizon):
         return self._engine.utilization(horizon)
@@ -210,12 +71,12 @@ class DMAEngine:
     def streamed_bytes(self):
         """Bytes the underlying fluid engine served.
 
-        Accounted on the same lines as :attr:`bytes_moved` (both the
-        layered :meth:`submit` path and the inlined engine hot loop
-        update the two together), so the runtime sanitizer can
-        cross-check them: any accounting drift between the engine's
-        descriptor bookkeeping and its fluid-resource occupancy is a
-        byte-conservation violation.
+        Accounted on the same lines as :attr:`bytes_moved` (the DMA
+        dispatch closure and the compiled DMA plans update the two
+        together), so the runtime sanitizer can cross-check them: any
+        accounting drift between the engine's descriptor bookkeeping
+        and its fluid-resource occupancy is a byte-conservation
+        violation.
         """
         return self._engine.units_served
 

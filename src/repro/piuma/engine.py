@@ -18,7 +18,9 @@ Three main loops implement identical semantics, selected by
   driving a thread's generator without heap traffic while its resume
   time precedes every other queued event (peek-ahead continuation);
 * ``"vector"`` replays op programs compiled at spawn time
-  (:mod:`repro.piuma.vector_engine`);
+  (:mod:`repro.piuma.vector_engine`); a run it cannot replay (a
+  sanitizer or tracer armed, a generator-driven thread) runs the fast
+  loop instead;
 * ``"reference"`` is the plain pop/execute/push loop, kept as the
   semantics oracle.
 
@@ -172,9 +174,8 @@ class Simulator:
         # deferred-counter table, and per-thread replay rows, built
         # incrementally at spawn_program time so run() only replays.
         self._vector_state = None
-        # Vector-engine replay cursors (thread index -> next step),
-        # populated by _run_vector for the sanitizer's post-run
-        # completeness check.
+        # Vector-engine replay cursors (thread index -> steps
+        # executed), set by the replay loop of the last run.
         self._program_pcs = None
         # Memoized topology tables: stripe-target core lists and the
         # matching (slice, core) pairs for DMA, both keyed by
@@ -398,16 +399,18 @@ class Simulator:
     def _make_exec_dma(self):
         """Build the DMA handler as a closure over pre-bound resources.
 
-        This is the hottest code in the simulator (a couple of
-        executions per simulated edge), so the pipeline issue-slot
-        reserve, the engine's staging-credit bookkeeping and occupancy,
-        the network injection, and the DRAM slice request are all
-        inlined here against the resources' slots — bit-identical to
-        the layered ``reserve``/``submit``/``transfer``/``request``
-        calls they replace (which remain the readable reference
-        implementation in ``dma.py``/``resources.py``/``network.py``).
-        Both main loops dispatch through this one closure, so the fast
-        and reference paths cannot disagree on DMA semantics.
+        This is the simulator's one DMA implementation: every main loop
+        dispatches DMA ops through it, so the engines cannot disagree
+        on DMA semantics, and the vector engine's compiled DMA plans
+        share its plan cache and repeat its arithmetic.  It is the
+        hottest code in the simulator (a couple of executions per
+        simulated edge), so the pipeline issue-slot reserve, the
+        engine's staging-credit bookkeeping and occupancy
+        (:class:`~repro.piuma.dma.DMAEngine` state), the network
+        injection, and the DRAM slice request are all inlined here
+        against the resources' slots — bit-identical to the layered
+        ``FluidResource.reserve``/``Network.transfer``/
+        ``DRAMSlice.request`` calls.
         """
         pipelines = self.pipelines
         engines = self.dma_engines
@@ -491,10 +494,10 @@ class Simulator:
             if engine._fail_period:
                 # Flaky engine: every Nth descriptor fails and is
                 # retried after a fixed backoff the issuing thread
-                # observes (mirrors DMAEngine.submit/submit_internal).
-                # Pure function of descriptor order — identical on both
-                # main loops.  The wait is thread delay, not pipeline
-                # or engine occupancy, so conservation holds untouched.
+                # observes.  Pure function of descriptor order —
+                # identical on every main loop.  The wait is thread
+                # delay, not pipeline or engine occupancy, so
+                # conservation holds untouched.
                 engine._fail_countdown -= 1
                 if not engine._fail_countdown:
                     engine._fail_countdown = engine._fail_period
@@ -514,7 +517,10 @@ class Simulator:
                 engine.bytes_moved += nbytes
             else:
                 _targets, duration, share, inj, inj_service, limit = plan
-                # Staging-buffer credits (see DMAEngine.submit).
+                # Staging-buffer credits: retire requests that
+                # completed by now, then wait for the oldest ones until
+                # the payload fits (backpressure toward the issuing
+                # threads' descriptor stream).
                 gate = issued
                 inflight = engine._inflight
                 inflight_bytes = engine._inflight_bytes
@@ -766,12 +772,14 @@ class Simulator:
     def _run_vector(self):
         """Compiled-program replay loop (``engine="vector"``).
 
-        Implemented in :mod:`repro.piuma.vector_engine`: threads
-        registered with :meth:`spawn_program` replay precompiled op
-        programs through per-(op, core, mtp) execution plans; plain
-        generator threads (e.g. the dynamic work-stealing kernel) run
-        exactly as under :meth:`_run_fast`.  Bit-identical to
-        :meth:`_run_reference` in results and event accounting.
+        Implemented in :mod:`repro.piuma.vector_engine`: when every
+        thread was registered with :meth:`spawn_program` and no
+        ``_execute`` hook is bound, the threads replay precompiled op
+        programs through per-(op, core, mtp) execution plans; any other
+        run (sanitizer or tracer armed, a generator thread such as the
+        dynamic work-stealing kernel's) runs :meth:`_run_fast`.
+        Bit-identical to :meth:`_run_reference` in results and event
+        accounting.
         """
         from repro.piuma.vector_engine import run_vector
 

@@ -70,9 +70,6 @@ INVARIANTS = {
                                "accept no descriptors"),
     "scheduler-drained": (1, "the event queue is empty after a "
                              "completed run — no stranded events"),
-    "program-replay-complete": (1, "the vector engine replayed every "
-                                   "compiled op program to its end — "
-                                   "no thread stopped mid-program"),
     "dma-request-conservation": (2, "DMA bytes requested by ops equal "
                                     "bytes the engines moved"),
     "dram-byte-ledger": (2, "slice bytes served equal the per-op DRAM "
@@ -228,22 +225,6 @@ class InvariantChecker:
                 f"{stranded} queued event{'' if stranded == 1 else 's'} "
                 "left in the event queue after run()",
             )
-        # Vector-engine replay completeness: a completed run must have
-        # consumed every step of every compiled program (the analogue of
-        # a generator thread reaching StopIteration).  `_program_pcs` is
-        # populated only by the vector loop; the other engines drive the
-        # programs' generator views and are covered by scheduler-drained.
-        pcs = getattr(sim, "_program_pcs", None)
-        if pcs is not None:
-            for idx, program in sim._programs.items():
-                done = pcs[idx]
-                total = len(program)
-                if done != total:
-                    raise violation(
-                        "program-replay-complete",
-                        f"thread {idx} replayed {done} of {total} "
-                        "compiled program steps",
-                    )
         if self.level >= 2:
             # Structural problems first: a corrupted timeline makes the
             # occupancy sums below meaningless, so attribute the failure

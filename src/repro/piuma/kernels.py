@@ -204,7 +204,8 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     # into an OpProgram the replay loop executes without resumption.
     # Factories without the marker (e.g. the dynamic work-stealing
     # kernel, whose stream depends on runtime interleaving) stay
-    # generator-driven — the vector loop runs both kinds side by side.
+    # generator-driven, and a run with any such thread (or with the
+    # sanitizer armed) runs the fast loop instead of replaying.
     compile_programs = (
         config.engine == "vector"
         and getattr(thread_factory, "program_safe", False)

@@ -215,11 +215,9 @@ class OpProgram:
     The vector engine (``repro.piuma.vector_engine``) replays programs
     instead of resuming generators: a *table* of the thread's unique op
     instances (the kernels intern their op shapes, so the table is tiny)
-    plus a per-step ``codes`` array indexing into it.  The table itself
-    is mirrored into parallel numpy arrays — op-kind code, payload
-    bytes, target core, tag code — so batch passes (plan assembly,
-    per-kind grouping, accounting summaries) read flat arrays instead of
-    walking Python attributes.  When numpy is unavailable the arrays
+    plus a per-step ``codes`` array indexing into it, and the op-kind
+    code of every table entry (``kind_codes``), which selects the plan
+    each entry compiles to.  When numpy is unavailable the arrays
     degrade to plain lists; semantics are unchanged.
 
     Programs are *static by contract*: a generator may be compiled into
@@ -229,50 +227,17 @@ class OpProgram:
     kernel, which stays generator-driven under every engine).
     """
 
-    __slots__ = (
-        "table", "codes", "kind_codes", "nbytes", "target_cores",
-        "tags", "tag_codes",
-    )
+    __slots__ = ("table", "codes", "kind_codes")
 
     def __init__(self, table, codes):
         self.table = list(table)
-        kinds = []
-        nbytes = []
-        targets = []
-        tag_index = {}
-        tags = []
-        tag_codes = []
-        for op in self.table:
-            kind = _op_kind_code(op)
-            kinds.append(kind)
-            if kind == OP_SEQUENTIAL:
-                nbytes.append(op.n_rounds * op.bytes_per_round)
-            elif kind == OP_COMPUTE:
-                nbytes.append(op.n_instrs)
-            elif kind == OP_PHASE:
-                nbytes.append(0)
-            else:
-                nbytes.append(op.nbytes)
-            targets.append(getattr(op, "target_core", -1))
-            tag = getattr(op, "tag", None)
-            code = tag_index.get(tag)
-            if code is None:
-                code = tag_index[tag] = len(tags)
-                tags.append(tag)
-            tag_codes.append(code)
-        self.tags = tuple(tags)
+        kinds = [_op_kind_code(op) for op in self.table]
         if _np is not None:
             self.codes = _np.asarray(codes, dtype=_np.int32)
             self.kind_codes = _np.asarray(kinds, dtype=_np.int8)
-            self.nbytes = _np.asarray(nbytes, dtype=_np.int64)
-            self.target_cores = _np.asarray(targets, dtype=_np.int32)
-            self.tag_codes = _np.asarray(tag_codes, dtype=_np.int16)
         else:
             self.codes = list(codes)
             self.kind_codes = kinds
-            self.nbytes = nbytes
-            self.target_cores = targets
-            self.tag_codes = tag_codes
 
     def __len__(self):
         return len(self.codes)
@@ -302,9 +267,11 @@ class OpProgram:
     def replay(self):
         """Generator view: yields the op sequence (ignores sent values).
 
-        Lets the non-vector engines run a compiled program unchanged —
-        a program-backed thread is indistinguishable from its source
-        generator, which is what keeps the differential oracle honest.
+        Lets the fast and reference loops run a compiled program
+        unchanged (the vector engine too, whenever it hands a run to
+        the fast loop) — a program-backed thread is indistinguishable
+        from its source generator, which is what keeps the differential
+        oracle honest.
         """
         table = self.table
         for code in self.step_codes():
@@ -316,11 +283,6 @@ class OpProgram:
         if _np is not None and isinstance(codes, _np.ndarray):
             return codes.tolist()
         return list(codes)
-
-    def op_sequence(self):
-        """The full op stream as a list (tests and checked replay)."""
-        table = self.table
-        return [table[code] for code in self.step_codes()]
 
 
 def dram_bytes(op):

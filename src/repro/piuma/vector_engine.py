@@ -33,8 +33,8 @@ codes over an interned op table).  This loop replays those programs:
   are exact in IEEE doubles *in any order*, so the batched totals are
   bit-identical to the reference's per-event accumulation.  One
   non-integral addend anywhere (fractional stripe shares on degraded
-  topologies), or any generator-driven thread in the run, flips the
-  whole run to live per-event accounting — same bodies, one flag.
+  topologies) flips the whole run to live per-event accounting — same
+  bodies, one flag.
   Order-dependent float state (``busy_until``/``busy_time`` chains,
   ``wait_ns``) always stays live in event order.
 
@@ -48,16 +48,13 @@ counts one event), the same watchdog ceilings, and the same
 ``SimulationDiverged`` trips at exactly the same event on every
 engine.
 
-Threads without a registered program (custom factories, the dynamic
-work-stealing kernel whose op stream depends on runtime interleaving)
-are driven through their generators exactly as in ``_run_fast`` — both
-kinds interleave freely in one run.
-
-When a sanitizer or tracer has bound the instance ``_execute`` hook
-(``check_level >= 1``), program steps are materialized back to their op
-objects and routed through the hook, so the level-1 per-event checks
-(monotonicity, thread legality) and all post-run conservation checks
-fire on the batched path too.
+Replay runs only when every thread is a compiled program and no
+``_execute`` hook is bound.  Every other run goes to ``_run_fast``,
+which drives each program's generator view: a sanitizer or tracer
+armed (``check_level >= 1``), a thread without a registered program
+(custom factories, the dynamic work-stealing kernel whose op stream
+depends on runtime interleaving), or a wrapped DMA dispatch entry.
+So at ``check_level >= 1`` the vector engine runs the fast loop.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ except ImportError:  # pragma: no cover - numpy is a soft dependency
 
 from repro.piuma.ops import (
     OP_ATOMIC,
-    OP_COMPUTE,
     OP_DMA_INTERNAL,
     OP_DMA_READ,
     OP_DMA_WRITE,
@@ -83,25 +79,6 @@ from repro.piuma.ops import (
     DMAOp,
 )
 from repro.runtime.errors import HardwareExhausted
-
-#: Op kind codes (mirroring ``repro.piuma.ops``).  DMA read/write
-#: share one replay body; a dead engine gets a sentinel closure that
-#: raises at execution time — at the same event the other engines
-#: would — not at compile time.
-K_PHASE = OP_PHASE
-K_COMPUTE = OP_COMPUTE
-K_LOAD = OP_LOAD
-K_SEQUENTIAL = OP_SEQUENTIAL
-K_STORE = OP_STORE
-K_ATOMIC = OP_ATOMIC
-K_DMA_INTERNAL = OP_DMA_INTERNAL
-K_DMA = OP_DMA_READ
-#: A DMA plan with at least one stalling (degraded) slice target keeps
-#: the general body with the per-target ``stall_period_ns`` check; the
-#: healthy-topology body (the overwhelmingly common case) drops it.
-K_DMA_STALL = OP_DMA_WRITE
-K_DEAD_DMA = 9
-
 
 def _merge_backfill(starts, ends, arrival, duration):
     """``Timeline.backfill`` with the insert-then-merge memmoves fused out.
@@ -207,16 +184,15 @@ _DMA_TEMPLATES = {}
 def _dma_factory(lat_flags, has_fail):
     """Source-compile one healthy-DMA replay body per plan shape.
 
-    The generic ``K_DMA`` body pays, per event, a 14-field tuple
-    unpack, a loop over 5-tuple targets, and a ``LOAD_CONST``-free
-    attribute fetch for every plan constant.  Here the target loop is
-    unrolled (``lat_flags[i]`` tells whether target ``i`` is remote —
-    the only per-target control flow) and every constant is bound as a
-    default argument of the generated closure, so the replay body runs
-    on ``LOAD_FAST`` alone.  Arithmetic is copied expression-for-
-    expression from the generic body: same order, same operands, same
-    floats.  The closure signature is ``fn(now, live)`` returning
-    ``(resume, completion)``.
+    The DMA dispatch closure (``Simulator._make_exec_dma``) pays, per
+    event, a loop over target tuples and a lookup for every plan
+    constant.  Here the target loop is unrolled (``lat_flags[i]`` tells
+    whether target ``i`` is remote — the only per-target control flow)
+    and every constant is bound as a default argument of the generated
+    closure, so the replay body runs on ``LOAD_FAST`` alone.
+    Arithmetic is copied expression-for-expression from that closure:
+    same order, same operands, same floats.  The closure signature is
+    ``fn(now, live)`` returning ``(resume, completion)``.
     """
     key = (lat_flags, has_fail)
     factory = _DMA_TEMPLATES.get(key)
@@ -770,7 +746,7 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
     network = sim.network
     slices = sim.slices
     stats = sim.stats
-    if kind == K_PHASE:
+    if kind == OP_PHASE:
         return _phase_plan(sim), ()
     record = stats[op.tag]
     if kind == OP_DMA_READ or kind == OP_DMA_WRITE or kind == OP_DMA_INTERNAL:
@@ -842,7 +818,7 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             [memory for memory, _lat in live_targets], _merge_backfill,
         )
         return fn, _collapse(entries)
-    if kind == K_LOAD:
+    if kind == OP_LOAD:
         grouped = op.grouped
         g_dur = grouped / pipe.rate + 0.0
         nbytes = op.nbytes
@@ -860,7 +836,7 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             (slice_, "bytes_served", nbytes), (slice_, "requests", 1),
             (record, "count", 1), (record, "bytes", nbytes),
         ])
-    if kind == K_SEQUENTIAL:
+    if kind == OP_SEQUENTIAL:
         n_units = op.n_rounds * op.instrs_per_round
         dur = n_units / pipe.rate + 0.0
         total_bytes = op.n_rounds * op.bytes_per_round
@@ -890,7 +866,7 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             pipe, dur, n_units, tuple(targets), op.n_rounds - 1,
             worst_trip, total_bytes, record,
         ), _collapse(entries)
-    if kind == K_STORE:
+    if kind == OP_STORE:
         nbytes = op.nbytes
         raw = sim._stripe_targets(op.target_core, nbytes)
         share = nbytes / len(raw)
@@ -919,7 +895,7 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
         return _store_plan(
             pipe, 1 / pipe.rate + 0.0, tuple(targets), nbytes, record,
         ), _collapse(entries)
-    if kind == K_ATOMIC:
+    if kind == OP_ATOMIC:
         nbytes = op.nbytes
         dst = op.target_core
         remote = dst != core
@@ -947,7 +923,7 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             slice_.stall_period_ns, slice_.stall_duration_ns, two,
             record,
         ), _collapse(entries)
-    # kind == K_COMPUTE
+    # kind == OP_COMPUTE
     n_instrs = op.n_instrs
     return _compute_plan(
         pipe, n_instrs / pipe.rate + 0.0, n_instrs, record,
@@ -1003,8 +979,8 @@ def compile_thread(sim, idx, program, core, mtp):
         # The DMA dispatch entry has been wrapped or replaced (the
         # mutation harness does this; so can any instrumentation).
         # Compiled plans would route around the wrapper, so leave the
-        # thread generator-driven: the replay loop falls back to live
-        # dispatch for it and the whole run stays on-path.
+        # thread uncompiled: run_vector then hands the whole run to the
+        # fast loop, which keeps the wrapper on-path.
         return
     table = program.table
     kinds = program.kind_codes
@@ -1112,167 +1088,37 @@ def _partial_uid_counts(thread_rows, pcs, n_uids):
 
 
 def run_vector(sim):
-    """Execute all spawned threads under the replay loop; returns ns."""
-    cfg = sim.config
-    threads = sim._threads
-    slices = sim.slices
-    # A sanitizer/tracer binds the instance `_execute`; when bound,
-    # program steps are materialized back to op objects and routed
-    # through it op-by-op (checked replay, always live).
-    execute = sim._execute if "_execute" in sim.__dict__ else None
-    checked = execute is not None
-    dispatch_get = sim._dispatch.get
-    n_threads = len(threads)
-    programs = sim._programs
-    progs = [None] * n_threads
-    lens = [0] * n_threads
-    pcs = [0] * n_threads
+    """Execute all spawned threads under the replay loop; returns ns.
+
+    Replay needs every thread compiled and no ``_execute`` hook bound.
+    Any other run — a sanitizer or tracer armed (``check_level >= 1``),
+    a generator-driven thread, a wrapped DMA dispatch entry (which
+    leaves threads uncompiled, see :func:`compile_thread`) — runs on
+    :meth:`Simulator._run_fast`, which drives every program's generator
+    view with identical results.
+    """
     state = sim._vector_state
-    defer_info = None
-    live = True
-    if checked:
-        for t_idx, program in programs.items():
-            seq_ops = program.op_sequence()
-            progs[t_idx] = seq_ops
-            lens[t_idx] = len(seq_ops)
-    elif state is not None:
-        for t_idx, fn_list in state["progs"].items():
-            progs[t_idx] = fn_list
-            # The compiled list carries a trailing exhaustion sentinel
-            # (tight-loop control flow); the general loop bounds pc at
-            # the real op count instead of executing it.
-            lens[t_idx] = len(fn_list) - 1
-        # Generator-driven threads account through the live handlers
-        # with shares unknowable at compile time, so any mixed run
-        # stays fully live.
-        live = state["taint"] or len(state["progs"]) != n_threads
-        if not live:
-            defer_info = (state["rows"], state["uids"], state["full"])
-        if len(state["progs"]) == n_threads and n_threads:
-            # Every thread is a compiled program: run the specialized
-            # replay loop (no generator/checked branches, pc carried
-            # in the heap entry, sentinel-terminated programs).
-            return _replay_programs(sim, progs, pcs, live, defer_info)
-    pending = sim._heap
-    heappop_ = heappop
-    heappushpop_ = heappushpop
-    inf = float("inf")
-    max_events = cfg.max_events or inf
-    max_sim_ns = cfg.max_sim_ns or inf
-    stall_limit = cfg.stall_events or inf
-    latest = 0.0
-    events = 0
-    stalled = 0
-    last_now = -1.0
-    seq = sim._seq
-    idx = -1
-    pc = 0
-    try:
-        while pending:
-            now, _seq, idx, value = heappop_(pending)
-            prog = progs[idx]
-            pc = pcs[idx]
-            end_pc = lens[idx]
-            if prog is None or checked:
-                # Replay closures never touch the thread tuple
-                # (resources are pre-bound), so only generator-driven
-                # and checked threads pay the binding.
-                generator, core, mtp = threads[idx]
-            while True:
-                events += 1
-                if not events & 2047:
-                    # Same boundary as _run_fast: retire dead DRAM
-                    # timeline history (result-transparent).
-                    cutoff = now - 1.0
-                    for s in slices:
-                        s.retire_before(cutoff)
-                if events > max_events:
-                    raise sim._diverged_events(events, now)
-                if now > max_sim_ns:
-                    raise sim._diverged_sim_ns(now)
-                if now == last_now:
-                    stalled += 1
-                    if stalled > stall_limit:
-                        raise sim._diverged_stall(stalled, now)
-                else:
-                    stalled = 0
-                    last_now = now
-                if prog is None:
-                    # Generator-driven thread: identical to _run_fast.
-                    try:
-                        op = generator.send(value)
-                    except StopIteration:
-                        if now > latest:
-                            latest = now
-                        break
-                    if execute is None:
-                        handler = dispatch_get(op.__class__)
-                        if handler is None:
-                            raise TypeError(f"unknown op {op!r}")
-                        resume, completion = handler(op, now, core, mtp)
-                    else:
-                        resume, completion = execute(op, now, core, mtp)
-                elif pc == end_pc:
-                    # Program exhausted: the replay analogue of the
-                    # final StopIteration resumption — same event count.
-                    pcs[idx] = pc
-                    if now > latest:
-                        latest = now
-                    break
-                elif checked:
-                    op = prog[pc]
-                    pc += 1
-                    resume, completion = execute(op, now, core, mtp)
-                else:
-                    resume, completion = prog[pc](now, live)
-                    pc += 1
-                if completion > latest:
-                    latest = completion
-                if pending and pending[0][0] <= resume:
-                    # Switch: an already-queued event runs first.  The
-                    # pushed entry can never beat the queue head (its
-                    # resume time is >= the head's, and on a tie its
-                    # sequence number is larger), so the fused
-                    # heappushpop keeps the exact (when, seq) order.
-                    pcs[idx] = pc
-                    now, _seq, idx, value = heappushpop_(
-                        pending, (resume, seq, idx, completion)
-                    )
-                    seq += 1
-                    prog = progs[idx]
-                    pc = pcs[idx]
-                    end_pc = lens[idx]
-                    if prog is None or checked:
-                        generator, core, mtp = threads[idx]
-                    continue
-                now, value = resume, completion
-    finally:
-        # Sync the in-flight thread's pc first: on a mid-run raise
-        # (watchdog, dead DMA) the executed-prefix counts must match
-        # the reference's live accounting up to the same event.
-        if idx >= 0:
-            pcs[idx] = pc
-        sim._seq = seq
-        sim.events = events
-        sim._program_pcs = pcs
-        if not live and defer_info:
-            _apply_deferred(defer_info, pcs)
-    sim.end_time = latest + cfg.launch_overhead_ns
-    return sim.end_time
+    n_threads = len(sim._threads)
+    if ("_execute" in sim.__dict__ or state is None
+            or len(state["progs"]) != n_threads):
+        return sim._run_fast()
+    progs = [state["progs"][idx] for idx in range(n_threads)]
+    live = state["taint"]
+    defer_info = (
+        None if live else (state["rows"], state["uids"], state["full"])
+    )
+    return _replay_programs(sim, progs, [0] * n_threads, live, defer_info)
 
 
 def _replay_programs(sim, progs, pcs, live, defer_info):
-    """Tight replay loop for runs where every thread is a program.
+    """The replay loop: every thread is a compiled program.
 
-    The general loop in :func:`run_vector` pays per event for
-    possibilities this run cannot exhibit: generator resumption,
-    checked execution, and the program-bound compare.  Here each heap
-    entry carries the thread's pc in the value slot (programs never
-    consume a resumption value), programs are sentinel-terminated
-    (:class:`_ReplayExhausted` replaces the ``pc == end_pc`` check),
-    and the three watchdog comparisons share one fused guard.  Event
-    order, event counts, watchdog trip points, and all accounting are
-    identical to the general loop — only the per-event constant drops.
+    Each heap entry carries the thread's pc in the value slot (programs
+    never consume a resumption value), programs are sentinel-terminated
+    (:class:`_ReplayExhausted` replaces a per-event bound check), and
+    the three watchdog comparisons share one fused guard.  Event order,
+    event counts, watchdog trip points, and all accounting are
+    identical to ``_run_fast`` — only the per-event constant drops.
     """
     cfg = sim.config
     slices = sim.slices

@@ -290,11 +290,23 @@ class TestEngineFlags:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         _code, text = run_cli([
             "resilience", "--engine", "vector", "--verify-engines",
+            "--check-level", "0",
             "--max-vertices", "1024", "--cores", "2", "--hidden", "16",
             "--severities", "0", "0.5", "--workers", "1",
         ])
         assert "vector and reference engines bit-identical" in text
         assert "engine mismatch" not in text
+
+    @pytest.mark.parametrize("level", ([], ["--check-level", "2"]),
+                             ids=("default", "level2"))
+    def test_resilience_refuses_to_verify_checked_vector(self, level):
+        # At check level 1 (the default) or above the vector engine
+        # runs the fast loop, so the comparison would not test
+        # compiled replay.
+        code, text = run_cli(["resilience", "--engine", "vector",
+                              "--verify-engines", *level])
+        assert code == 2
+        assert "needs --check-level 0" in text
 
     def test_resilience_refuses_to_verify_reference_against_itself(self):
         code, text = run_cli(["resilience", "--engine", "reference",

@@ -364,8 +364,10 @@ class TestDifferentialUnderFaults:
     The degraded mirror of ``test_engine_fastpath.TestDifferential``:
     21 points spanning kernels, core counts, and randomized fault specs
     run through the fast, reference, and vector-replay main loops —
-    every fingerprint field must match exactly, and the level-1
-    sanitizer runs inside every path.
+    every fingerprint field must match exactly.  The level-1 sanitizer
+    runs inside the fast and reference paths; the vector leg runs at
+    ``check_level=0``, the only level at which it replays compiled
+    programs instead of running the fast loop.
     """
 
     def _grid(self):
@@ -410,9 +412,9 @@ class TestDifferentialUnderFaults:
             seed=point["graph_seed"],
         )
         results = {}
-        for name, engine in (
-            ("fast", "fast"), ("reference", "reference"),
-            ("vector", "vector"),
+        for name, engine, check_level in (
+            ("fast", "fast", 1), ("reference", "reference", 1),
+            ("vector", "vector", 0),
         ):
             try:
                 results[name] = simulate_spmm(
@@ -421,7 +423,7 @@ class TestDifferentialUnderFaults:
                         n_cores=point["n_cores"],
                         threads_per_mtp=point["threads_per_mtp"],
                         engine=engine,
-                        check_level=1,
+                        check_level=check_level,
                         degradation=point["spec"],
                     ),
                     kernel=point["kernel"],

@@ -8,11 +8,12 @@ pins golden numbers on a fixed window and differentially fuzzes the
 loops across a randomized RMAT grid covering every kernel, so any
 divergence introduced by a hot-path "optimization" fails loudly.
 
-The vector engine — op programs compiled at spawn time, deferred
-integral counters settled post-run — runs the goldens, the full
-21-point fuzz grid, and the dynamic-kernel point with the sanitizer
-armed, so its batched bookkeeping is held to the same exact
-fingerprint.
+The vector engine runs the goldens and the full 21-point fuzz grid
+unchecked (``check_level=0``), the only level at which it replays op
+programs compiled at spawn time, with deferred integral counters
+settled post-run; at ``check_level >= 1`` it runs the fast loop.  The
+sanitizer rides on a fast-loop leg at ``check_level=1`` on every
+golden and fuzz point, held to the same exact fingerprint.
 """
 
 import random
@@ -59,15 +60,24 @@ def _both_paths(adj, embedding_dim, kernel="dma", **overrides):
 
 
 def _vector_path(adj, embedding_dim, kernel="dma", **overrides):
-    """Vector replay engine, sanitizer armed.
+    """Vector engine at ``check_level=0``: compiled-program replay.
 
-    ``check_level=1`` keeps the runtime invariant hooks live on the
-    batched path (the deferred counters must settle to *exactly* what
-    the sanitizer recomputes from raw simulator state post-run).
+    Any sanitizer level would hand the run to the fast loop, so this
+    leg stays unchecked; :func:`_checked_fast_path` carries the
+    sanitizer on the same points.
     """
     return simulate_spmm(
         adj, embedding_dim,
-        PIUMAConfig(engine="vector", check_level=1, **overrides),
+        PIUMAConfig(engine="vector", **overrides),
+        kernel=kernel,
+    )
+
+
+def _checked_fast_path(adj, embedding_dim, kernel="dma", **overrides):
+    """Fast loop with the level-1 sanitizer armed."""
+    return simulate_spmm(
+        adj, embedding_dim,
+        PIUMAConfig(engine="fast", check_level=1, **overrides),
         kernel=kernel,
     )
 
@@ -88,6 +98,8 @@ class TestGolden:
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
         vec = _vector_path(window, 64, n_cores=4)
         assert _result_fingerprint(vec) == _result_fingerprint(fast)
+        checked = _checked_fast_path(window, 64, n_cores=4)
+        assert _result_fingerprint(checked) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(41025.25, rel=1e-12)
         assert fast.gflops == pytest.approx(41.67907254057635, rel=1e-9)
         assert fast.events == 28232
@@ -103,6 +115,8 @@ class TestGolden:
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
         vec = _vector_path(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(vec) == _result_fingerprint(fast)
+        checked = _checked_fast_path(window, 64, kernel="loop", n_cores=4)
+        assert _result_fingerprint(checked) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(42644.5625, rel=1e-12)
         assert fast.events == 15944
 
@@ -150,6 +164,14 @@ class TestDifferential:
             threads_per_mtp=point["threads_per_mtp"],
         )
         assert _result_fingerprint(vec) == _result_fingerprint(fast), point
+        checked = _checked_fast_path(
+            adj, point["embedding_dim"], kernel=point["kernel"],
+            n_cores=point["n_cores"],
+            threads_per_mtp=point["threads_per_mtp"],
+        )
+        assert _result_fingerprint(checked) == _result_fingerprint(
+            fast
+        ), point
 
     def test_dynamic_kernel(self):
         adj = rmat_for_size(1024, 1024 * 8, seed=5)
@@ -162,8 +184,8 @@ class TestDifferential:
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
         # The work-stealing kernel is not program_safe: under the
-        # vector engine its threads stay generator-driven and run in
-        # the general loop, still bit-identical.
+        # vector engine its threads stay generator-driven and the run
+        # goes to the fast loop, still bit-identical.
         vec = simulate_spmm_dynamic(
             adj, 32,
             PIUMAConfig(n_cores=2, threads_per_mtp=2, engine="vector",

@@ -1,13 +1,13 @@
-"""The vector replay engine's internals, held to the reference loop.
+"""The vector replay engine's internals, held to the fast loop.
 
 ``tests/piuma/test_engine_fastpath.py`` pins the end-to-end contract
 (bit-identical fingerprints across the engine matrix); this suite aims
 at the machinery that makes the vector engine fast enough to matter —
 the spawn-time plan cache, the fused ``_merge_backfill``, the deferred
-integral counters (full and partial settle legs), the tight-loop
-delegation, and the fallbacks that keep the engine honest when a run
-cannot be batched (mixed generator threads, wrapped DMA dispatch,
-checked execution).
+integral counters (full and partial settle legs) — and at which loop a
+vector run executes: compiled replay when every thread is a program
+and no ``_execute`` hook is bound, the fast loop otherwise (a
+generator thread, a wrapped DMA dispatch, the sanitizer armed).
 """
 
 import random
@@ -174,7 +174,7 @@ class TestEquivalence:
 
     def test_mixed_program_and_generator_threads(self):
         # Half the threads compiled, half generator-driven: the run
-        # stays live (no deferred settle) and still matches.
+        # goes to the fast loop and still matches.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
                              engine="vector")
@@ -200,8 +200,8 @@ class TestEquivalence:
     def test_wrapped_dma_dispatch_falls_back(self):
         # Anything that replaces the DMA dispatch entry (the mutation
         # harness, instrumentation) must stay on-path: compile_thread
-        # leaves threads generator-driven rather than routing compiled
-        # plans around the wrapper.
+        # leaves threads uncompiled rather than routing compiled plans
+        # around the wrapper, and the run goes to the fast loop.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
                              engine="vector")
@@ -226,8 +226,8 @@ class TestEquivalence:
         assert _sim_fingerprint(sim) == _sim_fingerprint(fast)
 
     def test_checked_replay_at_level2(self):
-        # check_level=2 routes every program step back through the
-        # sanitizer's _execute op-by-op; results still bit-identical.
+        # At check_level=2 the vector engine runs the fast loop with
+        # the sanitizer on every op; results still bit-identical.
         adj = _adj()
         vec = simulate_spmm(
             adj, 32,
@@ -237,20 +237,87 @@ class TestEquivalence:
         assert _fingerprint(vec) == _fingerprint(fast)
 
 
+class TestLoopSelection:
+    """Which main loop a vector-engine run executes.
+
+    Compiled replay (``_replay_programs``) needs every thread compiled
+    and no ``_execute`` hook bound; every other run goes to
+    ``Simulator._run_fast``, which drives the programs' generator
+    views.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        run_fast = Simulator._run_fast
+        replay = vector_engine._replay_programs
+
+        def spy_fast(sim):
+            calls.append("fast")
+            return run_fast(sim)
+
+        def spy_replay(*args):
+            calls.append("replay")
+            return replay(*args)
+
+        monkeypatch.setattr(Simulator, "_run_fast", spy_fast)
+        monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
+        return calls
+
+    def test_unchecked_programs_replay(self, calls):
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
+                             engine="vector")
+        sim = Simulator(config)
+        _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        sim.run()
+        assert calls == ["replay"]
+
+    def test_checked_run_takes_fast_loop(self, calls):
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
+                             engine="vector", check_level=1)
+        sim = Simulator(config)
+        _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        sim.run()
+        assert calls == ["fast"]
+
+    def test_generator_thread_takes_fast_loop(self, calls):
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
+                             engine="vector")
+        sim = Simulator(config)
+        _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        work = split_work(_adj(), config, 2048)[0]
+        sim.spawn(dma_thread(work, 32, config), work.core, work.mtp)
+        sim.run()
+        assert calls == ["fast"]
+
+    def test_wrapped_dma_dispatch_takes_fast_loop(self, calls):
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
+                             engine="vector")
+        sim = Simulator(config)
+        inner = sim._dispatch[DMAOp]
+        sim._dispatch[DMAOp] = (
+            lambda op, now, core, mtp: inner(op, now, core, mtp)
+        )
+        _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        sim.run()
+        assert calls == ["fast"]
+
+
 class TestDegradedPresets:
     @pytest.mark.parametrize("preset", sorted(DEGRADATION_PRESETS))
     def test_preset_bit_identical_checked(self, preset):
-        # Every shipped degradation preset, sanitizer armed: the
-        # vector engine must reproduce the fast path bit-for-bit on a
-        # degraded fabric too (stall windows, retries, rerouting).
+        # Every shipped degradation preset: compiled replay (vector,
+        # check_level=0) must reproduce the sanitized fast path
+        # (check_level=1) bit-for-bit on a degraded fabric too (stall
+        # windows, retries, rerouting).
         adj = _adj()
         spec = DEGRADATION_PRESETS[preset]
         results = {}
-        for engine in ("fast", "vector"):
+        for engine, check_level in (("fast", 1), ("vector", 0)):
             results[engine] = simulate_spmm(
                 adj, 32,
-                PIUMAConfig(n_cores=4, check_level=1, engine=engine,
-                            degradation=spec),
+                PIUMAConfig(n_cores=4, check_level=check_level,
+                            engine=engine, degradation=spec),
             )
         assert _fingerprint(results["vector"]) == _fingerprint(
             results["fast"]
