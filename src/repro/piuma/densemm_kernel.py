@@ -98,10 +98,8 @@ def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
     per_thread = max(1, window_rows // n_threads)
     hashed = config.hashed_placement
     # Dense MM's op stream is static (see dense_thread.program_safe):
-    # under the vector engine, drain each generator into an OpProgram.
-    compile_programs = (
-        config.engine == "vector" and dense_thread.program_safe
-    )
+    # when the run can replay, drain each generator into an OpProgram.
+    compile_programs = simulator.can_replay and dense_thread.program_safe
     spawned_rows = 0
     for t in range(n_threads):
         start = t * per_thread

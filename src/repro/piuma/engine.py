@@ -163,12 +163,6 @@ class Simulator:
         self._heap = []
         self._seq = 0
         self._threads = []
-        # Compiled op programs by thread index (repro.piuma.ops
-        # .OpProgram, registered via spawn_program).  The vector engine
-        # replays these directly; every other engine drives the
-        # program's generator view, so a program-backed thread behaves
-        # identically under all main loops.
-        self._programs = {}
         # Vector-engine compile state (repro.piuma.vector_engine
         # .compile_thread): per-(op, core, mtp) plan-closure cache,
         # deferred-counter table, and per-thread replay rows, built
@@ -238,12 +232,22 @@ class Simulator:
             raise ValueError("mtp out of range")
         idx = len(self._threads)
         self._threads.append((program.replay(), core, mtp))
-        self._programs[idx] = program
         if self.config.engine == "vector":
             from repro.piuma.vector_engine import compile_thread
 
             compile_thread(self, idx, program, core, mtp)
         self._push(0.0, idx, None)
+
+    @property
+    def can_replay(self):
+        """Whether :meth:`run` can replay compiled programs.
+
+        Replay takes the vector engine and no ``_execute`` hook bound;
+        the sanitizer binds one in ``__init__``, so kernels decide at
+        spawn time whether draining their threads into programs pays.
+        """
+        return (self.config.engine == "vector"
+                and "_execute" not in self.__dict__)
 
     def _push(self, when, idx, value):
         heapq.heappush(self._heap, (when, self._seq, idx, value))

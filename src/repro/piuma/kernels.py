@@ -199,15 +199,15 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
     )
     shared = {} if accepts_shared else None
-    # Under the vector engine, factories that declare their op stream
-    # static (`program_safe`) are compiled by draining the generator
-    # into an OpProgram the replay loop executes without resumption.
-    # Factories without the marker (e.g. the dynamic work-stealing
-    # kernel, whose stream depends on runtime interleaving) stay
-    # generator-driven, and a run with any such thread (or with the
-    # sanitizer armed) runs the fast loop instead of replaying.
+    # When the run can replay (the vector engine, no sanitizer armed),
+    # factories that declare their op stream static (`program_safe`)
+    # are compiled by draining the generator into an OpProgram the
+    # replay loop executes without resumption.  Factories without the
+    # marker (e.g. the dynamic work-stealing kernel, whose stream
+    # depends on runtime interleaving) stay generator-driven, and a run
+    # with any such thread runs the fast loop instead of replaying.
     compile_programs = (
-        config.engine == "vector"
+        simulator.can_replay
         and getattr(thread_factory, "program_safe", False)
     )
     for work in work_items:

@@ -43,6 +43,9 @@ class Tracer:
         self.capacity = capacity
         self.dropped = 0
         self._simulator = simulator
+        # The hook this tracer stacks on: another instance wrapper (the
+        # sanitizer's) or, when None, the class's own ``_execute``.
+        self._previous = simulator.__dict__.get("_execute")
         self._original = simulator._execute
         simulator._execute = self._traced_execute
 
@@ -65,8 +68,16 @@ class Tracer:
         return resume, completion
 
     def detach(self):
-        """Stop tracing; the simulator keeps running untraced."""
-        self._simulator._execute = self._original
+        """Stop tracing; the simulator keeps running untraced.
+
+        Restores the hook found at attach time.  With none, the instance
+        attribute goes, so the main loops dispatch directly again and a
+        vector-engine simulator can replay.
+        """
+        if self._previous is None:
+            self._simulator.__dict__.pop("_execute", None)
+        else:
+            self._simulator._execute = self._previous
 
     # -- analysis ------------------------------------------------------------
 

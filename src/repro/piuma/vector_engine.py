@@ -1099,7 +1099,7 @@ def run_vector(sim):
     """
     state = sim._vector_state
     n_threads = len(sim._threads)
-    if ("_execute" in sim.__dict__ or state is None
+    if (not sim.can_replay or state is None
             or len(state["progs"]) != n_threads):
         return sim._run_fast()
     progs = [state["progs"][idx] for idx in range(n_threads)]

@@ -29,6 +29,7 @@ small task descriptors and JSON records cross the process boundary.
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import random
@@ -59,6 +60,26 @@ def _materialized(dataset, max_vertices, seed):
             max_vertices=max_vertices, seed=seed
         )
     return _GRAPH_MEMO[key]
+
+
+@functools.lru_cache(maxsize=4096)
+def _window_shape(dataset, max_vertices, seed):
+    """``(|V|, |E|)`` of a dataset window, without keeping its CSR.
+
+    The analytical answers (tier 0, the ``"fallback"`` policy) read only
+    these two counts.  A window already in :data:`_GRAPH_MEMO` is
+    reused; any other is built, counted and dropped, so a long-lived
+    server answering ever-new windows holds a few bytes per window
+    (bounded by the LRU) instead of a whole graph.
+    """
+    adj = _GRAPH_MEMO.get((dataset, max_vertices, seed))
+    if adj is None:
+        from repro.graphs.datasets import get_dataset
+
+        adj = get_dataset(dataset).materialize(
+            max_vertices=max_vertices, seed=seed
+        )
+    return int(adj.n_rows), int(adj.nnz)
 
 
 @dataclass(frozen=True)
@@ -234,21 +255,21 @@ class SpMMTask:
         """
         from repro.piuma import spmm_model
 
-        adj = _materialized(self.dataset, self.max_vertices, self.seed)
-        config = self.config()
-        model = spmm_model(
-            adj.n_rows, adj.nnz, self.embedding_dim, config
+        n_vertices, n_edges = _window_shape(
+            self.dataset, self.max_vertices, self.seed
         )
+        config = self.config()
+        model = spmm_model(n_vertices, n_edges, self.embedding_dim, config)
         record = {
-            "n_vertices": int(adj.n_rows),
-            "n_edges": int(adj.nnz),
+            "n_vertices": n_vertices,
+            "n_edges": n_edges,
             "embedding_dim": int(self.embedding_dim),
             "kernel": self.kernel,
             "gflops": float(model.gflops),
             "projected_time_ns": float(model.time_ns),
             "sim_time_ns": 0.0,
             "window_edges": 0,
-            "total_edges": int(adj.nnz),
+            "total_edges": n_edges,
             "memory_utilization": 0.0,
             "achieved_bandwidth": 0.0,
             "model_gflops": float(model.gflops),

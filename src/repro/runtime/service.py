@@ -56,6 +56,7 @@ import math
 import threading
 import time
 import warnings
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
@@ -64,7 +65,7 @@ from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.errors import CircuitOpen, QueueSaturated
 from repro.runtime.faults import ServiceFaultInjector
 from repro.runtime.jobs import JobScheduler
-from repro.runtime.runner import SpMMTask, _materialized, spmm_task
+from repro.runtime.runner import SpMMTask, _window_shape, spmm_task
 
 #: Platforms a query may target; only PIUMA has a DES (tiers 1-2).
 PLATFORMS = ("piuma", "cpu", "gpu")
@@ -405,15 +406,16 @@ class PredictionService:
         """Tier-0 CPU / GPU analytical answer (no DES exists for them)."""
         from repro.graphs.datasets import get_dataset
 
-        adj = _materialized(query["dataset"], query["max_vertices"],
-                            query["seed"])
+        n_vertices, n_edges = _window_shape(
+            query["dataset"], query["max_vertices"], query["seed"]
+        )
         k = query["embedding_dim"]
         if query["platform"] == "cpu":
             from repro.cpu.config import XeonConfig
             from repro.cpu.spmm import spmm_time
 
             cores = query["overrides"].get("n_cores")
-            estimate = spmm_time(adj.n_rows, adj.nnz, k, XeonConfig(),
+            estimate = spmm_time(n_vertices, n_edges, k, XeonConfig(),
                                  n_cores=cores)
             bound = estimate.bound
         else:
@@ -421,12 +423,12 @@ class PredictionService:
             from repro.gpu.kernels import spmm_time
 
             locality = get_dataset(query["dataset"]).locality
-            estimate = spmm_time(adj.n_rows, adj.nnz, k, A100Config(),
+            estimate = spmm_time(n_vertices, n_edges, k, A100Config(),
                                  locality=locality)
             bound = estimate.bound
         return {
-            "n_vertices": int(adj.n_rows),
-            "n_edges": int(adj.nnz),
+            "n_vertices": n_vertices,
+            "n_edges": n_edges,
             "embedding_dim": int(k),
             "kernel": "spmm",
             "platform": query["platform"],
@@ -501,6 +503,10 @@ _GET_INT_PARAMS = ("embedding_dim", "k", "max_vertices", "seed",
                    "window_edges")
 _GET_FLOAT_PARAMS = ("deadline_s",)
 
+#: Largest request body the frontend reads; a query document is a few
+#: hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
 
 def _query_from_params(params):
     """Flat ``GET /predict`` parameters -> query document."""
@@ -540,11 +546,21 @@ class PredictionRequestHandler(BaseHTTPRequestHandler):
     contract of the service is that *no* accepted request produces an
     unstructured 5xx — overload is 429 + ``Retry-After``, bad input is
     400 with an error document, and anything unforeseen is a structured
-    500 (the never-expected last resort).
+    500 (the never-expected last resort).  The stdlib's own protocol
+    errors (unsupported method, malformed request line, over-long URI,
+    too many headers, unsupported HTTP version) are JSON documents too.
+
+    Each response leaves in one socket write, and accepted sockets set
+    ``TCP_NODELAY``: a head and a body written separately on a Nagle
+    socket hold the body until the client's delayed ACK, ~40 ms on
+    Linux.  A request's declared body is read before routing, so no
+    answer leaves unread bytes on a keep-alive connection; a body that
+    cannot be framed is answered and closes the connection.
     """
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         if self.server.out is not None:
@@ -557,8 +573,48 @@ class PredictionRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no head in HTTP/0.9
+            self.wfile.write(body)
+            return
+        # end_headers() would flush the head alone; the blank line and
+        # the body join it in the buffer instead, and leave in one write.
+        self._headers_buffer.append(b"\r\n")
+        if self.command != "HEAD":
+            self._headers_buffer.append(body)
+        self.flush_headers()
+
+    def send_error(self, code, message=None, explain=None):
+        """Protocol errors, including the stdlib's own, as JSON.
+
+        The error ``kind`` is the status's ``HTTPStatus`` name in lower
+        case.  As in the stdlib: logged, ``Connection: close``, and no
+        body for ``HEAD``.
+        """
+        try:
+            status = HTTPStatus(code)
+            kind, message = status.name.lower(), message or status.phrase
+        except ValueError:
+            kind, message = "http_error", message or str(code)
+        self.log_error("code %d, message %s", code, message)
+        self._send(code, {"error": {"kind": kind, "message": message}},
+                   headers={"Connection": "close"})
+
+    def _read_body(self):
+        """The request's declared body, or ``None`` once answered."""
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(411, "request bodies need a Content-Length; "
+                                 "Transfer-Encoding is not supported")
+            return None
+        lengths = {value.strip() for value
+                   in self.headers.get_all("Content-Length", ["0"])}
+        length = lengths.pop() if len(lengths) == 1 else ""
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, "invalid Content-Length header")
+            return None
+        if int(length) > MAX_BODY_BYTES:
+            self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
+            return None
+        return self.rfile.read(int(length))
 
     def _predict(self, data):
         service = self.server.service
@@ -580,7 +636,16 @@ class PredictionRequestHandler(BaseHTTPRequestHandler):
         else:
             self._send(200, result)
 
+    def _not_found(self, path):
+        self._send(404, {"error": {
+            "kind": "not_found",
+            "message": f"no such endpoint: {path}",
+            "endpoints": ["/predict", "/healthz"],
+        }})
+
     def do_GET(self):
+        if self._read_body() is None:
+            return
         url = urlsplit(self.path)
         if url.path == "/healthz":
             self._send(200, self.server.service.healthz())
@@ -594,25 +659,19 @@ class PredictionRequestHandler(BaseHTTPRequestHandler):
                 return
             self._predict(data)
         else:
-            self._send(404, {"error": {
-                "kind": "not_found",
-                "message": f"no such endpoint: {url.path}",
-                "endpoints": ["/predict", "/healthz"],
-            }})
+            self._not_found(url.path)
 
     def do_POST(self):
+        body = self._read_body()
+        if body is None:
+            return
         url = urlsplit(self.path)
         if url.path != "/predict":
-            self._send(404, {"error": {
-                "kind": "not_found",
-                "message": f"no such endpoint: {url.path}",
-                "endpoints": ["/predict", "/healthz"],
-            }})
+            self._not_found(url.path)
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            data = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, TypeError) as error:
+            data = json.loads(body or b"{}")
+        except ValueError as error:
             self._send(400, {"error": {
                 "kind": "bad_request",
                 "message": f"request body is not valid JSON: {error}",

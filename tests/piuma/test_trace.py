@@ -75,6 +75,20 @@ class TestTracer:
         simulator.run()
         assert len(tracer.events) == 0
 
+    def test_detach_restores_the_sanitizer(self):
+        adj = rmat_graph(RMATParams(scale=8, edge_factor=4), seed=0)
+        config = PIUMAConfig(n_cores=1, check_level=1)
+        simulator = Simulator(config)
+        checked = simulator._execute
+        tracer = Tracer(simulator)
+        tracer.detach()
+        assert simulator.__dict__["_execute"] is checked
+        for work in split_work(adj, config, 256):
+            simulator.spawn(dma_thread(work, 8, config), work.core, work.mtp)
+        simulator.run()
+        assert len(tracer.events) == 0
+        assert simulator.checker.last_event_ns > 0
+
     def test_validation(self):
         simulator = Simulator(PIUMAConfig(n_cores=1))
         with pytest.raises(ValueError):

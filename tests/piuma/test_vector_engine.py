@@ -290,6 +290,36 @@ class TestLoopSelection:
         sim.run()
         assert calls == ["fast"]
 
+    def test_detached_tracer_lets_the_run_replay(self, calls):
+        from repro.piuma.trace import Tracer
+
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
+                             engine="vector")
+        sim = Simulator(config)
+        Tracer(sim).detach()
+        assert "_execute" not in sim.__dict__
+        _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        sim.run()
+        assert calls == ["replay"]
+
+    @pytest.mark.parametrize("kernel", ["spmm", "dense"])
+    def test_checked_kernel_spawns_generators(self, calls, monkeypatch,
+                                              kernel):
+        """A sanitized run cannot replay, so nothing is compiled."""
+        from repro.piuma.densemm_kernel import simulate_dense_mm
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("compiled a run that cannot replay")
+
+        monkeypatch.setattr(OpProgram, "from_generator", refuse)
+        monkeypatch.setattr(vector_engine, "compile_thread", refuse)
+        config = PIUMAConfig(n_cores=2, engine="vector", check_level=1)
+        if kernel == "spmm":
+            simulate_spmm(_adj(), 16, config, window_edges=1024)
+        else:
+            simulate_dense_mm(256, 16, 16, config, window_rows=256)
+        assert calls == ["fast"]
+
     def test_wrapped_dma_dispatch_takes_fast_loop(self, calls):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
                              engine="vector")

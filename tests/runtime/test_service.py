@@ -336,6 +336,65 @@ class TestQueryPath:
             service.close()
 
 
+class TestTier0Memory:
+    """Tier 0 reads a window's |V| and |E| and keeps no graph.
+
+    A server answering ever-new windows analytically would otherwise
+    hold one CSR per window in the process's graph memo.
+    """
+
+    def test_unseen_windows_leave_the_graph_memo_alone(self, cache):
+        from repro.graphs.datasets import get_dataset
+        from repro.runtime import runner
+
+        memo = dict(runner._GRAPH_MEMO)
+        service = make_service(cache)
+        try:
+            for seed in range(917_000, 917_020):
+                window = {"dataset": "arxiv", "k": 16,
+                          "max_vertices": 512, "seed": seed}
+                adj = get_dataset("arxiv").materialize(max_vertices=512,
+                                                       seed=seed)
+                for extra in ({"tier": "model"}, {"platform": "cpu"},
+                              {"platform": "gpu"}):
+                    answer = service.predict({**window, **extra})
+                    assert answer["tier"] == 0
+                    assert answer["record"]["n_vertices"] == adj.n_rows
+                    assert answer["record"]["n_edges"] == adj.nnz
+        finally:
+            service.close()
+        assert runner._GRAPH_MEMO == memo
+
+    def test_memoized_window_is_reused(self, cache, monkeypatch):
+        from repro.graphs.datasets import DatasetSpec, get_dataset
+        from repro.runtime import runner
+
+        adj = get_dataset("arxiv").materialize(max_vertices=384,
+                                               seed=918_000)
+        monkeypatch.setitem(runner._GRAPH_MEMO, ("arxiv", 384, 918_000), adj)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("memoized window built again")
+
+        monkeypatch.setattr(DatasetSpec, "materialize", refuse)
+        service = make_service(cache)
+        try:
+            answer = service.predict(
+                {"dataset": "arxiv", "k": 16, "max_vertices": 384,
+                 "seed": 918_000, "tier": "model"}
+            )
+        finally:
+            service.close()
+        assert answer["record"]["n_vertices"] == adj.n_rows
+        assert answer["record"]["n_edges"] == adj.nnz
+
+    def test_shape_memo_is_bounded(self):
+        from repro.runtime.runner import _window_shape
+
+        maxsize = _window_shape.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 100_000
+
+
 class TestHealthz:
     def test_structure_and_counters(self, tmp_path, cache):
         service = make_service(cache)

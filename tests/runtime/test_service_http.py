@@ -3,11 +3,16 @@
 Acceptance property under test: the server never returns an
 unstructured 5xx — overload is 429 + ``Retry-After``, malformed input
 is a 400 document, unknown paths are 404 documents, and good queries
-answer from the tier ladder.  All tests run against an ephemeral-port
-server with the DES tier either untouched (``tier=model``) or faulted.
+answer from the tier ladder.  Protocol errors the stdlib raises are
+JSON too, a keep-alive connection stays framed whatever a request's
+route, and every response leaves in one write on a ``TCP_NODELAY``
+socket.  All tests run against an ephemeral-port server with the DES
+tier either untouched (``tier=model``) or faulted.
 """
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,26 +20,39 @@ import urllib.request
 import pytest
 
 from repro.runtime import ResultCache, ServiceFaultInjector
-from repro.runtime.service import PredictionService, make_server
+from repro.runtime.service import (
+    MAX_BODY_BYTES,
+    PredictionRequestHandler,
+    PredictionService,
+    make_server,
+)
 
 pytestmark = pytest.mark.timeout(120)
 
 
 @pytest.fixture
-def stack(tmp_path):
+def server_stack(tmp_path):
     faults = ServiceFaultInjector()
     service = PredictionService(
         ResultCache(directory=tmp_path / "cache"),
         workers=1, default_deadline_s=60.0, faults=faults,
     )
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() at teardown quick.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     port = server.server_address[1]
-    yield f"http://127.0.0.1:{port}", service, faults
+    yield server, f"http://127.0.0.1:{port}", service, faults
     server.shutdown()
     server.server_close()
     service.close()
+
+
+@pytest.fixture
+def stack(server_stack):
+    _server, base, service, faults = server_stack
+    return base, service, faults
 
 
 def get(url):
@@ -60,6 +78,20 @@ def post(url, document):
 
 MODEL_QUERY = {"dataset": "products", "k": 8, "max_vertices": 1024,
                "tier": "model"}
+
+
+def connect(base):
+    """One persistent HTTP/1.1 connection to the stack's server."""
+    port = int(base.rsplit(":", 1)[1])
+    return http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+
+
+def exchange(conn, method, path, document=None):
+    """One request on ``conn``; returns (status, headers, raw body)."""
+    body = None if document is None else json.dumps(document).encode()
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.headers, response.read()
 
 
 class TestPredict:
@@ -155,6 +187,172 @@ class TestStructuredErrors:
         assert int(headers["Retry-After"]) >= 1
         assert doc["error"]["kind"] == "saturated"
         assert doc["error"]["retry_after_s"] >= 1.0
+
+
+class TestKeepAliveFraming:
+    """Every answer leaves a keep-alive connection framed, and is JSON.
+
+    All requests of a test share one ``http.client`` connection, as a
+    load balancer or a closed-loop client would.
+    """
+
+    def test_unrouted_body_is_read_before_the_next_request(self, stack):
+        base, _service, _faults = stack
+        conn = connect(base)
+        try:
+            status, _headers, body = exchange(conn, "POST", "/nope",
+                                              {"padding": "x" * 64})
+            assert status == 404
+            assert json.loads(body)["error"]["kind"] == "not_found"
+            status, _headers, body = exchange(conn, "POST", "/predict",
+                                              MODEL_QUERY)
+            assert status == 200
+            assert json.loads(body)["tier"] == 0
+        finally:
+            conn.close()
+
+    def test_get_with_a_body_stays_framed(self, stack):
+        base, _service, _faults = stack
+        conn = connect(base)
+        try:
+            status, _headers, _body = exchange(conn, "GET", "/healthz",
+                                               {"ignored": True})
+            assert status == 200
+            status, _headers, _body = exchange(conn, "GET", "/healthz")
+            assert status == 200
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE"])
+    def test_unsupported_method_is_json(self, stack, method):
+        base, _service, _faults = stack
+        conn = connect(base)
+        try:
+            status, headers, body = exchange(conn, method, "/predict")
+        finally:
+            conn.close()
+        assert status == 501
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        error = json.loads(body)["error"]
+        assert error["kind"] == "not_implemented"
+        assert method in error["message"]
+
+    def test_head_gets_json_headers_and_no_body(self, stack):
+        base, _service, _faults = stack
+        conn = connect(base)
+        try:
+            status, headers, body = exchange(conn, "HEAD", "/predict")
+        finally:
+            conn.close()
+        assert status == 501
+        assert headers["Content-Type"] == "application/json"
+        assert int(headers["Content-Length"]) > 0
+        assert body == b""
+
+    @pytest.mark.parametrize("header, value, status, kind", [
+        ("Transfer-Encoding", "chunked", 411, "length_required"),
+        ("Content-Length", "-1", 400, "bad_request"),
+        ("Content-Length", "ten", 400, "bad_request"),
+        ("Content-Length", str(MAX_BODY_BYTES + 1), 413, None),
+    ])
+    def test_unframeable_body_is_answered_and_closes(self, stack, header,
+                                                     value, status, kind):
+        base, _service, _faults = stack
+        conn = connect(base)
+        try:
+            # Headers only: the server must answer without a body.
+            conn.putrequest("POST", "/predict")
+            conn.putheader(header, value)
+            conn.endheaders()
+            response = conn.getresponse()
+            document = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == status
+        assert response.headers["Connection"] == "close"
+        assert response.will_close
+        if kind is not None:
+            assert document["error"]["kind"] == kind
+
+    @pytest.mark.parametrize("request_head, status", [
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101
+         + b"\r\n", 431),
+        (b"GET /a b HTTP/1.1\r\n\r\n", 400),
+    ])
+    def test_stdlib_protocol_errors_are_json(self, stack, request_head,
+                                             status):
+        base, _service, _faults = stack
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=30) as sock:
+            sock.sendall(request_head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[1] == str(status)
+        assert "Content-Type: application/json" in lines
+        assert "Connection: close" in lines
+        assert f"Content-Length: {len(body)}" in lines
+        assert json.loads(body)["error"]["message"]
+
+
+class _CountingHandler(PredictionRequestHandler):
+    """Records each connection's ``TCP_NODELAY`` and every socket write.
+
+    Writes are logged *before* they reach the socket, so once a client
+    holds a whole response, every write of it is already logged.
+    """
+
+    def setup(self):
+        super().setup()
+        server = self.server
+        server.nodelay.append(self.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        write = self.wfile.write
+
+        def logged(data):
+            server.writes.append(bytes(data))
+            return write(data)
+
+        self.wfile.write = logged
+
+
+class TestWritePath:
+    """One socket write per response, on a ``TCP_NODELAY`` socket.
+
+    A head and a body in two writes on a Nagle socket wait for the
+    client's delayed ACK; this pins the cause, not a wall-clock bound.
+    """
+
+    def test_one_write_per_response_with_nodelay(self, server_stack):
+        server, base, _service, faults = server_stack
+        server.RequestHandlerClass = _CountingHandler
+        server.nodelay, server.writes = [], []
+        conn = connect(base)
+        try:
+            statuses = [
+                exchange(conn, "POST", "/predict", MODEL_QUERY)[0],
+                exchange(conn, "POST", "/predict",
+                         {**MODEL_QUERY, "bogus": 1})[0],
+                exchange(conn, "POST", "/nope", {})[0],
+            ]
+            faults.arm("queue_full", 1)
+            statuses.append(exchange(
+                conn, "POST", "/predict",
+                {"dataset": "products", "k": 8, "max_vertices": 1024},
+            )[0])
+            statuses.append(exchange(conn, "GET", "/healthz")[0])
+        finally:
+            conn.close()
+        assert statuses == [200, 400, 404, 429, 200]
+        assert len(server.nodelay) == 1  # one keep-alive connection
+        assert server.nodelay[0] != 0
+        assert len(server.writes) == len(statuses)
+        assert all(w.startswith(b"HTTP/1.1 ") for w in server.writes)
 
 
 class TestHealthz:
