@@ -75,8 +75,9 @@ def _build_parser():
     simulate.add_argument("--max-vertices", type=int, default=16384,
                           help="down-scale the graph to this many vertices")
     simulate.add_argument("--engine", choices=ENGINES, default="fast",
-                          help="DES main loop (bit-identical results; "
-                               "host speed only)")
+                          help="DES engine: fast (replays compiled op "
+                               "programs) or reference (bit-identical "
+                               "results; host speed only)")
     simulate.add_argument("--no-cache", action="store_true",
                           help="bypass the on-disk result cache")
 
@@ -131,10 +132,12 @@ def _build_parser():
                        help="report host DES throughput (events/s) and "
                             "the slowest computed points")
     sweep.add_argument("--engine", choices=ENGINES, default=None,
-                       help="run every point on this DES main loop "
-                            "(bit-identical results; host speed only; "
-                            "records carry an \"engine\" provenance "
-                            "field)")
+                       help="run every point on this DES engine: fast "
+                            "(the default; replays compiled op programs, "
+                            "or runs its peek-ahead loop under "
+                            "--check-level) or reference (bit-identical "
+                            "results; host speed only; records carry an "
+                            "\"engine\" provenance field)")
     sweep.add_argument("--degrade", default=None, metavar="SPEC",
                        help="run the whole grid on a degraded fabric: a "
                             "preset name (mild, moderate, severe, links, "
@@ -193,8 +196,10 @@ def _build_parser():
                            help="resume interrupted runs from their "
                                 "per-shard checkpoint manifests")
     multinode.add_argument("--engine", choices=ENGINES, default=None,
-                           help="DES main loop for every shard "
-                                "(bit-identical results; host speed only)")
+                           help="DES engine for every shard: fast (the "
+                                "default; replays compiled op programs) "
+                                "or reference (bit-identical results; "
+                                "host speed only)")
     multinode.add_argument("--degrade", default=None, metavar="SPEC",
                            help="run every shard on a degraded fabric: a "
                                 "preset name or a JSON spec file")
@@ -243,15 +248,16 @@ def _build_parser():
                             help="invariant sanitizer level armed inside "
                                  "every point (default 1)")
     resilience.add_argument("--engine", choices=ENGINES, default="fast",
-                            help="DES main loop for the curve "
+                            help="DES engine for the curve: fast "
+                                 "(replays compiled op programs at "
+                                 "--check-level 0, runs its peek-ahead "
+                                 "loop at 1 or above) or reference "
                                  "(bit-identical results; host speed "
-                                 "only; at check level 1 or above the "
-                                 "vector engine runs the fast loop)")
+                                 "only)")
     resilience.add_argument("--verify-engines", action="store_true",
                             help="additionally run every point through the "
                                  "reference engine and require bit-identity "
-                                 "with --engine (--engine vector needs "
-                                 "--check-level 0)")
+                                 "with --engine fast")
     resilience.add_argument("--workers", type=int, default=None)
     resilience.add_argument("--no-cache", action="store_true",
                             help="bypass the on-disk result cache")
@@ -271,13 +277,12 @@ def _build_parser():
                        help="seeded conformance cases to generate")
     check.add_argument("--seed", type=int, default=0,
                        help="case-population seed")
-    check.add_argument("--engine", choices=ENGINES + ("both", "all"),
-                       default="both",
-                       help="engine path(s) to run (default both: fast "
-                            "and reference; \"all\" adds vector; at "
-                            "--level 1 or above the vector engine runs "
-                            "the fast loop, so only --level 0 checks "
-                            "its compiled replay)")
+    check.add_argument("--engine", choices=ENGINES + ("all",),
+                       default="all",
+                       help="engine(s) to run (default all: fast and "
+                            "reference; at --level 1 or above the fast "
+                            "engine runs its peek-ahead loop, so only "
+                            "--level 0 checks its compiled replay)")
     check.add_argument("--no-metamorphic", action="store_true",
                        help="skip the metamorphic relations")
     check.add_argument("--no-mutations", action="store_true",
@@ -807,11 +812,7 @@ def _cmd_resilience(args, out):
         raise ValueError("--severities must be non-decreasing")
     if args.verify_engines and args.engine == "reference":
         raise ValueError("--verify-engines compares --engine with the "
-                         "reference engine; pick --engine fast or vector")
-    if args.verify_engines and args.engine == "vector" and args.check_level:
-        raise ValueError("--verify-engines --engine vector needs "
-                         "--check-level 0: at check level 1 or above the "
-                         "vector engine runs the fast loop")
+                         "reference engine; pick --engine fast")
 
     def task_for(severity, engine=args.engine):
         # The primary curve runs on --engine; the --verify-engines leg

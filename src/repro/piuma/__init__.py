@@ -56,6 +56,7 @@ __all__ = [
     "simulate_dense_mm",
     "simulate_gcn",
     "simulate_spmm",
+    "spmm_kernel",
     "spmm_model",
     "strong_scaling",
     "thread_placements",
@@ -95,9 +96,22 @@ def simulate_spmm(adj, embedding_dim, config=None, kernel="dma", window_edges=No
     window_edges:
         Down-scaled window size (default automatic).
     """
+    factory, splitter = spmm_kernel(kernel)
+    return run_spmm_kernel(
+        adj, embedding_dim, config or PIUMAConfig(), factory, window_edges,
+        splitter,
+    )
+
+
+def spmm_kernel(kernel):
+    """``(thread_factory, splitter)`` of a named SpMM kernel.
+
+    The names are :func:`simulate_spmm`'s; ``splitter`` is ``None``
+    for the edge-parallel kernels (:func:`~repro.piuma.kernels
+    .split_work`).
+    """
     from repro.piuma.spmm_vertex import split_work_vertex, vertex_parallel_thread
 
-    config = config or PIUMAConfig()
     kernels = {
         "dma": (dma_thread, None),
         "loop": (loop_unrolled_thread, None),
@@ -105,7 +119,4 @@ def simulate_spmm(adj, embedding_dim, config=None, kernel="dma", window_edges=No
     }
     if kernel not in kernels:
         raise ValueError(f"kernel must be one of {sorted(kernels)}")
-    factory, splitter = kernels[kernel]
-    return run_spmm_kernel(
-        adj, embedding_dim, config, factory, window_edges, splitter
-    )
+    return kernels[kernel]

@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 from repro.piuma.degradation import DegradationSpec
 
-#: Valid values of :attr:`PIUMAConfig.engine`, one per DES main loop.
-ENGINES = ("fast", "vector", "reference")
+#: Valid values of :attr:`PIUMAConfig.engine`: the default engine and
+#: the reference loop it is checked against.
+ENGINES = ("fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,13 @@ class PIUMAConfig:
     # STP-side kernel launch / teardown overhead.
     launch_overhead_ns: float = 2000.0
 
-    #: DES main loop: ``"fast"`` (default; type-dispatch table plus
-    #: peek-ahead thread continuation over the binary heap),
-    #: ``"vector"`` (compiled op-program replay,
-    #: ``repro.piuma.vector_engine``), or ``"reference"`` (the plain
-    #: pop/execute/push loop, kept as the differential-test oracle).
-    #: All engines are bit-identical in results and event accounting
+    #: DES engine: ``"fast"`` (default) replays op programs compiled
+    #: at spawn time (``repro.piuma.vector_engine``) and runs the
+    #: peek-ahead loop (type-dispatch table plus thread continuation
+    #: over the binary heap) for runs it cannot replay, such as any
+    #: run at ``check_level >= 1``; ``"reference"`` is the plain
+    #: pop/execute/push loop, kept as the differential-test oracle.
+    #: All loops are bit-identical in results and event accounting
     #: (DESIGN.md, "Host performance").
     engine: str = "fast"
 

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from repro.piuma.engine import Simulator
-from repro.piuma.ops import Compute, DMAOp, OpProgram, PhaseMarker
-from repro.piuma.spmm_loop import owner_core
+from repro.piuma.ops import Compute, DMAOp, OpProgram
+from repro.piuma.spmm_loop import owner_core, setup_done
 
 #: Scalar instructions per MAC: PIUMA's pipelines have no SIMD, so one
 #: MAC is one instruction, plus amortized loop/address bookkeeping.
@@ -36,21 +36,27 @@ class DenseKernelResult:
     pipeline_utilization: float
 
 
-def dense_thread(rows, in_dim, out_dim, config, core_of_row):
+def dense_thread(rows, in_dim, out_dim, config, core_of_row, shared=None):
     """Thread generator: stream rows, MAC them against the resident W.
 
-    The MAC burst is one shared op instance and the stream-in/out DMA
+    The MAC burst is one op instance and the stream-in/out DMA
     descriptors are interned per target core (the same immutable-op
-    reuse as the SpMM kernels).
+    reuse as the SpMM kernels).  ``shared`` is an optional intern table
+    spanning all threads of one kernel invocation, so a core's threads
+    share one compiled replay plan per op instead of one per thread.
     """
     row_in_bytes = in_dim * config.feature_bytes
     row_out_bytes = out_dim * config.feature_bytes
     macs = in_dim * out_dim
     instrs = max(1, int(round(macs * INSTRS_PER_MAC)))
-    yield PhaseMarker()
-    mac_op = Compute(n_instrs=instrs, tag="dense_mac")
-    in_ops = {}   # target core -> DMAOp (activation stream-in)
-    out_ops = {}  # target core -> DMAOp (result stream-out)
+    if shared is None:
+        shared = {}
+    yield setup_done(shared)
+    mac_op = shared.get("mac")
+    if mac_op is None:
+        mac_op = shared["mac"] = Compute(n_instrs=instrs, tag="dense_mac")
+    in_ops = shared.setdefault("in", {})    # target core -> DMAOp (stream-in)
+    out_ops = shared.setdefault("out", {})  # target core -> DMAOp (stream-out)
     for row in rows:
         target = core_of_row(row)
         op = in_ops.get(target)
@@ -70,7 +76,7 @@ def dense_thread(rows, in_dim, out_dim, config, core_of_row):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram (vector engine).
+#: Static op stream: safe to compile into an OpProgram for replay.
 dense_thread.program_safe = True
 
 
@@ -98,8 +104,8 @@ def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
     per_thread = max(1, window_rows // n_threads)
     hashed = config.hashed_placement
     # Dense MM's op stream is static (see dense_thread.program_safe):
-    # when the run can replay, drain each generator into an OpProgram.
-    compile_programs = simulator.can_replay and dense_thread.program_safe
+    # while the run can replay, drain each generator into an OpProgram.
+    shared = {}
     spawned_rows = 0
     for t in range(n_threads):
         start = t * per_thread
@@ -112,8 +118,9 @@ def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
         generator = dense_thread(
             rows, in_dim, out_dim, config,
             core_of_row=lambda r: owner_core(r, config.n_cores, hashed),
+            shared=shared,
         )
-        if compile_programs:
+        if simulator.can_replay:
             simulator.spawn_program(
                 OpProgram.from_generator(generator), core, mtp
             )

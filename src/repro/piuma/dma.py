@@ -10,8 +10,8 @@ data, not by the engine — so back-to-back requests pipeline.
 This module holds the per-core state only.  The one implementation of
 a descriptor is the simulator's DMA dispatch closure
 (``Simulator._dispatch[DMAOp]``, built by ``Simulator._make_exec_dma``),
-which every main loop runs; the vector engine's compiled DMA plans
-share its per-(op, core) plan cache and repeat its arithmetic.
+which every main loop runs; the compiled replay plans share its
+per-(op, core) plan cache and repeat its arithmetic.
 """
 
 from __future__ import annotations

@@ -11,23 +11,23 @@ This is a *down-scaled* simulator in the sense of the paper's ref [18]:
 kernels simulate a bounded edge window at full mechanism fidelity and
 project steady-state throughput to the full graph.
 
-Three main loops implement identical semantics, selected by
-``PIUMAConfig.engine`` (see DESIGN.md, "Host performance"):
+``PIUMAConfig.engine`` selects one of two engines (see DESIGN.md,
+"Host performance"):
 
-* ``"fast"`` (default) dispatches ops through a type table and keeps
-  driving a thread's generator without heap traffic while its resume
-  time precedes every other queued event (peek-ahead continuation);
-* ``"vector"`` replays op programs compiled at spawn time
-  (:mod:`repro.piuma.vector_engine`); a run it cannot replay (a
-  sanitizer or tracer armed, a generator-driven thread) runs the fast
-  loop instead;
+* ``"fast"`` (default) replays op programs compiled at spawn time
+  (:mod:`repro.piuma.vector_engine`) whenever every thread is one and
+  nothing hooks ``_execute``; any other run (a sanitizer or tracer
+  armed, a generator-driven thread) takes the peek-ahead loop, which
+  dispatches ops through a type table and keeps driving a thread's
+  generator without heap traffic while its resume time precedes every
+  other queued event;
 * ``"reference"`` is the plain pop/execute/push loop, kept as the
   semantics oracle.
 
-All three share one event queue, a :mod:`heapq` list, and produce
-bit-identical results — same ``end_time``, per-tag stats, resource
-utilizations, and watchdog/event accounting — which the differential
-suite in ``tests/piuma/test_engine_fastpath.py`` enforces.
+All three loops share one event queue, a :mod:`heapq` list, and
+produce bit-identical results — same ``end_time``, per-tag stats,
+resource utilizations, and watchdog/event accounting — which the
+differential suite in ``tests/piuma/test_engine_fastpath.py`` enforces.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import heapq
 import time
 from collections import defaultdict
 
+from repro.piuma import vector_engine
 from repro.piuma.degradation import DegradationModel
 from repro.piuma.dma import DMAEngine
 from repro.piuma.network import Network
@@ -96,7 +97,7 @@ class Simulator:
     ----------
     events:
         Generator resumptions executed by the last :meth:`run` (the
-        DES event count; identical on both engine paths).
+        DES event count; identical in every loop).
     host_wall_s:
         Host wall-clock seconds the last :meth:`run` took.
     """
@@ -163,14 +164,10 @@ class Simulator:
         self._heap = []
         self._seq = 0
         self._threads = []
-        # Vector-engine compile state (repro.piuma.vector_engine
-        # .compile_thread): per-(op, core, mtp) plan-closure cache,
-        # deferred-counter table, and per-thread replay rows, built
-        # incrementally at spawn_program time so run() only replays.
+        # Replay compile state (vector_engine.ReplayState): the
+        # per-(op, core) plan closures and per-thread step lists, built
+        # at spawn_program time so run() only replays; run() drops it.
         self._vector_state = None
-        # Vector-engine replay cursors (thread index -> steps
-        # executed), set by the replay loop of the last run.
-        self._program_pcs = None
         # Memoized topology tables: stripe-target core lists and the
         # matching (slice, core) pairs for DMA, both keyed by
         # (base_core, stripe count) — recomputing them per edge was a
@@ -222,9 +219,9 @@ class Simulator:
         """Register a compiled :class:`~repro.piuma.ops.OpProgram`.
 
         The program's generator view goes into the thread table, so the
-        fast and reference loops run it unchanged; the vector loop
-        recognizes the registered program and replays it without
-        generator resumption.
+        peek-ahead and reference loops run it unchanged; when the run
+        can replay, the program is also compiled here and :meth:`run`
+        replays it without generator resumption.
         """
         if not 0 <= core < self.config.n_cores:
             raise ValueError("core out of range")
@@ -232,22 +229,28 @@ class Simulator:
             raise ValueError("mtp out of range")
         idx = len(self._threads)
         self._threads.append((program.replay(), core, mtp))
-        if self.config.engine == "vector":
-            from repro.piuma.vector_engine import compile_thread
-
-            compile_thread(self, idx, program, core, mtp)
+        if self.can_replay:
+            vector_engine.compile_thread(self, idx, program, core, mtp)
         self._push(0.0, idx, None)
 
     @property
     def can_replay(self):
-        """Whether :meth:`run` can replay compiled programs.
+        """Whether :meth:`run` can still replay compiled programs.
 
-        Replay takes the vector engine and no ``_execute`` hook bound;
-        the sanitizer binds one in ``__init__``, so kernels decide at
-        spawn time whether draining their threads into programs pays.
+        Replay takes the default engine, no ``_execute`` hook bound
+        (the sanitizer binds one in ``__init__``), the engine's own DMA
+        dispatch entry (a wrapper must stay on-path), and nothing
+        compiled so far that rules it out
+        (:func:`~repro.piuma.vector_engine.compile_thread`).  Kernels
+        read it before draining each thread into a program, so once it
+        turns False the remaining threads spawn as plain generators.
         """
-        return (self.config.engine == "vector"
-                and "_execute" not in self.__dict__)
+        state = self._vector_state
+        return (self.config.engine == "fast"
+                and "_execute" not in self.__dict__
+                and getattr(self._dispatch[DMAOp], "plans", None)
+                is not None
+                and (state is None or state.replayable))
 
     def _push(self, when, idx, value):
         heapq.heappush(self._heap, (when, self._seq, idx, value))
@@ -405,8 +408,8 @@ class Simulator:
 
         This is the simulator's one DMA implementation: every main loop
         dispatches DMA ops through it, so the engines cannot disagree
-        on DMA semantics, and the vector engine's compiled DMA plans
-        share its plan cache and repeat its arithmetic.  It is the
+        on DMA semantics, and the compiled replay plans share its plan
+        cache and repeat its arithmetic.  It is the
         hottest code in the simulator (a couple of executions per
         simulated edge), so the pipeline issue-slot reserve, the
         engine's staging-credit bookkeeping and occupancy
@@ -596,9 +599,9 @@ class Simulator:
             record.bytes += nbytes
             return issued, done
 
-        # The vector engine's plan assembly shares this cache (and its
-        # builder) so DMA plans are resolved once per (op, core) no
-        # matter which main loop touches them first.
+        # Replay plan assembly shares this cache (and its builder) so
+        # DMA plans are resolved once per (op, core) no matter which
+        # main loop touches them first.
         exec_dma.plans = plans
         exec_dma.build_plan = build_plan
         return exec_dma
@@ -630,23 +633,24 @@ class Simulator:
         :class:`~repro.runtime.errors.SimulationDiverged` instead of
         spinning forever on a buggy kernel or pathological point.
 
-        ``PIUMAConfig.engine`` selects the loop; all three produce
-        bit-identical results, and the reference loop exists as the
-        escape hatch and the differential-test oracle.
+        ``PIUMAConfig.engine`` selects the engine: ``"fast"`` replays
+        compiled programs when it can and runs :meth:`_run_fast`
+        otherwise (:func:`~repro.piuma.vector_engine.run_programs`);
+        ``"reference"`` runs :meth:`_run_reference`, the escape hatch
+        and differential-test oracle.  All loops produce bit-identical
+        results.  The compiled programs are dropped when the run ends.
         """
         started = time.perf_counter()
         try:
-            engine = self.config.engine
-            if engine == "fast":
-                result = self._run_fast()
-            elif engine == "vector":
-                result = self._run_vector()
+            if self.config.engine == "fast":
+                result = vector_engine.run_programs(self)
             else:
                 result = self._run_reference()
             if self.checker is not None:
                 self.checker.after_run()
             return result
         finally:
+            self._vector_state = None
             self.host_wall_s = time.perf_counter() - started
 
     def _diverged_events(self, events, now):
@@ -671,7 +675,7 @@ class Simulator:
         )
 
     def _run_fast(self):
-        """Peek-ahead main loop (the default).
+        """Peek-ahead main loop (the default engine's unreplayed runs).
 
         After executing an op, if the thread's resume time strictly
         precedes the earliest queued event, the same generator is driven
@@ -773,27 +777,11 @@ class Simulator:
         self.end_time = latest + cfg.launch_overhead_ns
         return self.end_time
 
-    def _run_vector(self):
-        """Compiled-program replay loop (``engine="vector"``).
-
-        Implemented in :mod:`repro.piuma.vector_engine`: when every
-        thread was registered with :meth:`spawn_program` and no
-        ``_execute`` hook is bound, the threads replay precompiled op
-        programs through per-(op, core, mtp) execution plans; any other
-        run (sanitizer or tracer armed, a generator thread such as the
-        dynamic work-stealing kernel's) runs :meth:`_run_fast`.
-        Bit-identical to :meth:`_run_reference` in results and event
-        accounting.
-        """
-        from repro.piuma.vector_engine import run_vector
-
-        return run_vector(self)
-
     def _run_reference(self):
         """The original pop/execute/push loop (``engine="reference"``).
 
         Kept as the semantics oracle: the differential suite asserts
-        the fast and vector loops reproduce it bit-for-bit.
+        the peek-ahead and replay loops reproduce it bit-for-bit.
         """
         cfg = self.config
         heap = self._heap

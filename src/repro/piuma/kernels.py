@@ -8,6 +8,12 @@ division follows Algorithm 2: each of the T hardware threads owns a
 contiguous 1/T slice of the edge array, and the simulated window takes
 the leading edges of every slice so all cores and pipelines stay
 populated exactly as they would be in a full run.
+
+Threads are spawned as compiled op programs while the run can replay
+(``Simulator.can_replay``, read before each thread) and the thread
+factory declares a static op stream (``program_safe``); otherwise they
+are spawned as generators and the run takes the peek-ahead or
+reference loop (``repro.piuma.engine``).
 """
 
 from __future__ import annotations
@@ -199,17 +205,16 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
     )
     shared = {} if accepts_shared else None
-    # When the run can replay (the vector engine, no sanitizer armed),
-    # factories that declare their op stream static (`program_safe`)
-    # are compiled by draining the generator into an OpProgram the
-    # replay loop executes without resumption.  Factories without the
-    # marker (e.g. the dynamic work-stealing kernel, whose stream
-    # depends on runtime interleaving) stay generator-driven, and a run
-    # with any such thread runs the fast loop instead of replaying.
-    compile_programs = (
-        simulator.can_replay
-        and getattr(thread_factory, "program_safe", False)
-    )
+    # While the run can replay (the default engine, no sanitizer
+    # armed, nothing compiled so far ruling it out), factories that
+    # declare their op stream static (`program_safe`) are compiled by
+    # draining the generator into an OpProgram the replay loop executes
+    # without resumption; once replay is ruled out, the remaining
+    # threads spawn as generators.  Factories without the marker (e.g.
+    # the dynamic work-stealing kernel, whose stream depends on runtime
+    # interleaving) stay generator-driven, and a run with any such
+    # thread takes the peek-ahead loop.
+    compile_programs = getattr(thread_factory, "program_safe", False)
     for work in work_items:
         if accepts_shared:
             generator = thread_factory(
@@ -217,7 +222,7 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
             )
         else:
             generator = thread_factory(work, embedding_dim, config)
-        if compile_programs:
+        if compile_programs and simulator.can_replay:
             simulator.spawn_program(
                 OpProgram.from_generator(generator), work.core, work.mtp
             )

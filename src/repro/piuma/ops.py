@@ -18,10 +18,7 @@ later occurrence.  The simulator only ever reads them.
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-    _np = None
+import numpy as np
 
 
 class _Op:
@@ -174,9 +171,9 @@ class DMAOp(_Op):
         self.tag = tag
 
 
-#: Numeric op-kind codes of :class:`OpProgram`'s struct-of-arrays view.
-#: ``read``/``write``/``internal`` DMA paths get distinct codes so the
-#: replay engine can group descriptors without touching ``op.kind``.
+#: Numeric op-kind codes (:func:`op_kind_code`), which select the
+#: replay plan an op compiles to.  ``read``/``write``/``internal`` DMA
+#: paths get distinct codes.
 OP_PHASE = 0
 OP_COMPUTE = 1
 OP_LOAD = 2
@@ -188,7 +185,7 @@ OP_DMA_READ = 7
 OP_DMA_WRITE = 8
 
 
-def _op_kind_code(op):
+def op_kind_code(op):
     cls = type(op)
     if cls is DMAOp:
         if op.kind == "internal":
@@ -210,37 +207,25 @@ def _op_kind_code(op):
 
 
 class OpProgram:
-    """Struct-of-arrays compiled form of one thread's op stream.
+    """Compiled form of one thread's op stream.
 
-    The vector engine (``repro.piuma.vector_engine``) replays programs
-    instead of resuming generators: a *table* of the thread's unique op
-    instances (the kernels intern their op shapes, so the table is tiny)
-    plus a per-step ``codes`` array indexing into it, and the op-kind
-    code of every table entry (``kind_codes``), which selects the plan
-    each entry compiles to.  When numpy is unavailable the arrays
-    degrade to plain lists; semantics are unchanged.
+    Replay (``repro.piuma.vector_engine``) executes programs instead of
+    resuming generators: a *table* of the thread's unique op instances
+    (the kernels intern their op shapes, so the table is tiny) plus a
+    per-step ``codes`` array (``int32``) indexing into it.
 
     Programs are *static by contract*: a generator may be compiled into
     one only when its op stream does not depend on the values the
     simulator sends back or on other threads' execution timing (true
     for the static SpMM/dense kernels, not for the dynamic work-stealing
-    kernel, which stays generator-driven under every engine).
+    kernel, which stays generator-driven).
     """
 
-    __slots__ = ("table", "codes", "kind_codes")
+    __slots__ = ("table", "codes")
 
     def __init__(self, table, codes):
         self.table = list(table)
-        kinds = [_op_kind_code(op) for op in self.table]
-        if _np is not None:
-            self.codes = _np.asarray(codes, dtype=_np.int32)
-            self.kind_codes = _np.asarray(kinds, dtype=_np.int8)
-        else:
-            self.codes = list(codes)
-            self.kind_codes = kinds
-
-    def __len__(self):
-        return len(self.codes)
+        self.codes = np.asarray(codes, dtype=np.int32)
 
     @classmethod
     def from_generator(cls, generator):
@@ -267,11 +252,10 @@ class OpProgram:
     def replay(self):
         """Generator view: yields the op sequence (ignores sent values).
 
-        Lets the fast and reference loops run a compiled program
-        unchanged (the vector engine too, whenever it hands a run to
-        the fast loop) — a program-backed thread is indistinguishable
-        from its source generator, which is what keeps the differential
-        oracle honest.
+        Lets the peek-ahead and reference loops run a compiled program
+        unchanged (whenever a run cannot replay) — a program-backed
+        thread is indistinguishable from its source generator, which is
+        what keeps the differential oracle honest.
         """
         table = self.table
         for code in self.step_codes():
@@ -279,10 +263,7 @@ class OpProgram:
 
     def step_codes(self):
         """Per-step table indices as a plain Python list."""
-        codes = self.codes
-        if _np is not None and isinstance(codes, _np.ndarray):
-            return codes.tolist()
-        return list(codes)
+        return self.codes.tolist()
 
 
 def dram_bytes(op):

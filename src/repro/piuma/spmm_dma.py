@@ -14,12 +14,13 @@ insensitivity of Fig 6/7.
 
 from __future__ import annotations
 
-from repro.piuma.ops import AtomicUpdate, DMAOp, Load, PhaseMarker
+from repro.piuma.ops import AtomicUpdate, DMAOp, Load
 from repro.piuma.spmm_loop import (
     as_int_list,
     binary_search_op,
     nnz_line_core,
     owner_cores,
+    setup_done,
 )
 
 
@@ -38,15 +39,15 @@ def dma_thread(work, embedding_dim, config, shared=None):
     hashed = config.hashed_placement
     group = config.nnz_group_edges
     row_bytes = embedding_dim * config.feature_bytes
+    if shared is None:
+        shared = {}
 
-    yield binary_search_op(work, config)
-    yield PhaseMarker()
+    yield binary_search_op(work, config, shared)
+    yield setup_done(shared)
 
     col_cores = owner_cores(work.cols, n_cores, hashed)
     row_cores = owner_cores(work.rows, n_cores, hashed)
     rows = as_int_list(work.rows)
-    if shared is None:
-        shared = {}
     # Buffer init with the vectorized edge weight: descriptor overhead
     # only, no DRAM traffic — one instance covers every edge.
     dma_init = shared.get("dma_init")
@@ -104,5 +105,5 @@ def dma_thread(work, embedding_dim, config, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram (vector engine).
+#: Static op stream: safe to compile into an OpProgram for replay.
 dma_thread.program_safe = True

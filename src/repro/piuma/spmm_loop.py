@@ -70,22 +70,36 @@ def nnz_line_core(edge_index, group, n_cores):
     return (int(edge_index) // group) % n_cores
 
 
-def binary_search_op(work, config):
+def binary_search_op(work, config, shared):
     """Algorithm 2 line 4: locate the first owned row via binary search.
 
     ``log2(|V|)``-ish dependent probes of the row-offset array, each a
-    small load to a pseudo-random slice.
+    small load to a pseudo-random slice.  The op is interned in the
+    kernel's ``shared`` table by (probes, target), so threads that
+    search alike share one instance.
     """
     n_rows = max(2, int(work.rows.max()) + 1 if len(work.rows) else 2)
     probes = max(1, int(math.ceil(math.log2(n_rows))))
     target = (work.core * 7 + work.mtp + 3) % config.n_cores
-    return SequentialAccess(
-        n_rounds=probes,
-        bytes_per_round=2 * config.index_bytes,
-        target_core=target,
-        instrs_per_round=4,
-        tag="binary_search",
-    )
+    searches = shared.setdefault("search", {})
+    op = searches.get((probes, target))
+    if op is None:
+        op = searches[(probes, target)] = SequentialAccess(
+            n_rounds=probes,
+            bytes_per_round=2 * config.index_bytes,
+            target_core=target,
+            instrs_per_round=4,
+            tag="binary_search",
+        )
+    return op
+
+
+def setup_done(shared):
+    """The kernel's one interned end-of-setup :class:`PhaseMarker`."""
+    op = shared.get("setup_done")
+    if op is None:
+        op = shared["setup_done"] = PhaseMarker()
+    return op
 
 
 def loop_unrolled_thread(work, embedding_dim, config, shared=None):
@@ -107,15 +121,15 @@ def loop_unrolled_thread(work, embedding_dim, config, shared=None):
     round_bytes = min(embedding_dim, config.unroll) * feature_bytes
     row_bytes = embedding_dim * feature_bytes
     instrs_per_round = config.instrs_per_unrolled_round
+    if shared is None:
+        shared = {}
 
-    yield binary_search_op(work, config)
-    yield PhaseMarker()
+    yield binary_search_op(work, config, shared)
+    yield setup_done(shared)
 
     col_cores = owner_cores(work.cols, n_cores, hashed)
     row_cores = owner_cores(work.rows, n_cores, hashed)
     rows = as_int_list(work.rows)
-    if shared is None:
-        shared = {}
     nnz_loads = shared.setdefault("nnz", {})      # (core, bytes) -> Load
     feature_ops = shared.setdefault("feature", {})  # core -> SequentialAccess
     atomic_ops = shared.setdefault("atomic", {})  # core -> AtomicUpdate
@@ -170,5 +184,5 @@ def loop_unrolled_thread(work, embedding_dim, config, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram (vector engine).
+#: Static op stream: safe to compile into an OpProgram for replay.
 loop_unrolled_thread.program_safe = True

@@ -18,8 +18,13 @@ import numpy as np
 
 from repro.piuma.degradation import thread_placements
 from repro.piuma.kernels import ThreadWork
-from repro.piuma.ops import DMAOp, Load, PhaseMarker
-from repro.piuma.spmm_loop import as_int_list, nnz_line_core, owner_cores
+from repro.piuma.ops import DMAOp, Load
+from repro.piuma.spmm_loop import (
+    as_int_list,
+    nnz_line_core,
+    owner_cores,
+    setup_done,
+)
 
 
 def split_work_vertex(adj, config, window_edges):
@@ -73,14 +78,14 @@ def vertex_parallel_thread(work, embedding_dim, config, shared=None):
     hashed = config.hashed_placement
     group = config.nnz_group_edges
     row_bytes = embedding_dim * config.feature_bytes
+    if shared is None:
+        shared = {}
 
-    yield PhaseMarker()
+    yield setup_done(shared)
 
     col_cores = owner_cores(work.cols, n_cores, hashed)
     row_cores = owner_cores(work.rows, n_cores, hashed)
     rows = as_int_list(work.rows)
-    if shared is None:
-        shared = {}
     dma_init = shared.get("dma_init")
     if dma_init is None:
         dma_init = shared["dma_init"] = DMAOp(
@@ -135,5 +140,5 @@ def vertex_parallel_thread(work, embedding_dim, config, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram (vector engine).
+#: Static op stream: safe to compile into an OpProgram for replay.
 vertex_parallel_thread.program_safe = True

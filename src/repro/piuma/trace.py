@@ -71,8 +71,8 @@ class Tracer:
         """Stop tracing; the simulator keeps running untraced.
 
         Restores the hook found at attach time.  With none, the instance
-        attribute goes, so the main loops dispatch directly again and a
-        vector-engine simulator can replay.
+        attribute goes, so the main loops dispatch directly again and
+        the simulator can replay compiled programs.
         """
         if self._previous is None:
             self._simulator.__dict__.pop("_execute", None)

@@ -1,60 +1,69 @@
-"""Compiled-program replay main loop (``PIUMAConfig.engine="vector"``).
+"""Compiled-program replay, the default engine's loop for static kernels.
 
-The fast path (``engine.py:_run_fast``) still pays, per event, a
-generator resumption, a type-table dispatch, a handler frame, and the
-attribute chains inside the handler.  For the static SpMM/dense kernels
-the entire op stream of a thread is known before ``run()`` — the kernels
-compile it into an :class:`~repro.piuma.ops.OpProgram` (struct-of-arrays
-codes over an interned op table).  This loop replays those programs:
+``PIUMAConfig.engine="fast"`` runs one of two loops.  The peek-ahead
+loop (``engine.py:_run_fast``) pays, per event, a generator
+resumption, a type-table dispatch, a handler frame, and the attribute
+chains inside the handler.  For the static SpMM/dense kernels the
+entire op stream of a thread is known before ``run()`` — the kernels
+drain it into an :class:`~repro.piuma.ops.OpProgram` (an interned op
+table plus a step-code array) and :meth:`Simulator.run` replays those
+programs here instead:
 
 * **Plan compilation** (at ``spawn_program`` time): every unique
-  ``(op, core, mtp)`` triple is compiled to a replay *closure*
-  ``fn(now, live) -> (resume, completion)`` whose default arguments
-  pre-bind everything the handlers would look up per event — resource
-  objects (pipeline, DRAM slice, raw timeline lists, DMA engine,
-  injection port, atomic unit), memoized network latencies, and every
-  precomputed float (pipeline and service durations, stripe shares,
-  staging limits) — built from the *exact* expressions of the
+  ``(op, core)`` pair is compiled once to a replay *closure*
+  ``fn(now, pipe) -> (resume, completion)``.  The four MTPs of a core
+  share it: the thread's pipeline is the one argument, and default
+  arguments pre-bind everything else the handlers would look up per
+  event — resource objects (DRAM slice, raw timeline lists, DMA
+  engine, injection port, atomic unit), memoized network latencies,
+  and every precomputed float (pipeline and service durations, stripe
+  shares, staging limits) — built from the *exact* expressions of the
   reference handlers, so results stay bit-identical.  Striped-DMA
-  closures are additionally source-generated per target shape with the
-  stripe loop unrolled (:func:`_dma_factory`).  DMA timing comes from
-  (and fills) the per-(op, core) plan cache the dispatch closure in
-  ``engine.py`` already maintains.
-* **Replay** (the hot loop): per event, ``prog[pc](now, live)`` — no
+  closures are source-generated per target shape with the stripe loop
+  unrolled (:func:`_dma_factory`).  DMA timing comes from (and fills)
+  the per-(op, core) plan cache of the dispatch closure in
+  ``engine.py``.
+* **Replay** (the hot loop): per event, ``prog[pc](now, pipe)`` — no
   generator, no dispatch ladder, no handler attribute chains, no plan
   lookup; every constant is a ``LOAD_FAST``.
 * **Deferred counters** (batch accounting): monotone counters the run
   never *reads* (``units_served``/``requests``/``bytes_served``/
-  ``ops``/``bytes_moved``/tag ``count``/``bytes``) are dropped from the
-  per-event bodies and settled once after the loop, from per-plan
+  ``ops``/``bytes_moved``/tag ``count``/``bytes``) are left out of the
+  replay bodies and settled once after the loop from per-table-entry
   execution counts (``numpy.bincount`` over each program's executed
-  code prefix).  This is exact, not approximate: every deferred addend
-  is validated integral at assembly, and sums of integers below 2**53
-  are exact in IEEE doubles *in any order*, so the batched totals are
-  bit-identical to the reference's per-event accumulation.  One
-  non-integral addend anywhere (fractional stripe shares on degraded
-  topologies) flips the whole run to live per-event accounting — same
-  bodies, one flag.
-  Order-dependent float state (``busy_until``/``busy_time`` chains,
-  ``wait_ns``) always stays live in event order.
+  step prefix).  This is exact, not approximate: every deferred addend
+  is checked integral at compile time, and sums of integers below
+  2**53 are exact in IEEE doubles *in any order*, so the batched
+  totals are bit-identical to the reference's per-event accumulation.
+  A run with a non-integral addend anywhere (a fractional stripe
+  share) is not replayed: it runs the peek-ahead loop, which accounts
+  every event live.  Order-dependent float state (``busy_until``/
+  ``busy_time`` chains, ``wait_ns``) always stays live in event order.
 
 Global event order is *semantic* (threads contend on shared FIFO
 resources), so the loop keeps the exact ``(when, seq)`` total order of
-the other engines: the same binary heap, the same fused
-``heappushpop`` thread switch, the same peek-ahead continuation rule,
-the same event accounting (every op plus the final program exhaustion
-counts one event), the same watchdog ceilings, and the same
-``events & 2047`` compaction cadence as ``_run_fast`` — so
-``SimulationDiverged`` trips at exactly the same event on every
-engine.
+the other loops: the same binary heap, the same fused ``heappushpop``
+thread switch, the same peek-ahead continuation rule, the same event
+accounting (every op plus the final program exhaustion counts one
+event), the same watchdog ceilings, and the same ``events & 2047``
+compaction cadence as ``_run_fast`` — so ``SimulationDiverged`` trips
+at exactly the same event in every loop.
 
-Replay runs only when every thread is a compiled program and no
-``_execute`` hook is bound.  Every other run goes to ``_run_fast``,
-which drives each program's generator view: a sanitizer or tracer
-armed (``check_level >= 1``), a thread without a registered program
-(custom factories, the dynamic work-stealing kernel whose op stream
-depends on runtime interleaving), or a wrapped DMA dispatch entry.
-So at ``check_level >= 1`` the vector engine runs the fast loop.
+Replay runs only when every thread is a compiled program and
+``Simulator.can_replay`` holds: no ``_execute`` hook bound, the
+engine's own DMA dispatch entry, and every deferred addend integral.
+Every other run goes to ``_run_fast``, which drives each program's
+generator view: a sanitizer or tracer armed (``check_level >= 1``), a
+thread without a registered program (custom factories, the dynamic
+work-stealing kernel whose op stream depends on runtime interleaving),
+a wrapped DMA dispatch entry, or a fractional addend.  The kernels
+read ``can_replay`` before draining each thread, so a run that cannot
+replay spawns generators and pays no drain or compile.
+
+The compiled state lives on ``Simulator._vector_state`` from the first
+``spawn_program`` until :meth:`Simulator.run` returns, which drops it:
+the closures bind the simulator's resources, so holding them past the
+run would keep every replayed simulator's compiled form alive.
 """
 
 from __future__ import annotations
@@ -62,10 +71,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from heapq import heappop, heappushpop
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a soft dependency
-    _np = None
+import numpy as np
 
 from repro.piuma.ops import (
     OP_ATOMIC,
@@ -77,6 +83,7 @@ from repro.piuma.ops import (
     OP_SEQUENTIAL,
     OP_STORE,
     DMAOp,
+    op_kind_code,
 )
 from repro.runtime.errors import HardwareExhausted
 
@@ -154,8 +161,8 @@ def _collapse(entries):
 
     Returns a tuple of ``(obj, attrname, int_amount)`` triples — the
     per-execution counter delta of one plan — or ``None`` when any
-    amount is not integral (fractional stripe shares), which disables
-    deferral for the whole run: mixing batched integral adds with live
+    amount is not integral (fractional stripe shares), which rules out
+    replay for the whole run: mixing batched integral adds with live
     fractional adds on the same counter would change float rounding
     order.  Zero amounts are dropped (value-identical no-ops).
     """
@@ -192,18 +199,16 @@ def _dma_factory(lat_flags, has_fail):
     closure, so the replay body runs on ``LOAD_FAST`` alone.
     Arithmetic is copied expression-for-expression from that closure:
     same order, same operands, same floats.  The closure signature is
-    ``fn(now, live)`` returning ``(resume, completion)``.
+    ``fn(now, pipe)`` returning ``(resume, completion)``.
     """
     key = (lat_flags, has_fail)
     factory = _DMA_TEMPLATES.get(key)
     if factory is not None:
         return factory
     defaults = [
-        "pipe=pipe", "engine=engine", "eng=eng", "inj=inj",
-        "record=record", "duration=duration", "share=share",
+        "engine=engine", "eng=eng", "inj=inj", "duration=duration",
         "inj_service=inj_service", "limit=limit", "nbytes=nbytes",
-        "fail=fail", "issue_cost=issue_cost",
-        "issue_instrs=issue_instrs", "br=bisect_right",
+        "fail=fail", "issue_cost=issue_cost", "br=bisect_right",
         # The inflight deque lives for the simulator's lifetime
         # (created once in DMAEngine.__init__, only ever mutated), so
         # the deque and its bound methods are plan constants.
@@ -219,12 +224,10 @@ def _dma_factory(lat_flags, has_fail):
             defaults.append(f"l{i}=targets[{i}][2]")
         defaults.append(f"v{i}=targets[{i}][3]")
         defaults.append(f"n{i}=targets[{i}][4]")
-        defaults.append(f"m{i}=memories[{i}]")
     src = [
-        "def _factory(pipe, engine, eng, inj, record, duration, share,",
-        "             inj_service, limit, nbytes, fail, issue_cost,",
-        "             issue_instrs, targets, memories, merge):",
-        "    def _run(now, live,",
+        "def _factory(engine, eng, inj, duration, inj_service, limit,",
+        "             nbytes, fail, issue_cost, targets):",
+        "    def _run(now, pipe,",
     ]
     for chunk in range(0, len(defaults), 4):
         src.append("             " + ", ".join(defaults[chunk:chunk + 4])
@@ -322,21 +325,6 @@ def _dma_factory(lat_flags, has_fail):
         w("        inj.busy_time = inj_bt")
     w("        append((completion, nbytes))")
     w("        engine._inflight_bytes = inflight_bytes + nbytes")
-    w("        if live:")
-    w("            pipe.units_served += issue_instrs")
-    w("            pipe.requests += 1")
-    w("            eng.units_served += nbytes")
-    w("            eng.requests += 1")
-    w("            engine.ops += 1")
-    w("            engine.bytes_moved += nbytes")
-    for i, remote in enumerate(lat_flags):
-        if remote:
-            w("            inj.units_served += share")
-            w("            inj.requests += 1")
-        w(f"            m{i}.bytes_served += share")
-        w(f"            m{i}.requests += 1")
-    w("            record.count += 1")
-    w("            record.bytes += nbytes")
     w("        return issued, completion")
     w("    return _run")
     namespace = {"bisect_right": bisect_right}
@@ -347,18 +335,18 @@ def _dma_factory(lat_flags, has_fail):
 
 
 def _phase_plan(sim):
-    def _run(now, live, sim=sim):
+    def _run(now, pipe, sim=sim):
         if now > sim.setup_end:
             sim.setup_end = now
         return now, now
     return _run
 
 
-def _dead_dma_plan(pipe, core_id, issue_cost, issue_instrs):
+def _dead_dma_plan(core_id, issue_cost, issue_instrs):
     # Accounts the issue slot live and raises — at the same event the
-    # reference would — so the deferred delta for this plan is empty.
-    def _run(now, live, pipe=pipe, core_id=core_id,
-             issue_cost=issue_cost, issue_instrs=issue_instrs):
+    # reference would — so the raising step is never settled.
+    def _run(now, pipe, core_id=core_id, issue_cost=issue_cost,
+             issue_instrs=issue_instrs):
         busy = pipe.busy_until
         issued = (now if now > busy else busy) + issue_cost
         pipe.busy_until = issued
@@ -372,12 +360,9 @@ def _dead_dma_plan(pipe, core_id, issue_cost, issue_instrs):
     return _run
 
 
-def _dma_internal_plan(pipe, engine, eng, duration, nbytes, record,
-                       fail, issue_cost, issue_instrs):
-    def _run(now, live, pipe=pipe, engine=engine, eng=eng,
-             duration=duration, nbytes=nbytes, record=record,
-             fail=fail, issue_cost=issue_cost,
-             issue_instrs=issue_instrs):
+def _dma_internal_plan(engine, eng, duration, fail, issue_cost):
+    def _run(now, pipe, engine=engine, eng=eng, duration=duration,
+             fail=fail, issue_cost=issue_cost):
         busy = pipe.busy_until
         issued = (now if now > busy else busy) + issue_cost
         pipe.busy_until = issued
@@ -393,32 +378,20 @@ def _dma_internal_plan(pipe, engine, eng, duration, nbytes, record,
         completion = start + duration
         eng.busy_until = completion
         eng.busy_time += duration
-        if live:
-            pipe.units_served += issue_instrs
-            pipe.requests += 1
-            eng.units_served += nbytes
-            eng.requests += 1
-            engine.ops += 1
-            engine.bytes_moved += nbytes
-            record.count += 1
-            record.bytes += nbytes
         return issued, completion
     return _run
 
 
-def _dma_stall_plan(pipe, engine, eng, targets_v, duration, share, inj,
-                    inj_service, limit, nbytes, record, fail,
-                    issue_cost, issue_instrs):
+def _dma_stall_plan(engine, eng, targets_v, duration, share, inj,
+                    inj_service, limit, nbytes, fail, issue_cost):
     # General striped-DMA body: at least one target slice stalls
     # periodically (degraded topology), so every target keeps the
     # ``stall_period_ns`` check and stalling ones route through
     # ``bulk_request`` (which accounts itself live).
-    def _run(now, live, pipe=pipe, engine=engine, eng=eng,
-             targets_v=targets_v, duration=duration, share=share,
-             inj=inj, inj_service=inj_service, limit=limit,
-             nbytes=nbytes, record=record, fail=fail,
-             issue_cost=issue_cost, issue_instrs=issue_instrs,
-             merge=_merge_backfill):
+    def _run(now, pipe, engine=engine, eng=eng, targets_v=targets_v,
+             duration=duration, share=share, inj=inj,
+             inj_service=inj_service, limit=limit, nbytes=nbytes,
+             fail=fail, issue_cost=issue_cost, merge=_merge_backfill):
         busy = pipe.busy_until
         issued = (now if now > busy else busy) + issue_cost
         pipe.busy_until = issued
@@ -481,34 +454,16 @@ def _dma_stall_plan(pipe, engine, eng, targets_v, duration, share, inj,
         inj.busy_time = inj_bt
         inflight.append((completion, nbytes))
         engine._inflight_bytes = inflight_bytes + nbytes
-        if live:
-            pipe.units_served += issue_instrs
-            pipe.requests += 1
-            eng.units_served += nbytes
-            eng.requests += 1
-            engine.ops += 1
-            engine.bytes_moved += nbytes
-            for memory, _s, _e, lat, _srv, _ln in targets_v:
-                if lat is not None:
-                    inj.units_served += share
-                    inj.requests += 1
-                if not memory.stall_period_ns:
-                    memory.bytes_served += share
-                    memory.requests += 1
-            record.count += 1
-            record.bytes += nbytes
         return issued, completion
     return _run
 
 
-def _load_plan(pipe, g_dur, g_units, lat1, slice_, starts, ends,
-               service, lat_ns, lat2, nbytes, record, priority,
-               stall_p, stall_d):
-    def _run(now, live, pipe=pipe, g_dur=g_dur, g_units=g_units,
-             lat1=lat1, slice_=slice_, starts=starts, ends=ends,
-             service=service, lat_ns=lat_ns, lat2=lat2, nbytes=nbytes,
-             record=record, priority=priority, stall_p=stall_p,
-             stall_d=stall_d, merge=_merge_backfill):
+def _load_plan(g_dur, lat1, slice_, starts, ends, service, lat_ns, lat2,
+               record, priority, stall_p, stall_d):
+    def _run(now, pipe, g_dur=g_dur, lat1=lat1, slice_=slice_,
+             starts=starts, ends=ends, service=service, lat_ns=lat_ns,
+             lat2=lat2, record=record, priority=priority,
+             stall_p=stall_p, stall_d=stall_d, merge=_merge_backfill):
         busy = pipe.busy_until
         start = now if now > busy else busy
         issued = start + g_dur
@@ -540,27 +495,17 @@ def _load_plan(pipe, g_dur, g_units, lat1, slice_, starts, ends,
             done = pend + lat_ns + lat2
         else:
             done = end + lat_ns + lat2
-        if live:
-            pipe.units_served += g_units
-            pipe.requests += 1
-            slice_.bytes_served += nbytes
-            slice_.requests += 1
-            record.count += 1
-            record.bytes += nbytes
         record.wait_ns += done - issued
         return done, done
     return _run
 
 
-def _atomic_plan(pipe, dur1, lat, inj, inj_service, nbytes, aunit,
-                 a_dur, slice_, starts, ends, service, lat_ns, stall_p,
-                 stall_d, two, record):
-    def _run(now, live, pipe=pipe, dur1=dur1, lat=lat, inj=inj,
-             inj_service=inj_service, nbytes=nbytes, aunit=aunit,
-             a_dur=a_dur, slice_=slice_, starts=starts, ends=ends,
-             service=service, lat_ns=lat_ns, stall_p=stall_p,
-             stall_d=stall_d, two=two, record=record,
-             merge=_merge_backfill):
+def _atomic_plan(dur1, lat, inj, inj_service, aunit, a_dur, starts, ends,
+                 service, lat_ns, stall_p, stall_d):
+    def _run(now, pipe, dur1=dur1, lat=lat, inj=inj,
+             inj_service=inj_service, aunit=aunit, a_dur=a_dur,
+             starts=starts, ends=ends, service=service, lat_ns=lat_ns,
+             stall_p=stall_p, stall_d=stall_d, merge=_merge_backfill):
         busy = pipe.busy_until
         start = now if now > busy else busy
         issued = start + dur1
@@ -595,36 +540,20 @@ def _atomic_plan(pipe, dur1, lat, inj, inj_service, nbytes, aunit,
                 ends.append(end)
         else:
             end = merge(starts, ends, unit_done, service)
-        if live:
-            pipe.units_served += 1
-            pipe.requests += 1
-            if lat is not None:
-                inj.units_served += nbytes
-                inj.requests += 1
-            aunit.units_served += nbytes
-            aunit.requests += 1
-            slice_.bytes_served += two
-            slice_.requests += 1
-            record.count += 1
-            record.bytes += two
         return issued, end + lat_ns
     return _run
 
 
-def _sequential_plan(pipe, dur, n_units, targets, nm1, worst_trip,
-                     total_bytes, record):
-    def _run(now, live, pipe=pipe, dur=dur, n_units=n_units,
-             targets=targets, nm1=nm1, worst_trip=worst_trip,
-             total_bytes=total_bytes, record=record,
-             merge=_merge_backfill):
+def _sequential_plan(dur, targets, nm1, worst_trip, record):
+    def _run(now, pipe, dur=dur, targets=targets, nm1=nm1,
+             worst_trip=worst_trip, record=record, merge=_merge_backfill):
         busy = pipe.busy_until
         start = now if now > busy else busy
         issued = start + dur
         pipe.busy_until = issued
         pipe.busy_time += dur
         served = issued
-        for (slice_, starts, ends, hop, service, lat_ns, stall_p,
-             stall_d, share) in targets:
+        for starts, ends, hop, service, lat_ns, stall_p, stall_d in targets:
             arrival = issued + hop
             if stall_p:
                 phase = arrival % stall_p
@@ -646,31 +575,21 @@ def _sequential_plan(pipe, dur, n_units, targets, nm1, worst_trip,
             if done_t > served:
                 served = done_t
         done = served + nm1 * worst_trip
-        if live:
-            pipe.units_served += n_units
-            pipe.requests += 1
-            for (slice_, _s, _e, _h, _srv, _ln, _sp, _sd,
-                 share_t) in targets:
-                slice_.bytes_served += share_t
-                slice_.requests += 1
-            record.count += 1
-            record.bytes += total_bytes
         record.wait_ns += done - issued
         return done, done
     return _run
 
 
-def _store_plan(pipe, dur1, targets, nbytes, record):
-    def _run(now, live, pipe=pipe, dur1=dur1, targets=targets,
-             nbytes=nbytes, record=record, merge=_merge_backfill):
+def _store_plan(dur1, targets):
+    def _run(now, pipe, dur1=dur1, targets=targets, merge=_merge_backfill):
         busy = pipe.busy_until
         start = now if now > busy else busy
         issued = start + dur1
         pipe.busy_until = issued
         pipe.busy_time += dur1
         done = issued
-        for (slice_, starts, ends, lat, service, lat_ns, stall_p,
-             stall_d, share, inj, inj_service) in targets:
+        for (starts, ends, lat, service, lat_ns, stall_p, stall_d, inj,
+             inj_service) in targets:
             if lat is None:
                 arrival = issued
             else:
@@ -698,63 +617,50 @@ def _store_plan(pipe, dur1, targets, nbytes, record):
             end += lat_ns
             if end > done:
                 done = end
-        if live:
-            pipe.units_served += 1
-            pipe.requests += 1
-            for (slice_, _s, _e, lat, _srv, _ln, _sp, _sd, share_t,
-                 inj_t, _is) in targets:
-                if lat is not None:
-                    inj_t.units_served += share_t
-                    inj_t.requests += 1
-                slice_.bytes_served += share_t
-                slice_.requests += 1
-            record.count += 1
-            record.bytes += nbytes
         return issued, done
     return _run
 
 
-def _compute_plan(pipe, dur, n_instrs, record):
-    def _run(now, live, pipe=pipe, dur=dur, n_instrs=n_instrs,
-             record=record):
+def _compute_plan(dur):
+    def _run(now, pipe, dur=dur):
         busy = pipe.busy_until
         start = now if now > busy else busy
         end = start + dur
         pipe.busy_until = end
         pipe.busy_time += dur
-        if live:
-            pipe.units_served += n_instrs
-            pipe.requests += 1
-            record.count += 1
         return end, end
     return _run
 
 
-def _build_plan(sim, op, kind, core, mtp, exec_dma):
-    """Compile one (op, core, mtp) triple to a replay closure.
+def _build_plan(sim, op, core, exec_dma):
+    """Compile one (op, core) pair to a replay closure.
 
     Every float here is produced by the same expression the reference
     handlers evaluate (``engine.py``/``resources.py``/``dma.py``), so
-    replay arithmetic is bit-identical.  Returns ``(fn, deferred)``
-    where ``fn(now, live) -> (resume, completion)`` executes one step
-    with the plan's constants pre-bound as default arguments, and
-    ``deferred`` is the plan's per-execution counter delta (see
-    :func:`_collapse`), or ``None`` when the plan forces live
-    accounting.
+    replay arithmetic is bit-identical.  Pipeline durations divide by
+    the configured instruction rate, which every pipeline of the
+    simulator shares, so one closure serves all MTPs of the core.
+    Returns ``(fn, units, deferred)``: ``fn(now, pipe) -> (resume,
+    completion)`` executes one step on the thread's pipeline; ``units``
+    is the pipeline instructions one execution charges (``None`` for a
+    phase marker, which charges no pipeline request); ``deferred`` is
+    the per-execution delta of every other deferred counter (see
+    :func:`_collapse`), or ``None`` when an addend is not integral.
     """
-    pipe = sim.pipelines[core][mtp]
+    kind = op_kind_code(op)
+    if kind == OP_PHASE:
+        return _phase_plan(sim), None, ()
+    rate = sim.config.clock_ghz
     network = sim.network
     slices = sim.slices
-    stats = sim.stats
-    if kind == OP_PHASE:
-        return _phase_plan(sim), ()
-    record = stats[op.tag]
+    record = sim.stats[op.tag]
     if kind == OP_DMA_READ or kind == OP_DMA_WRITE or kind == OP_DMA_INTERNAL:
         engine = sim.dma_engines[core]
+        issue_cost = sim._dma_issue_cost
+        issue_instrs = sim._dma_issue_instrs
         if not engine.alive:
-            return _dead_dma_plan(
-                pipe, core, sim._dma_issue_cost, sim._dma_issue_instrs,
-            ), ()
+            return _dead_dma_plan(core, issue_cost, issue_instrs), \
+                issue_instrs, ()
         dma_plan = exec_dma.plans.get((id(op), core))
         if dma_plan is None:
             dma_plan = exec_dma.build_plan(op, core)
@@ -762,21 +668,17 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
         eng = engine._engine
         nbytes = op.nbytes
         entries = [
-            (pipe, "units_served", sim._dma_issue_instrs),
-            (pipe, "requests", 1),
             (eng, "units_served", nbytes), (eng, "requests", 1),
             (engine, "ops", 1), (engine, "bytes_moved", nbytes),
             (record, "count", 1), (record, "bytes", nbytes),
         ]
         if dma_plan[0] is None:
             return _dma_internal_plan(
-                pipe, engine, eng, dma_plan[1], nbytes, record, fail,
-                sim._dma_issue_cost, sim._dma_issue_instrs,
-            ), _collapse(entries)
+                engine, eng, dma_plan[1], fail, issue_cost,
+            ), issue_instrs, _collapse(entries)
         resolved, duration, share, inj, inj_service, limit = dma_plan
         targets_v = []
         hot_targets = []
-        live_targets = []
         stalled = False
         tainted = False
         for memory, timeline, lat, service, lat_ns in resolved:
@@ -787,7 +689,6 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             hot_targets.append((
                 timeline._starts, timeline._ends, lat, service, lat_ns,
             ))
-            live_targets.append((memory, lat))
             if lat is not None:
                 entries.append((inj, "units_served", share))
                 entries.append((inj, "requests", 1))
@@ -803,59 +704,48 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
                 entries.append((memory, "requests", 1))
         if stalled:
             return _dma_stall_plan(
-                pipe, engine, eng, tuple(targets_v), duration, share,
-                inj, inj_service, limit, nbytes, record, fail,
-                sim._dma_issue_cost, sim._dma_issue_instrs,
-            ), None if tainted else _collapse(entries)
+                engine, eng, tuple(targets_v), duration, share, inj,
+                inj_service, limit, nbytes, fail, issue_cost,
+            ), issue_instrs, None if tainted else _collapse(entries)
         factory = _dma_factory(
-            tuple(lat is not None for _m, lat in live_targets),
+            tuple(lat is not None for _s, _e, lat, _v, _n in hot_targets),
             bool(fail),
         )
-        fn = factory(
-            pipe, engine, eng, inj, record, duration, share,
-            inj_service, limit, nbytes, fail, sim._dma_issue_cost,
-            sim._dma_issue_instrs, hot_targets,
-            [memory for memory, _lat in live_targets], _merge_backfill,
-        )
-        return fn, _collapse(entries)
+        return factory(
+            engine, eng, inj, duration, inj_service, limit, nbytes, fail,
+            issue_cost, hot_targets,
+        ), issue_instrs, _collapse(entries)
     if kind == OP_LOAD:
         grouped = op.grouped
-        g_dur = grouped / pipe.rate + 0.0
         nbytes = op.nbytes
         dst = op.target_core
         slice_ = slices[dst]
         timeline = slice_._timeline
         return _load_plan(
-            pipe, g_dur, grouped, network.latency(core, dst), slice_,
+            grouped / rate + 0.0, network.latency(core, dst), slice_,
             timeline._starts, timeline._ends, nbytes / slice_.rate,
-            slice_.latency_ns, network.latency(dst, core), nbytes,
-            record, op.priority, slice_.stall_period_ns,
-            slice_.stall_duration_ns,
-        ), _collapse([
-            (pipe, "units_served", grouped), (pipe, "requests", 1),
+            slice_.latency_ns, network.latency(dst, core), record,
+            op.priority, slice_.stall_period_ns, slice_.stall_duration_ns,
+        ), grouped, _collapse([
             (slice_, "bytes_served", nbytes), (slice_, "requests", 1),
             (record, "count", 1), (record, "bytes", nbytes),
         ])
     if kind == OP_SEQUENTIAL:
         n_units = op.n_rounds * op.instrs_per_round
-        dur = n_units / pipe.rate + 0.0
         total_bytes = op.n_rounds * op.bytes_per_round
         raw = sim._stripe_targets(op.target_core, total_bytes)
         share = total_bytes / len(raw)
         targets = []
         worst_trip = 0.0
-        entries = [
-            (pipe, "units_served", n_units), (pipe, "requests", 1),
-            (record, "count", 1), (record, "bytes", total_bytes),
-        ]
+        entries = [(record, "count", 1), (record, "bytes", total_bytes)]
         for dst in raw:
             hop = network.latency(core, dst)
             slice_ = slices[dst]
             timeline = slice_._timeline
             targets.append((
-                slice_, timeline._starts, timeline._ends, hop,
+                timeline._starts, timeline._ends, hop,
                 share / slice_.rate, slice_.latency_ns,
-                slice_.stall_period_ns, slice_.stall_duration_ns, share,
+                slice_.stall_period_ns, slice_.stall_duration_ns,
             ))
             entries.append((slice_, "bytes_served", share))
             entries.append((slice_, "requests", 1))
@@ -863,9 +753,9 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             if trip > worst_trip:
                 worst_trip = trip
         return _sequential_plan(
-            pipe, dur, n_units, tuple(targets), op.n_rounds - 1,
-            worst_trip, total_bytes, record,
-        ), _collapse(entries)
+            n_units / rate + 0.0, tuple(targets), op.n_rounds - 1,
+            worst_trip, record,
+        ), n_units, _collapse(entries)
     if kind == OP_STORE:
         nbytes = op.nbytes
         raw = sim._stripe_targets(op.target_core, nbytes)
@@ -873,18 +763,15 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
         inj = network._injection[core]
         inj_service = share / inj.rate + 0.0
         targets = []
-        entries = [
-            (pipe, "units_served", 1), (pipe, "requests", 1),
-            (record, "count", 1), (record, "bytes", nbytes),
-        ]
+        entries = [(record, "count", 1), (record, "bytes", nbytes)]
         for dst in raw:
             slice_ = slices[dst]
             timeline = slice_._timeline
             lat = None if dst == core else network.latency(core, dst)
             targets.append((
-                slice_, timeline._starts, timeline._ends, lat,
+                timeline._starts, timeline._ends, lat,
                 share / slice_.rate, slice_.latency_ns,
-                slice_.stall_period_ns, slice_.stall_duration_ns, share,
+                slice_.stall_period_ns, slice_.stall_duration_ns,
                 inj, inj_service,
             ))
             if lat is not None:
@@ -893,8 +780,8 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             entries.append((slice_, "bytes_served", share))
             entries.append((slice_, "requests", 1))
         return _store_plan(
-            pipe, 1 / pipe.rate + 0.0, tuple(targets), nbytes, record,
-        ), _collapse(entries)
+            1 / rate + 0.0, tuple(targets),
+        ), 1, _collapse(entries)
     if kind == OP_ATOMIC:
         nbytes = op.nbytes
         dst = op.target_core
@@ -908,7 +795,6 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
         timeline = slice_._timeline
         two = 2 * nbytes
         entries = [
-            (pipe, "units_served", 1), (pipe, "requests", 1),
             (aunit, "units_served", nbytes), (aunit, "requests", 1),
             (slice_, "bytes_served", two), (slice_, "requests", 1),
             (record, "count", 1), (record, "bytes", two),
@@ -917,139 +803,165 @@ def _build_plan(sim, op, kind, core, mtp, exec_dma):
             entries.append((inj, "units_served", nbytes))
             entries.append((inj, "requests", 1))
         return _atomic_plan(
-            pipe, 1 / pipe.rate + 0.0, lat, inj, inj_service, nbytes,
-            aunit, a_dur, slice_, timeline._starts, timeline._ends,
-            two / slice_.rate, slice_.latency_ns,
-            slice_.stall_period_ns, slice_.stall_duration_ns, two,
-            record,
-        ), _collapse(entries)
+            1 / rate + 0.0, lat, inj, inj_service, aunit, a_dur,
+            timeline._starts, timeline._ends, two / slice_.rate,
+            slice_.latency_ns, slice_.stall_period_ns,
+            slice_.stall_duration_ns,
+        ), 1, _collapse(entries)
     # kind == OP_COMPUTE
     n_instrs = op.n_instrs
-    return _compute_plan(
-        pipe, n_instrs / pipe.rate + 0.0, n_instrs, record,
-    ), _collapse([
-        (pipe, "units_served", n_instrs), (pipe, "requests", 1),
+    return _compute_plan(n_instrs / rate + 0.0), n_instrs, _collapse([
         (record, "count", 1),
     ])
 
 
 class _ReplayExhausted(Exception):
-    """Control-flow sentinel: a program's trailing plan raises it.
+    """Control-flow sentinel: a program's trailing step raises it.
 
     Replaces a per-event ``pc == end_pc`` bound check in the tight
-    loop: the compiled plan list carries one extra closure past the
+    loop: every compiled step list carries :func:`_exhaust` past the
     last real op, and executing it raises this (prebuilt) instance.
     The handler performs the program-exhaustion event — the replay
     analogue of the final ``StopIteration`` resumption, counted
-    identically on every engine.
+    identically in every loop.
     """
 
 
 _EXHAUSTED = _ReplayExhausted()
 
 
-def _exhaust_plan():
-    def _run(now, live, exc=_EXHAUSTED):
-        raise exc
-    return _run
+def _exhaust(now, pipe, exc=_EXHAUSTED):
+    raise exc
+
+
+class ReplayState:
+    """Spawn-time compile state of one simulator.
+
+    Lives on ``Simulator._vector_state`` from the first
+    :func:`compile_thread` until the run ends.
+
+    Attributes
+    ----------
+    plans:
+        ``(id(op), core) -> (fn, uid, units)``: the replay closure,
+        its index into ``deferred``, and the pipeline instructions one
+        execution charges (``None`` for a phase marker).
+    deferred:
+        Per-plan deferred counter deltas (:func:`_collapse`), their
+        ``(obj, attr, amount)`` addends interned across plans through
+        ``addends`` — most plans of a run repeat the same few.
+    steps / pipes / rows:
+        Per thread, in spawn order: the step closures (one per op
+        plus :func:`_exhaust`), the thread's pipeline, and
+        ``(codes, plans)`` — the program's step codes and the plan of
+        each table entry, which the settle pass counts.
+    replayable:
+        False once compiling ruled replay out for this run (see
+        :func:`compile_thread`); ``Simulator.can_replay`` then reads
+        False and the tables are empty.
+    """
+
+    __slots__ = ("plans", "deferred", "addends", "steps", "pipes", "rows",
+                 "replayable")
+
+    def __init__(self):
+        self.plans = {}
+        self.deferred = []
+        self.addends = {}
+        self.steps = []
+        self.pipes = []
+        self.rows = []
+        self.replayable = True
 
 
 def compile_thread(sim, idx, program, core, mtp):
-    """Compile one registered program into its replay closure list.
+    """Compile one registered program into its replay step list.
 
     Called by :meth:`Simulator.spawn_program` at spawn time (the
     resources every plan binds exist from ``__init__``), so ``run()``
     itself only replays — compilation is program setup, amortized like
-    the generator drain in :meth:`OpProgram.from_generator`.  State
-    accumulates on ``sim._vector_state``: the per-(op, core, mtp) plan
-    cache, the deduplicated deferred-counter table (uids), and the
-    per-thread rows the settle pass consumes.
+    the generator drain in :meth:`OpProgram.from_generator`.  Plans
+    are cached per ``(op, core)``; with the kernels' shared intern
+    table a 32-core run compiles a few thousand of them for 2,048
+    threads.  Only called while ``Simulator.can_replay`` holds.
+    Replay is ruled out for the run, what was compiled is freed, and
+    the run takes the peek-ahead loop, when a thread was spawned out of
+    order (a generator thread came first) or a plan has a non-integral
+    deferred addend.
     """
     state = sim._vector_state
     if state is None:
-        state = sim._vector_state = {
-            "cache": {}, "uids": [], "rows": [], "progs": {},
-            "full": [], "taint": False,
-        }
-    cache_get = state["cache"].get
-    cache = state["cache"]
-    deferred_by_uid = state["uids"]
-    exec_dma = sim._dispatch[DMAOp]
-    if getattr(exec_dma, "plans", None) is None:
-        # The DMA dispatch entry has been wrapped or replaced (the
-        # mutation harness does this; so can any instrumentation).
-        # Compiled plans would route around the wrapper, so leave the
-        # thread uncompiled: run_vector then hands the whole run to the
-        # fast loop, which keeps the wrapper on-path.
+        state = sim._vector_state = ReplayState()
+    if idx != len(state.steps):
+        _rule_out(sim)
         return
-    table = program.table
-    kinds = program.kind_codes
-    by_code = []
-    uid_row = []
-    for i, op in enumerate(table):
-        key = (id(op), core, mtp)
-        entry = cache_get(key)
-        if entry is None:
-            fn, deferred = _build_plan(sim, op, int(kinds[i]),
-                                       core, mtp, exec_dma)
-            if deferred is None:
-                # Non-integral deferred amount somewhere: the whole
-                # run must account live (all-or-nothing exactness).
-                state["taint"] = True
-                deferred = ()
-            entry = (fn, deferred, len(deferred_by_uid))
-            deferred_by_uid.append(deferred)
-            cache[key] = entry
-        by_code.append(entry[0])
-        uid_row.append(entry[2])
-    codes = program.step_codes()
-    plan_list = [by_code[c] for c in codes]
-    plan_list.append(_exhaust_plan())
-    state["progs"][idx] = plan_list
-    state["rows"].append((idx, program.codes, uid_row, len(table)))
-    # Precompute this thread's full-run contribution to the per-uid
-    # execution counts: when the run completes (every pc at its
-    # program length — the overwhelmingly common case), the settle
-    # pass skips the per-thread bincounts entirely.
-    full = state["full"]
-    grow = len(deferred_by_uid) - len(full)
-    if grow > 0:
-        full.extend([0] * grow)
-    for c in codes:
-        full[uid_row[c]] += 1
+    exec_dma = sim._dispatch[DMAOp]
+    plans = state.plans
+    row = []
+    for op in program.table:
+        key = (id(op), core)
+        plan = plans.get(key)
+        if plan is None:
+            fn, units, deferred = _build_plan(sim, op, core, exec_dma)
+            if deferred is None or (units is not None
+                                    and units != int(units)):
+                _rule_out(sim)
+                return
+            plan = plans[key] = (fn, len(state.deferred), units)
+            addends = state.addends
+            state.deferred.append(tuple(
+                addends.setdefault((id(obj), attr, amount),
+                                   (obj, attr, amount))
+                for obj, attr, amount in deferred
+            ))
+        row.append(plan)
+    fns = [plan[0] for plan in row]
+    steps = list(map(fns.__getitem__, program.step_codes()))
+    steps.append(_exhaust)
+    state.steps.append(steps)
+    state.pipes.append(sim.pipelines[core][mtp])
+    state.rows.append((program.codes, row))
 
 
-def _apply_deferred(defer_info, pcs):
-    """Settle the batched counters from per-plan execution counts.
+def _rule_out(sim):
+    """Give replay up for this run and free what was compiled."""
+    state = sim._vector_state = ReplayState()
+    state.replayable = False
 
-    For every program thread, ``pcs`` gives the executed step prefix —
-    exact even when the run raised mid-stream (watchdog, dead DMA), so
-    the settled totals match what the reference loop would have
+
+def _settle(state, pcs):
+    """Add the deferred counters of every executed step.
+
+    For every thread, ``pcs`` gives the executed step prefix — exact
+    even when the run raised mid-stream (watchdog, dead DMA), so the
+    settled totals match what the reference loop would have
     accumulated live up to the same event.  ``n * amount`` and the
-    running totals are Python ints (arbitrary precision); the single
-    float add per counter at the end is exact while the counter stays
-    below 2**53, which is the same bound at which the reference's own
-    per-event float accumulation would start rounding.
+    running totals are Python ints (arbitrary precision); the float
+    adds at the end are exact while a counter stays below 2**53, which
+    is the same bound at which the reference's own per-event float
+    accumulation would start rounding.
     """
-    thread_rows, deferred_by_uid, full_counts = defer_info
-    complete = True
-    for idx, codes, _uid_row, _n_table in thread_rows:
-        if pcs[idx] < len(codes):
-            complete = False
-            break
-    if complete:
-        # Every program ran to exhaustion (the common case): the
-        # per-uid counts were accumulated once at compile time.
-        uid_counts = full_counts
-    else:
-        uid_counts = _partial_uid_counts(
-            thread_rows, pcs, len(deferred_by_uid)
-        )
+    uid_counts = [0] * len(state.deferred)
+    for idx, (codes, row) in enumerate(state.rows):
+        pc = pcs[idx]
+        if not pc:
+            continue
+        executed = np.bincount(codes[:pc], minlength=len(row)).tolist()
+        units = requests = 0
+        for (_fn, uid, unit), n in zip(row, executed):
+            if n:
+                uid_counts[uid] += n
+                if unit is not None:
+                    units += n * unit
+                    requests += n
+        pipe = state.pipes[idx]
+        pipe.units_served += units
+        pipe.requests += requests
     totals = {}
     t_get = totals.get
     for uid, n in enumerate(uid_counts):
         if n:
-            for obj, attr, amount in deferred_by_uid[uid]:
+            for obj, attr, amount in state.deferred[uid]:
                 key = (id(obj), attr)
                 cur = t_get(key)
                 if cur is None:
@@ -1060,57 +972,27 @@ def _apply_deferred(defer_info, pcs):
         setattr(obj, attr, getattr(obj, attr) + total)
 
 
-def _partial_uid_counts(thread_rows, pcs, n_uids):
-    """Per-uid execution counts from the executed step prefixes.
+def run_programs(sim):
+    """Run every spawned thread; returns kernel ns (``engine="fast"``).
 
-    The slow settle leg, needed only when a run raised mid-stream
-    (watchdog, dead DMA): bincount each thread's executed prefix.
-    """
-    uid_counts = [0] * n_uids
-    for idx, codes, uid_row, n_table in thread_rows:
-        pc = pcs[idx]
-        if not pc:
-            continue
-        if _np is not None and isinstance(codes, _np.ndarray):
-            counts = _np.bincount(
-                codes if pc >= len(codes) else codes[:pc],
-                minlength=n_table,
-            ).tolist()
-        else:
-            counts = [0] * n_table
-            for c in codes[:pc]:
-                counts[c] += 1
-        for i in range(n_table):
-            n = counts[i]
-            if n:
-                uid_counts[uid_row[i]] += n
-    return uid_counts
-
-
-def run_vector(sim):
-    """Execute all spawned threads under the replay loop; returns ns.
-
-    Replay needs every thread compiled and no ``_execute`` hook bound.
-    Any other run — a sanitizer or tracer armed (``check_level >= 1``),
-    a generator-driven thread, a wrapped DMA dispatch entry (which
-    leaves threads uncompiled, see :func:`compile_thread`) — runs on
+    Replays the compiled programs when every thread is one and
+    ``Simulator.can_replay`` still holds; otherwise runs
     :meth:`Simulator._run_fast`, which drives every program's generator
     view with identical results.
     """
     state = sim._vector_state
     n_threads = len(sim._threads)
-    if (not sim.can_replay or state is None
-            or len(state["progs"]) != n_threads):
+    if (state is None or not sim.can_replay
+            or len(state.steps) != n_threads):
         return sim._run_fast()
-    progs = [state["progs"][idx] for idx in range(n_threads)]
-    live = state["taint"]
-    defer_info = (
-        None if live else (state["rows"], state["uids"], state["full"])
-    )
-    return _replay_programs(sim, progs, [0] * n_threads, live, defer_info)
+    pcs = [0] * n_threads
+    try:
+        return _replay_programs(sim, state.steps, state.pipes, pcs)
+    finally:
+        _settle(state, pcs)
 
 
-def _replay_programs(sim, progs, pcs, live, defer_info):
+def _replay_programs(sim, progs, pipes, pcs):
     """The replay loop: every thread is a compiled program.
 
     Each heap entry carries the thread's pc in the value slot (programs
@@ -1119,6 +1001,7 @@ def _replay_programs(sim, progs, pcs, live, defer_info):
     the three watchdog comparisons share one fused guard.  Event order,
     event counts, watchdog trip points, and all accounting are
     identical to ``_run_fast`` — only the per-event constant drops.
+    ``pcs`` receives every thread's executed step count.
     """
     cfg = sim.config
     slices = sim.slices
@@ -1128,7 +1011,7 @@ def _replay_programs(sim, progs, pcs, live, defer_info):
     # unique, so the heap invariant is preserved.
     for i, entry in enumerate(pending):
         if entry[3] is not None:
-            raise RuntimeError("vector replay requires a fresh event queue")
+            raise RuntimeError("replay requires a fresh event queue")
         pending[i] = (entry[0], entry[1], entry[2], 0)
     heappop_ = heappop
     heappushpop_ = heappushpop
@@ -1147,6 +1030,7 @@ def _replay_programs(sim, progs, pcs, live, defer_info):
         while pending:
             now, _seq, idx, pc = heappop_(pending)
             prog = progs[idx]
+            pipe = pipes[idx]
             try:
                 while True:
                     events += 1
@@ -1168,7 +1052,7 @@ def _replay_programs(sim, progs, pcs, live, defer_info):
                     else:
                         stalled = 0
                         last_now = now
-                    resume, completion = prog[pc](now, live)
+                    resume, completion = prog[pc](now, pipe)
                     pc += 1
                     if completion > latest:
                         latest = completion
@@ -1181,11 +1065,16 @@ def _replay_programs(sim, progs, pcs, live, defer_info):
                         )
                         seq += 1
                         prog = progs[idx]
+                        pipe = pipes[idx]
                         continue
                     now = resume
             except _ReplayExhausted:
                 # Program exhausted: the replay analogue of the final
-                # StopIteration resumption — same event count.
+                # StopIteration resumption — same event count.  Every
+                # raise of the one prebuilt sentinel would otherwise
+                # prepend this frame to its traceback, and those
+                # frames would keep every replayed simulator alive.
+                _EXHAUSTED.__traceback__ = None
                 pcs[idx] = pc
                 if now > latest:
                     latest = now
@@ -1203,8 +1092,5 @@ def _replay_programs(sim, progs, pcs, live, defer_info):
             pcs[idx] = pc
         sim._seq = seq
         sim.events = events
-        sim._program_pcs = pcs
-        if not live and defer_info:
-            _apply_deferred(defer_info, pcs)
     sim.end_time = latest + cfg.launch_overhead_ns
     return sim.end_time

@@ -153,14 +153,13 @@ class SpMMTask:
         return replace(self, overrides=tuple(sorted(merged.items())))
 
     def with_engine(self, name):
-        """Copy of this task running on a specific DES main loop.
+        """Copy of this task running on a specific DES engine.
 
-        Merges ``engine=name`` (``"fast"``, ``"vector"``, or
-        ``"reference"``) into the override tuple.  Engines are
-        bit-identical in results, so this only moves host wall-clock;
-        like every config field it participates in the cache key, and
-        the record's ``"engine"`` provenance field says which loop
-        measured it.
+        Merges ``engine=name`` (``"fast"`` or ``"reference"``) into the
+        override tuple.  Engines are bit-identical in results, so this
+        only moves host wall-clock; like every config field it
+        participates in the cache key, and the record's ``"engine"``
+        provenance field says which engine measured it.
         """
         merged = dict(self.overrides)
         merged["engine"] = name
@@ -231,8 +230,8 @@ class SpMMTask:
                 for tag, s in sorted(result.tag_stats.items())
             },
             "source": "simulation",
-            # Provenance: the DES main loop (fast / vector / reference)
-            # that produced the record's host-throughput numbers.  Every
+            # Provenance: the DES engine (fast / reference) that
+            # produced the record's host-throughput numbers.  Every
             # loop runs on the one binary-heap event queue; its name
             # stays in the record schema.
             "scheduler": "heap",
@@ -431,8 +430,8 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
         a :class:`~repro.runtime.errors.HardwareExhausted` point is
         deterministic and never retried.
     engine:
-        When not ``None``, the DES main loop (``"fast"``, ``"vector"``,
-        or ``"reference"``) every task runs on (``task.with_engine``).
+        When not ``None``, the DES engine (``"fast"`` or
+        ``"reference"``) every task runs on (``task.with_engine``).
         Engines are bit-identical in results; the choice lands in each
         task's cache key and its records' ``"engine"`` provenance field.
     """

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 import warnings
@@ -556,11 +557,20 @@ class PredictionRequestHandler(BaseHTTPRequestHandler):
     Linux.  A request's declared body is read before routing, so no
     answer leaves unread bytes on a keep-alive connection; a body that
     cannot be framed is answered and closes the connection.
+
+    Every socket read times out after :attr:`timeout` seconds.  A body
+    that stalls part-way is answered 408 and closes the connection,
+    and a keep-alive connection idle that long is closed, so a
+    stalled client cannot hold a server thread forever.
     """
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    #: Seconds a socket read may wait: far above the gap between two
+    #: requests of a closed-loop client, which sends its next request
+    #: as soon as an answer arrives.
+    timeout = 60.0
 
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         if self.server.out is not None:
@@ -614,7 +624,12 @@ class PredictionRequestHandler(BaseHTTPRequestHandler):
         if int(length) > MAX_BODY_BYTES:
             self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
             return None
-        return self.rfile.read(int(length))
+        try:
+            return self.rfile.read(int(length))
+        except socket.timeout:  # TimeoutError from Python 3.10 on
+            self.send_error(408, f"request body not received within "
+                                 f"{self.timeout:g} s")
+            return None
 
     def _predict(self, data):
         service = self.server.service

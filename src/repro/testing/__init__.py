@@ -1,10 +1,12 @@
 """Differential conformance harness for the PIUMA DES.
 
-The simulator ships two bit-identical main loops plus an analytical
+The simulator ships two bit-identical engines plus an analytical
 model of the same kernel, which makes it unusually testable: any
-seeded workload can be run through the fast engine, the reference
-engine, and the Equation 5 model, and the three answers cross-checked
-without hand-written expectations.  This package packages that idea:
+seeded workload can be run through the fast engine (which replays
+compiled op programs, or runs its peek-ahead loop when a sanitizer is
+armed), the reference engine, and the Equation 5 model, and the three
+answers cross-checked without hand-written expectations.  This package
+packages that idea:
 
 * :mod:`repro.testing.cases` — seeded RMAT/config case generation with
   greedy shrinking;
@@ -27,6 +29,7 @@ from repro.testing.mutations import MUTATIONS, run_mutation
 from repro.testing.oracle import (
     differential_failures,
     run_case,
+    run_peek_ahead,
     run_sharded_case,
 )
 
@@ -39,6 +42,7 @@ __all__ = [
     "run_case",
     "run_conformance",
     "run_mutation",
+    "run_peek_ahead",
     "run_sharded_case",
     "shrink",
 ]

@@ -29,11 +29,10 @@ from repro.testing.mutations import MUTATIONS, run_mutation
 from repro.testing.oracle import differential_failures, run_case
 
 #: Engine selections understood by :func:`run_conformance`: each name
-#: in :data:`~repro.piuma.config.ENGINES` alone, ``"both"`` (fast vs
-#: reference), and ``"all"`` (every engine).
+#: in :data:`~repro.piuma.config.ENGINES` alone, and ``"all"`` (fast vs
+#: reference).
 ENGINE_CHOICES = {
     **{engine: (engine,) for engine in ENGINES},
-    "both": ("fast", "reference"),
     "all": ENGINES,
 }
 
@@ -102,7 +101,7 @@ def _shrink_failure(case, failure, check_level, engines):
     return {"check": check, "case": smallest.to_json()}
 
 
-def run_conformance(n_cases=25, seed=0, check_level=2, engine="both", *,
+def run_conformance(n_cases=25, seed=0, check_level=2, engine="all", *,
                     metamorphic=True, mutations=True, cases=None,
                     artifact=None, out=None):
     """Run the full conformance suite; returns a :class:`ConformanceReport`.
@@ -114,12 +113,13 @@ def run_conformance(n_cases=25, seed=0, check_level=2, engine="both", *,
         an explicit ``cases`` list is given).
     check_level:
         Sanitizer level armed inside every differential run (the
-        metamorphic and mutation stages manage their own levels).
+        metamorphic and mutation stages manage their own levels).  At
+        level 1 or above the fast engine runs its peek-ahead loop; at
+        level 0 it replays compiled op programs.
     engine:
-        ``"fast"``, ``"vector"``, ``"reference"``, ``"both"``, or
-        ``"all"`` (every engine).  Bit-identity needs at least two; a
-        single-engine run still exercises the sanitizer and the model
-        envelope.
+        ``"fast"``, ``"reference"``, or ``"all"`` (both).
+        Bit-identity needs both; a single-engine run still exercises
+        the sanitizer and the model envelope.
     metamorphic / mutations:
         Disable individual stages (the mutation stage patches engine
         classes, so e.g. a profiling run may want it off).

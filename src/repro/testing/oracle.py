@@ -1,6 +1,6 @@
 """Three-way differential oracle: fast engine vs reference engine vs Eq. 5.
 
-The fast and reference main loops promise *bit-identical* results
+The fast and reference engines promise *bit-identical* results
 (DESIGN.md, "Host performance"), so the first leg compares every
 observable of a :class:`~repro.piuma.kernels.KernelResult` exactly —
 no tolerances.  The second leg checks both against the analytical
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from repro.piuma import (
     effective_total_bandwidth,
+    run_spmm_kernel,
     simulate_spmm,
+    spmm_kernel,
     spmm_model,
 )
 from repro.piuma.config import ENGINES
@@ -45,6 +47,36 @@ def run_case(case, check_level=0, engine="fast"):
         config=case.config(check_level=check_level, engine=engine),
         kernel=case.kernel,
         window_edges=case.window_edges,
+    )
+
+
+def generator_threads(factory):
+    """``factory`` with its threads spawned as generators.
+
+    :func:`~repro.piuma.kernels.run_spmm_kernel` compiles the threads
+    of a ``program_safe`` factory into op programs whenever the run can
+    replay.  The wrapper carries no such marker, so its threads stay
+    generators and an unchecked run on the default engine takes the
+    peek-ahead loop (``Simulator._run_fast``) and its direct-dispatch
+    branch instead of replaying.
+    """
+    def thread(work, embedding_dim, config, shared=None):
+        return factory(work, embedding_dim, config, shared=shared)
+
+    return thread
+
+
+def run_peek_ahead(adj, embedding_dim, config, kernel="dma",
+                   window_edges=None):
+    """:func:`~repro.piuma.simulate_spmm` on the peek-ahead loop.
+
+    The same point with every thread spawned as a generator
+    (:func:`generator_threads`); bit-identical to the replayed run.
+    """
+    factory, splitter = spmm_kernel(kernel)
+    return run_spmm_kernel(
+        adj, embedding_dim, config, generator_threads(factory),
+        window_edges, splitter,
     )
 
 

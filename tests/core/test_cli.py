@@ -276,10 +276,10 @@ class TestEngineFlags:
             "sweep": ENGINES,
             "multinode": ENGINES,
             "resilience": ENGINES,
-            "check": ENGINES + ("both", "all"),
+            "check": ENGINES + ("all",),
         }
 
-    @pytest.mark.parametrize("engine", ("auto", "calendar"))
+    @pytest.mark.parametrize("engine", ("auto", "calendar", "vector"))
     def test_removed_engine_names_rejected(self, engine):
         with pytest.raises(SystemExit):
             main(["simulate", "products", "--engine", engine],
@@ -288,31 +288,22 @@ class TestEngineFlags:
     def test_resilience_names_the_verified_engine(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # At --check-level 0 the fast engine replays compiled programs,
+        # so this compares replay with the reference loop.
         _code, text = run_cli([
-            "resilience", "--engine", "vector", "--verify-engines",
+            "resilience", "--engine", "fast", "--verify-engines",
             "--check-level", "0",
             "--max-vertices", "1024", "--cores", "2", "--hidden", "16",
             "--severities", "0", "0.5", "--workers", "1",
         ])
-        assert "vector and reference engines bit-identical" in text
+        assert "fast and reference engines bit-identical" in text
         assert "engine mismatch" not in text
-
-    @pytest.mark.parametrize("level", ([], ["--check-level", "2"]),
-                             ids=("default", "level2"))
-    def test_resilience_refuses_to_verify_checked_vector(self, level):
-        # At check level 1 (the default) or above the vector engine
-        # runs the fast loop, so the comparison would not test
-        # compiled replay.
-        code, text = run_cli(["resilience", "--engine", "vector",
-                              "--verify-engines", *level])
-        assert code == 2
-        assert "needs --check-level 0" in text
 
     def test_resilience_refuses_to_verify_reference_against_itself(self):
         code, text = run_cli(["resilience", "--engine", "reference",
                               "--verify-engines"])
         assert code == 2
-        assert "pick --engine fast or vector" in text
+        assert "pick --engine fast" in text
 
 
 class TestServeParser:

@@ -363,11 +363,12 @@ class TestDifferentialUnderFaults:
 
     The degraded mirror of ``test_engine_fastpath.TestDifferential``:
     21 points spanning kernels, core counts, and randomized fault specs
-    run through the fast, reference, and vector-replay main loops —
+    run through the peek-ahead, reference, and replay main loops —
     every fingerprint field must match exactly.  The level-1 sanitizer
-    runs inside the fast and reference paths; the vector leg runs at
+    runs inside the fast engine (which then takes its peek-ahead loop)
+    and the reference engine; the replay leg runs the fast engine at
     ``check_level=0``, the only level at which it replays compiled
-    programs instead of running the fast loop.
+    programs.
     """
 
     def _grid(self):
@@ -414,7 +415,7 @@ class TestDifferentialUnderFaults:
         results = {}
         for name, engine, check_level in (
             ("fast", "fast", 1), ("reference", "reference", 1),
-            ("vector", "vector", 0),
+            ("replay", "fast", 0),
         ):
             try:
                 results[name] = simulate_spmm(
@@ -431,7 +432,7 @@ class TestDifferentialUnderFaults:
             except HardwareExhausted as error:
                 results[name] = ("exhausted", error.cause)
         fast = results["fast"]
-        for name in ("reference", "vector"):
+        for name in ("reference", "replay"):
             other = results[name]
             if isinstance(fast, tuple) or isinstance(other, tuple):
                 # Structured exhaustion must be engine-independent too.

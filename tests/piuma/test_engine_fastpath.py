@@ -1,19 +1,21 @@
-"""Bit-identity of the three DES main loops (``PIUMAConfig.engine``).
+"""Bit-identity of the three DES main loops.
 
-The peek-ahead/type-dispatch ``fast`` loop, the compiled-program
-``vector`` replay loop, and the plain pop/execute/push ``reference``
-loop must produce **bit-identical results** — same ``end_time``,
-per-tag stats, utilizations, bandwidth, and event count.  This suite
-pins golden numbers on a fixed window and differentially fuzzes the
-loops across a randomized RMAT grid covering every kernel, so any
-divergence introduced by a hot-path "optimization" fails loudly.
+``PIUMAConfig.engine`` has two values.  The default ``fast`` engine
+replays op programs compiled at spawn time, with deferred integral
+counters settled post-run, and runs the peek-ahead/type-dispatch loop
+for any run it cannot replay; ``reference`` is the plain
+pop/execute/push loop.  All three loops must produce **bit-identical
+results** — same ``end_time``, per-tag stats, utilizations, bandwidth,
+and event count.  This suite pins golden numbers on a fixed window and
+differentially fuzzes the loops across a randomized RMAT grid covering
+every kernel, so any divergence introduced by a hot-path
+"optimization" fails loudly.
 
-The vector engine runs the goldens and the full 21-point fuzz grid
-unchecked (``check_level=0``), the only level at which it replays op
-programs compiled at spawn time, with deferred integral counters
-settled post-run; at ``check_level >= 1`` it runs the fast loop.  The
-sanitizer rides on a fast-loop leg at ``check_level=1`` on every
-golden and fuzz point, held to the same exact fingerprint.
+Every golden and fuzz point runs four legs: the default config at
+``check_level=0`` (replay), the same point with threads spawned as
+generators at ``check_level=0`` (the peek-ahead loop's direct-dispatch
+branch), the peek-ahead loop with the level-1 sanitizer armed, and the
+reference loop.
 """
 
 import random
@@ -28,6 +30,7 @@ from repro.piuma.ops import DMAOp
 from repro.piuma.spmm_dma import dma_thread
 from repro.piuma.spmm_dynamic import simulate_spmm_dynamic
 from repro.runtime.errors import SimulationDiverged
+from repro.testing.oracle import run_peek_ahead
 
 
 def _result_fingerprint(result):
@@ -59,22 +62,21 @@ def _both_paths(adj, embedding_dim, kernel="dma", **overrides):
     return fast, ref
 
 
-def _vector_path(adj, embedding_dim, kernel="dma", **overrides):
-    """Vector engine at ``check_level=0``: compiled-program replay.
+def _peek_ahead_path(adj, embedding_dim, kernel="dma", **overrides):
+    """Default engine at ``check_level=0`` with generator threads.
 
-    Any sanitizer level would hand the run to the fast loop, so this
-    leg stays unchecked; :func:`_checked_fast_path` carries the
-    sanitizer on the same points.
+    The unchecked default run replays compiled programs; spawning the
+    same threads as generators sends it through ``_run_fast`` with no
+    ``_execute`` hook, so the direct type-table dispatch stays checked
+    on the static kernels.
     """
-    return simulate_spmm(
-        adj, embedding_dim,
-        PIUMAConfig(engine="vector", **overrides),
-        kernel=kernel,
+    return run_peek_ahead(
+        adj, embedding_dim, PIUMAConfig(**overrides), kernel=kernel,
     )
 
 
 def _checked_fast_path(adj, embedding_dim, kernel="dma", **overrides):
-    """Fast loop with the level-1 sanitizer armed."""
+    """Peek-ahead loop with the level-1 sanitizer armed."""
     return simulate_spmm(
         adj, embedding_dim,
         PIUMAConfig(engine="fast", check_level=1, **overrides),
@@ -83,10 +85,10 @@ def _checked_fast_path(adj, embedding_dim, kernel="dma", **overrides):
 
 
 class TestGolden:
-    """Pinned results on a fixed window, identical on both paths.
+    """Pinned results on a fixed window, identical in every loop.
 
     The float goldens use a tight relative tolerance (libm-level
-    differences only); fast-vs-reference equality is exact.
+    differences only); equality across loops is exact.
     """
 
     @pytest.fixture(scope="class")
@@ -96,8 +98,8 @@ class TestGolden:
     def test_pinned_end_time_and_stats(self, window):
         fast, ref = _both_paths(window, 64, n_cores=4)
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        vec = _vector_path(window, 64, n_cores=4)
-        assert _result_fingerprint(vec) == _result_fingerprint(fast)
+        peek = _peek_ahead_path(window, 64, n_cores=4)
+        assert _result_fingerprint(peek) == _result_fingerprint(fast)
         checked = _checked_fast_path(window, 64, n_cores=4)
         assert _result_fingerprint(checked) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(41025.25, rel=1e-12)
@@ -113,8 +115,8 @@ class TestGolden:
     def test_loop_kernel_pinned(self, window):
         fast, ref = _both_paths(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        vec = _vector_path(window, 64, kernel="loop", n_cores=4)
-        assert _result_fingerprint(vec) == _result_fingerprint(fast)
+        peek = _peek_ahead_path(window, 64, kernel="loop", n_cores=4)
+        assert _result_fingerprint(peek) == _result_fingerprint(fast)
         checked = _checked_fast_path(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(checked) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(42644.5625, rel=1e-12)
@@ -122,7 +124,7 @@ class TestGolden:
 
 
 class TestDifferential:
-    """Randomized fast-vs-reference fuzzing over an RMAT grid.
+    """Randomized fuzzing of every loop over an RMAT grid.
 
     20+ points spanning kernels, core counts, thread counts, embedding
     dims, and graph shapes; every fingerprint field must match exactly.
@@ -158,12 +160,14 @@ class TestDifferential:
             threads_per_mtp=point["threads_per_mtp"],
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref), point
-        vec = _vector_path(
+        peek = _peek_ahead_path(
             adj, point["embedding_dim"], kernel=point["kernel"],
             n_cores=point["n_cores"],
             threads_per_mtp=point["threads_per_mtp"],
         )
-        assert _result_fingerprint(vec) == _result_fingerprint(fast), point
+        assert _result_fingerprint(peek) == _result_fingerprint(
+            fast
+        ), point
         checked = _checked_fast_path(
             adj, point["embedding_dim"], kernel=point["kernel"],
             n_cores=point["n_cores"],
@@ -183,19 +187,18 @@ class TestDifferential:
             PIUMAConfig(n_cores=2, threads_per_mtp=2, engine="reference"),
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        # The work-stealing kernel is not program_safe: under the
-        # vector engine its threads stay generator-driven and the run
-        # goes to the fast loop, still bit-identical.
-        vec = simulate_spmm_dynamic(
+        # The work-stealing kernel is not program_safe: its threads
+        # stay generator-driven and the default run takes the
+        # peek-ahead loop, checked or not, still bit-identical.
+        checked = simulate_spmm_dynamic(
             adj, 32,
-            PIUMAConfig(n_cores=2, threads_per_mtp=2, engine="vector",
-                        check_level=1),
+            PIUMAConfig(n_cores=2, threads_per_mtp=2, check_level=1),
         )
-        assert _result_fingerprint(vec) == _result_fingerprint(fast)
+        assert _result_fingerprint(checked) == _result_fingerprint(fast)
 
     def test_watchdog_trips_identically(self):
         """The max_events ceiling must fire on the same event with the
-        same cause on every engine — the watchdogs count the same
+        same cause in every loop — the watchdogs count the same
         events in the same global order."""
         adj = rmat_for_size(2048, 2048 * 8, seed=11)
         messages = set()
@@ -205,6 +208,9 @@ class TestDifferential:
                 simulate_spmm(adj, 32, config, kernel="dma")
             assert err.value.cause == "max_events", engine
             messages.add(str(err.value))
+        with pytest.raises(SimulationDiverged) as err:
+            run_peek_ahead(adj, 32, PIUMAConfig(n_cores=4, max_events=5000))
+        messages.add(str(err.value))
         assert len(messages) == 1
 
 

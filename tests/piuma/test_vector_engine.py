@@ -1,16 +1,20 @@
-"""The vector replay engine's internals, held to the fast loop.
+"""Compiled-program replay, the default engine's loop for static kernels.
 
 ``tests/piuma/test_engine_fastpath.py`` pins the end-to-end contract
-(bit-identical fingerprints across the engine matrix); this suite aims
-at the machinery that makes the vector engine fast enough to matter —
-the spawn-time plan cache, the fused ``_merge_backfill``, the deferred
-integral counters (full and partial settle legs) — and at which loop a
-vector run executes: compiled replay when every thread is a program
-and no ``_execute`` hook is bound, the fast loop otherwise (a
-generator thread, a wrapped DMA dispatch, the sanitizer armed).
+(bit-identical fingerprints across every loop); this suite aims at the
+machinery that makes replay fast enough to matter — the spawn-time
+per-(op, core) plan cache, the fused ``_merge_backfill``, the deferred
+integral counters settled from executed step prefixes, the release of
+every replayed simulator — and at which loop a default-engine run
+executes: compiled replay when every thread is a program, no
+``_execute`` hook is bound and every deferred addend is integral, the
+peek-ahead loop otherwise (a generator thread, a wrapped DMA dispatch,
+the sanitizer armed, a fractional addend).
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -20,12 +24,13 @@ from repro.piuma.config import PIUMAConfig
 from repro.piuma.degradation import DEGRADATION_PRESETS
 from repro.piuma.engine import Simulator
 from repro.piuma.kernels import split_work
-from repro.piuma.ops import DMAOp, OpProgram
+from repro.piuma.ops import DMAOp, OpProgram, PhaseMarker
 from repro.piuma.resources import Timeline
 from repro.piuma.spmm_dma import dma_thread
 from repro.piuma import vector_engine
 from repro.piuma.vector_engine import _merge_backfill
 from repro.runtime.errors import SimulationDiverged
+from repro.testing.oracle import run_peek_ahead
 
 
 def _fingerprint(result):
@@ -54,6 +59,33 @@ def _sim_fingerprint(sim):
             (tag, s.count, s.bytes, s.wait_ns)
             for tag, s in sim.stats.items()
         ),
+    )
+
+
+def _resource_state(sim):
+    """Every counter and horizon of every resource, exact floats.
+
+    The deferred counters (``units_served``, ``requests``,
+    ``bytes_served``, ``ops``, ``bytes_moved``) only exist here, not in
+    the kernel fingerprint, so this is what holds the settle pass to
+    the live accounting of the other loops.
+    """
+    def fluid(r):
+        return (r.busy_until, r.busy_time, r.units_served, r.requests)
+
+    return (
+        [fluid(p) for row in sim.pipelines for p in row],
+        [fluid(a) for a in sim.atomic_units],
+        [fluid(i) for i in sim.network._injection],
+        [
+            (s.bytes_served, s.requests, s._priority_busy,
+             s._timeline._starts, s._timeline._ends)
+            for s in sim.slices
+        ],
+        [
+            (e.ops, e.bytes_moved, e.retries, fluid(e._engine))
+            for e in sim.dma_engines
+        ],
     )
 
 
@@ -124,60 +156,92 @@ class TestMergeBackfill:
 
 class TestPlanCache:
     def test_plans_shared_across_threads(self):
-        # Interned ops compile once per (op, core, mtp): with one
-        # shared table the cache stays far below total op instances.
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        # Interned ops compile once per (op, core): one plan serves
+        # every thread, on any MTP of the core, that issues the op.
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         state = sim._vector_state
-        assert state is not None
-        total_steps = sum(
-            len(codes) for _idx, codes, _row, _n in state["rows"]
-        )
-        assert len(state["progs"]) == len(state["rows"])
-        assert len(state["cache"]) < total_steps / 4
-        # Healthy DMA kernel: every plan defers integrally.
-        assert state["taint"] is False
+        assert state is not None and state.replayable
+        assert len(state.steps) == len(sim._threads)
+        total_steps = sum(len(steps) - 1 for steps in state.steps)
+        assert len(state.plans) < total_steps / 4
+        # One closure per distinct (op, core): threads on different
+        # MTPs of a core step through the same plan objects.
+        assert {core for core, _mtp in {
+            (core, mtp) for _gen, core, mtp in sim._threads
+        }} == {0, 1}
+        fns_by_mtp = {}
+        for (_gen, core, mtp), steps in zip(sim._threads, state.steps):
+            fns_by_mtp.setdefault((core, mtp), set()).update(steps[:-1])
+        for core in (0, 1):
+            shared = set.intersection(
+                *(fns for (c, _m), fns in fns_by_mtp.items() if c == core)
+            )
+            assert shared, core
+        assert len({fn for fns in fns_by_mtp.values() for fn in fns}) \
+            == len(state.plans)
 
-    def test_full_counts_match_partial_leg(self):
-        # The compile-time full-run counts must equal what the slow
-        # bincount leg computes for a completed run.
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
-        sim = Simulator(config)
-        _spawn_all(sim, _adj(), 32, config, as_programs=True)
-        sim.run()
-        state = sim._vector_state
-        pcs = sim._program_pcs
-        partial = vector_engine._partial_uid_counts(
-            state["rows"], pcs, len(state["uids"])
+    def test_setup_ops_interned(self):
+        # The per-thread setup ops (the binary search and the phase
+        # marker) come from the kernel's shared table, so they add a
+        # handful of plans per core rather than two per thread.
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=4)
+        adj = _adj()
+        shared = {}
+        programs = [
+            OpProgram.from_generator(
+                dma_thread(work, 32, config, shared=shared))
+            for work in split_work(adj, config, 2048)
+        ]
+        markers = {id(op) for p in programs for op in p.table
+                   if isinstance(op, PhaseMarker)}
+        searches = {id(p.table[0]) for p in programs}
+        shapes = {(p.table[0].n_rounds, p.table[0].target_core)
+                  for p in programs}
+        assert len(programs) == 32
+        assert len(markers) == 1
+        # One binary-search op per (probe count, target slice).
+        assert len(searches) == len(shapes) < len(programs)
+
+    def test_settled_counters_match_live_accounting(self):
+        # A completed replay settles every deferred counter once; the
+        # totals must equal the reference loop's per-event accounting
+        # on every resource, not just in the kernel fingerprint.
+        adj = _adj()
+        replayed = Simulator(PIUMAConfig(n_cores=2, threads_per_mtp=2))
+        _spawn_all(replayed, adj, 32, replayed.config, as_programs=True)
+        replayed.run()
+        reference = Simulator(
+            PIUMAConfig(n_cores=2, threads_per_mtp=2, engine="reference")
         )
-        assert partial == state["full"]
+        _spawn_all(reference, adj, 32, reference.config,
+                   as_programs=False)
+        reference.run()
+        assert _sim_fingerprint(replayed) == _sim_fingerprint(reference)
+        assert _resource_state(replayed) == _resource_state(reference)
 
 
 class TestEquivalence:
     def test_compiled_matches_generator_driven(self):
-        # The same work spawned as compiled programs (vector) and as
-        # generators (fast) — the raw simulator state must agree.
+        # The same work spawned as compiled programs (replay) and as
+        # generators (peek-ahead) — the raw simulator state must agree.
         adj = _adj()
-        vec_cfg = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                              engine="vector")
-        vec = Simulator(vec_cfg)
-        _spawn_all(vec, adj, 32, vec_cfg, as_programs=True)
-        vec.run()
-        fast_cfg = PIUMAConfig(n_cores=2, threads_per_mtp=2)
-        fast = Simulator(fast_cfg)
-        _spawn_all(fast, adj, 32, fast_cfg, as_programs=False)
-        fast.run()
-        assert _sim_fingerprint(vec) == _sim_fingerprint(fast)
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
+        replayed = Simulator(config)
+        _spawn_all(replayed, adj, 32, config, as_programs=True)
+        replayed.run()
+        peek = Simulator(config)
+        _spawn_all(peek, adj, 32, config, as_programs=False)
+        peek.run()
+        assert _sim_fingerprint(replayed) == _sim_fingerprint(peek)
+        assert _resource_state(replayed) == _resource_state(peek)
 
     def test_mixed_program_and_generator_threads(self):
         # Half the threads compiled, half generator-driven: the run
-        # goes to the fast loop and still matches.
+        # goes to the peek-ahead loop and still matches.
         adj = _adj()
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         shared = {}
         work_items = split_work(adj, config, 2048)
@@ -191,20 +255,18 @@ class TestEquivalence:
             else:
                 sim.spawn(generator, work.core, work.mtp)
         sim.run()
-        fast_cfg = PIUMAConfig(n_cores=2, threads_per_mtp=2)
-        fast = Simulator(fast_cfg)
-        _spawn_all(fast, adj, 32, fast_cfg, as_programs=False)
-        fast.run()
-        assert _sim_fingerprint(sim) == _sim_fingerprint(fast)
+        peek = Simulator(config)
+        _spawn_all(peek, adj, 32, config, as_programs=False)
+        peek.run()
+        assert _sim_fingerprint(sim) == _sim_fingerprint(peek)
 
     def test_wrapped_dma_dispatch_falls_back(self):
         # Anything that replaces the DMA dispatch entry (the mutation
         # harness, instrumentation) must stay on-path: compile_thread
-        # leaves threads uncompiled rather than routing compiled plans
-        # around the wrapper, and the run goes to the fast loop.
+        # stops compiling rather than routing compiled plans around
+        # the wrapper, and the run goes to the peek-ahead loop.
         adj = _adj()
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         inner = sim._dispatch[DMAOp]
         calls = []
@@ -214,36 +276,46 @@ class TestEquivalence:
             return inner(op, now, core, mtp)
 
         sim._dispatch[DMAOp] = wrapper
+        assert not sim.can_replay
         _spawn_all(sim, adj, 32, config, as_programs=True)
-        state = sim._vector_state
-        assert state is None or not state["progs"]
+        assert sim._vector_state is None
         sim.run()
         assert calls, "wrapped dispatch was never invoked"
-        fast_cfg = PIUMAConfig(n_cores=2, threads_per_mtp=2)
-        fast = Simulator(fast_cfg)
-        _spawn_all(fast, adj, 32, fast_cfg, as_programs=False)
-        fast.run()
-        assert _sim_fingerprint(sim) == _sim_fingerprint(fast)
+        peek = Simulator(config)
+        _spawn_all(peek, adj, 32, config, as_programs=False)
+        peek.run()
+        assert _sim_fingerprint(sim) == _sim_fingerprint(peek)
+
+    def test_dense_kernel_bit_identical(self):
+        # DenseMM replays by default too: replay, the checked
+        # peek-ahead loop and the reference loop agree exactly.
+        from repro.piuma.densemm_kernel import simulate_dense_mm
+
+        results = [
+            simulate_dense_mm(4096, 64, 32, PIUMAConfig(n_cores=4, **knobs))
+            for knobs in ({}, {"check_level": 1}, {"engine": "reference"})
+        ]
+        assert results[0] == results[1] == results[2]
 
     def test_checked_replay_at_level2(self):
-        # At check_level=2 the vector engine runs the fast loop with
-        # the sanitizer on every op; results still bit-identical.
+        # At check_level=2 the default engine runs the peek-ahead loop
+        # with the sanitizer on every op; results still bit-identical
+        # to the unchecked, replayed run.
         adj = _adj()
-        vec = simulate_spmm(
-            adj, 32,
-            PIUMAConfig(n_cores=2, engine="vector", check_level=2),
+        checked = simulate_spmm(
+            adj, 32, PIUMAConfig(n_cores=2, check_level=2),
         )
-        fast = simulate_spmm(adj, 32, PIUMAConfig(n_cores=2))
-        assert _fingerprint(vec) == _fingerprint(fast)
+        replayed = simulate_spmm(adj, 32, PIUMAConfig(n_cores=2))
+        assert _fingerprint(checked) == _fingerprint(replayed)
 
 
 class TestLoopSelection:
-    """Which main loop a vector-engine run executes.
+    """Which main loop a default-engine run executes.
 
-    Compiled replay (``_replay_programs``) needs every thread compiled
-    and no ``_execute`` hook bound; every other run goes to
-    ``Simulator._run_fast``, which drives the programs' generator
-    views.
+    Compiled replay (``_replay_programs``) needs every thread compiled,
+    no ``_execute`` hook bound and every deferred addend integral;
+    every other run goes to ``Simulator._run_fast``, which drives the
+    programs' generator views.
     """
 
     @pytest.fixture
@@ -264,25 +336,35 @@ class TestLoopSelection:
         monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
         return calls
 
+    @pytest.mark.parametrize("kernel", ["spmm", "dense"])
+    def test_default_static_kernels_replay(self, calls, kernel):
+        """A default-config static kernel at level 0 replays."""
+        from repro.piuma.densemm_kernel import simulate_dense_mm
+
+        config = PIUMAConfig(n_cores=2)
+        if kernel == "spmm":
+            simulate_spmm(_adj(), 16, config, window_edges=1024)
+        else:
+            simulate_dense_mm(256, 16, 16, config, window_rows=256)
+        assert calls == ["replay"]
+
     def test_unchecked_programs_replay(self, calls):
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         sim.run()
         assert calls == ["replay"]
 
     def test_checked_run_takes_fast_loop(self, calls):
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector", check_level=1)
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2, check_level=1)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        assert sim._vector_state is None
         sim.run()
         assert calls == ["fast"]
 
     def test_generator_thread_takes_fast_loop(self, calls):
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         work = split_work(_adj(), config, 2048)[0]
@@ -293,8 +375,7 @@ class TestLoopSelection:
     def test_detached_tracer_lets_the_run_replay(self, calls):
         from repro.piuma.trace import Tracer
 
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         Tracer(sim).detach()
         assert "_execute" not in sim.__dict__
@@ -313,16 +394,25 @@ class TestLoopSelection:
 
         monkeypatch.setattr(OpProgram, "from_generator", refuse)
         monkeypatch.setattr(vector_engine, "compile_thread", refuse)
-        config = PIUMAConfig(n_cores=2, engine="vector", check_level=1)
+        config = PIUMAConfig(n_cores=2, check_level=1)
         if kernel == "spmm":
             simulate_spmm(_adj(), 16, config, window_edges=1024)
         else:
             simulate_dense_mm(256, 16, 16, config, window_rows=256)
         assert calls == ["fast"]
 
+    def test_reference_engine_compiles_nothing(self, calls, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("compiled a reference-engine run")
+
+        monkeypatch.setattr(OpProgram, "from_generator", refuse)
+        simulate_spmm(_adj(), 16, PIUMAConfig(n_cores=2,
+                                              engine="reference"),
+                      window_edges=1024)
+        assert calls == []
+
     def test_wrapped_dma_dispatch_takes_fast_loop(self, calls):
-        config = PIUMAConfig(n_cores=2, threads_per_mtp=2,
-                             engine="vector")
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         inner = sim._dispatch[DMAOp]
         sim._dispatch[DMAOp] = (
@@ -332,41 +422,119 @@ class TestLoopSelection:
         sim.run()
         assert calls == ["fast"]
 
+    def test_fractional_addend_takes_fast_loop(self, calls, monkeypatch):
+        # K=40 rows are 160 bytes, three cache lines, so a DMA read
+        # stripes 53.33 bytes over three slices: a counter addend no
+        # batched integer settle can reproduce, so the run is not
+        # replayed and still matches the reference loop.  The first
+        # thread's compile rules replay out; the other 31 threads
+        # spawn as generators, drained and compiled never.
+        drains = []
+        from_generator = OpProgram.from_generator
+
+        def spy_drain(generator):
+            drains.append(generator)
+            return from_generator(generator)
+
+        monkeypatch.setattr(OpProgram, "from_generator", spy_drain)
+        adj = _adj()
+        config = PIUMAConfig(n_cores=4, threads_per_mtp=2)
+        result = simulate_spmm(adj, 40, config, window_edges=1024)
+        assert calls == ["fast"]
+        assert len(drains) == 1 < config.n_threads
+        reference = simulate_spmm(
+            adj, 40, config.with_(engine="reference"), window_edges=1024,
+        )
+        assert _fingerprint(result) == _fingerprint(reference)
+
+
+class TestReplayLeak:
+    """A replayed simulator is freed once its caller drops it."""
+
+    def test_replayed_simulators_are_freed(self, monkeypatch):
+        # Every thread exhaustion raises the one prebuilt sentinel; if
+        # its traceback kept growing, the replay frames it holds would
+        # pin every simulator ever replayed.
+        refs = []
+        replay = vector_engine._replay_programs
+
+        def spy_replay(sim, *args):
+            refs.append(weakref.ref(sim))
+            return replay(sim, *args)
+
+        monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
+        adj = _adj()
+        for _ in range(3):
+            simulate_spmm(adj, 16, PIUMAConfig(n_cores=2),
+                          window_edges=1024)
+        gc.collect()
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None, None, None]
+        assert vector_engine._EXHAUSTED.__traceback__ is None
+
+    def test_rule_out_frees_compiled_state(self):
+        # Threads compiled before a fractional addend rules replay out
+        # are dropped at once, not held until the run ends.
+        config = PIUMAConfig(n_cores=4, threads_per_mtp=2)
+        sim = Simulator(config)
+        shared = {}
+        for work in split_work(_adj(), config, 1024):
+            generator = dma_thread(work, 16, config, shared=shared)
+            sim.spawn_program(
+                OpProgram.from_generator(generator), work.core, work.mtp
+            )
+        assert sim.can_replay
+        work = split_work(_adj(), config, 1024)[0]
+        sim.spawn_program(
+            OpProgram.from_generator(dma_thread(work, 40, config)),
+            work.core, work.mtp,
+        )
+        state = sim._vector_state
+        assert not sim.can_replay and not state.replayable
+        assert (state.plans, state.steps, state.rows) == ({}, [], [])
+
+    def test_run_drops_compiled_state(self):
+        config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
+        sim = Simulator(config)
+        _spawn_all(sim, _adj(), 32, config, as_programs=True)
+        assert sim._vector_state is not None
+        sim.run()
+        assert sim._vector_state is None
+
 
 class TestDegradedPresets:
     @pytest.mark.parametrize("preset", sorted(DEGRADATION_PRESETS))
     def test_preset_bit_identical_checked(self, preset):
-        # Every shipped degradation preset: compiled replay (vector,
-        # check_level=0) must reproduce the sanitized fast path
-        # (check_level=1) bit-for-bit on a degraded fabric too (stall
-        # windows, retries, rerouting).
+        # Every shipped degradation preset: compiled replay (default
+        # engine, check_level=0) must reproduce the sanitized
+        # peek-ahead loop (check_level=1) bit-for-bit on a degraded
+        # fabric too (stall windows, retries, rerouting).
         adj = _adj()
         spec = DEGRADATION_PRESETS[preset]
         results = {}
-        for engine, check_level in (("fast", 1), ("vector", 0)):
-            results[engine] = simulate_spmm(
+        for check_level in (1, 0):
+            results[check_level] = simulate_spmm(
                 adj, 32,
                 PIUMAConfig(n_cores=4, check_level=check_level,
-                            engine=engine, degradation=spec),
+                            degradation=spec),
             )
-        assert _fingerprint(results["vector"]) == _fingerprint(
-            results["fast"]
-        )
+        assert _fingerprint(results[0]) == _fingerprint(results[1])
 
 
 class TestWatchdogParity:
-    """Divergence ceilings trip at the *same event* on every engine.
+    """Divergence ceilings trip at the *same event* in every loop.
 
     The deferred counters make this subtle: a mid-run raise must
-    settle the executed prefix exactly (the partial bincount leg), so
-    the structured payloads — cause, event count, simulated time —
-    must match the fast path's.
+    settle the executed prefix exactly, so the structured payloads —
+    cause, event count, simulated time — must match the peek-ahead
+    loop's.
     """
 
-    def _trip(self, engine, **ceilings):
-        config = PIUMAConfig(n_cores=2, engine=engine, **ceilings)
+    def _trip(self, replay, **ceilings):
+        config = PIUMAConfig(n_cores=2, **ceilings)
+        run = simulate_spmm if replay else run_peek_ahead
         with pytest.raises(SimulationDiverged) as err:
-            simulate_spmm(_adj(), 16, config, window_edges=1024)
+            run(_adj(), 16, config, window_edges=1024)
         return err.value.payload()
 
     @pytest.mark.parametrize("ceilings", [
@@ -374,17 +542,17 @@ class TestWatchdogParity:
         {"max_sim_ns": 400.0},
     ], ids=["max_events", "max_sim_ns"])
     def test_trip_payloads_match_fast(self, ceilings):
-        assert self._trip("vector", **ceilings) == self._trip(
-            "fast", **ceilings
+        assert self._trip(True, **ceilings) == self._trip(
+            False, **ceilings
         )
 
     def test_stall_trip_matches_fast(self):
-        # A zero-cost spinner is generator-driven under both engines
-        # (no program): the stall detector must fire identically.
+        # A zero-cost spinner is generator-driven (no program): the
+        # stall detector must fire identically in both engines.
         from repro.piuma.ops import Compute
 
         payloads = {}
-        for engine in ("fast", "vector"):
+        for engine in ("fast", "reference"):
             sim = Simulator(
                 PIUMAConfig(n_cores=1, engine=engine, stall_events=100)
             )
@@ -397,26 +565,25 @@ class TestWatchdogParity:
             with pytest.raises(SimulationDiverged) as err:
                 sim.run()
             payloads[engine] = err.value.payload()
-        assert payloads["vector"] == payloads["fast"]
+        assert payloads["reference"] == payloads["fast"]
 
     def test_partial_settle_is_exact(self):
-        # After a max_events trip, the vector engine's settled stats
-        # must equal the fast path's live accounting at the same event
-        # — the partial (bincount) settle leg, exercised end-to-end.
-        stats = {}
-        for engine in ("fast", "vector"):
-            config = PIUMAConfig(n_cores=2, engine=engine,
-                                 max_events=900)
+        # After a max_events trip, the replay's settled counters must
+        # equal the peek-ahead loop's live accounting at the same event
+        # — the executed-prefix settle, exercised end-to-end.
+        state = {}
+        for as_programs in (True, False):
+            config = PIUMAConfig(n_cores=2, max_events=900)
             sim = Simulator(config)
-            _spawn_all(sim, _adj(), 16, config,
-                       as_programs=(engine == "vector"))
+            _spawn_all(sim, _adj(), 16, config, as_programs=as_programs)
             with pytest.raises(SimulationDiverged):
                 sim.run()
-            stats[engine] = (
+            state[as_programs] = (
                 sim.events,
                 sorted(
                     (tag, s.count, s.bytes, s.wait_ns)
                     for tag, s in sim.stats.items()
                 ),
+                _resource_state(sim),
             )
-        assert stats["vector"] == stats["fast"]
+        assert state[True] == state[False]

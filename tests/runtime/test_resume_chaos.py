@@ -5,7 +5,7 @@ run in a child process, SIGKILLed mid-run at three different seeded
 points (after 1, 2, and 3 completed manifest lines), then resumed
 in-process with ``resume=True``.  The resumed records must be
 bit-identical — on every deterministic field — to an unfaulted run of
-the same grid, across all three engines (the DES engines are pure
+the same grid, on both engines (the DES engines are pure
 functions of their inputs, so a kill/resume must be invisible in the
 results).  The in-process ``kill_resume`` emulation lives in
 ``repro.runtime.chaos``; this is the real-signal version.

@@ -14,6 +14,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -353,6 +354,54 @@ class TestWritePath:
         assert server.nodelay[0] != 0
         assert len(server.writes) == len(statuses)
         assert all(w.startswith(b"HTTP/1.1 ") for w in server.writes)
+
+
+class _QuickTimeoutHandler(PredictionRequestHandler):
+    timeout = 0.2
+
+
+class TestStalledClients:
+    """A client that stops sending cannot hold a server thread."""
+
+    def test_stalled_body_is_408_and_closes(self, server_stack):
+        server, base, _service, _faults = server_stack
+        server.RequestHandlerClass = _QuickTimeoutHandler
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 10\r\n\r\n{}")
+            started = time.monotonic()
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+            closed_after = time.monotonic() - started
+        assert closed_after < 1.0
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[1] == "408"
+        assert "Connection: close" in lines
+        assert "Content-Type: application/json" in lines
+        assert json.loads(body)["error"]["kind"] == "request_timeout"
+
+    def test_keep_alive_sequence_is_unaffected(self, server_stack):
+        server, base, _service, _faults = server_stack
+        server.RequestHandlerClass = _QuickTimeoutHandler
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as stalled:
+            stalled.sendall(b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 10\r\n\r\n{}")
+            conn = connect(base)
+            try:
+                statuses = [
+                    exchange(conn, "POST", "/predict", MODEL_QUERY)[0]
+                    for _ in range(3)
+                ] + [exchange(conn, "GET", "/healthz")[0]]
+            finally:
+                conn.close()
+        assert statuses == [200, 200, 200, 200]
 
 
 class TestHealthz:
