@@ -134,7 +134,7 @@ def _build_parser():
     sweep.add_argument("--engine", choices=ENGINES, default=None,
                        help="run every point on this DES engine: fast "
                             "(the default; replays compiled op programs, "
-                            "or runs its peek-ahead loop under "
+                            "or runs the reference loop under "
                             "--check-level) or reference (bit-identical "
                             "results; host speed only; records carry an "
                             "\"engine\" provenance field)")
@@ -250,14 +250,16 @@ def _build_parser():
     resilience.add_argument("--engine", choices=ENGINES, default="fast",
                             help="DES engine for the curve: fast "
                                  "(replays compiled op programs at "
-                                 "--check-level 0, runs its peek-ahead "
+                                 "--check-level 0, runs the reference "
                                  "loop at 1 or above) or reference "
                                  "(bit-identical results; host speed "
                                  "only)")
     resilience.add_argument("--verify-engines", action="store_true",
-                            help="additionally run every point through the "
-                                 "reference engine and require bit-identity "
-                                 "with --engine fast")
+                            help="run every point twice, unchecked on "
+                                 "--engine fast (compiled replay) and on "
+                                 "the reference engine at --check-level, "
+                                 "and require bit-identity; the curve "
+                                 "comes from the reference run")
     resilience.add_argument("--workers", type=int, default=None)
     resilience.add_argument("--no-cache", action="store_true",
                             help="bypass the on-disk result cache")
@@ -266,23 +268,19 @@ def _build_parser():
 
     check = sub.add_parser(
         "check",
-        help="differential conformance suite: fast-vs-reference "
-             "bit-identity, Eq.5 envelope, metamorphic relations, and "
-             "invariant-sanitizer mutation smoke-checks",
+        help="differential conformance suite: bit-identity of compiled "
+             "replay and the sanitized reference loop, Eq.5 envelope, "
+             "metamorphic relations, and invariant-sanitizer mutation "
+             "smoke-checks",
     )
     check.add_argument("--level", type=int, default=2, choices=(0, 1, 2),
                        help="invariant sanitizer level armed inside every "
-                            "differential run (default 2)")
+                            "differential run's reference leg; the replay "
+                            "leg runs unchecked (default 2)")
     check.add_argument("--cases", type=int, default=25,
                        help="seeded conformance cases to generate")
     check.add_argument("--seed", type=int, default=0,
                        help="case-population seed")
-    check.add_argument("--engine", choices=ENGINES + ("all",),
-                       default="all",
-                       help="engine(s) to run (default all: fast and "
-                            "reference; at --level 1 or above the fast "
-                            "engine runs its peek-ahead loop, so only "
-                            "--level 0 checks its compiled replay)")
     check.add_argument("--no-metamorphic", action="store_true",
                        help="skip the metamorphic relations")
     check.add_argument("--no-mutations", action="store_true",
@@ -788,7 +786,7 @@ def _cmd_multinode(args, out):
     return 0 if not breaches else 1
 
 
-#: Record fields that must be bit-identical between the curve's engine
+#: Record fields that must be bit-identical between unchecked replay
 #: and the reference engine (``repro resilience --verify-engines``).
 _ENGINE_IDENTITY_FIELDS = (
     "sim_time_ns", "gflops", "projected_time_ns", "events",
@@ -811,12 +809,11 @@ def _cmd_resilience(args, out):
     if sorted(severities) != severities:
         raise ValueError("--severities must be non-decreasing")
     if args.verify_engines and args.engine == "reference":
-        raise ValueError("--verify-engines compares --engine with the "
-                         "reference engine; pick --engine fast")
+        raise ValueError("--verify-engines compares unchecked replay on "
+                         "--engine fast with the reference engine; pick "
+                         "--engine fast")
 
     def task_for(severity, engine=args.engine):
-        # The primary curve runs on --engine; the --verify-engines leg
-        # runs the same points on the reference loop.
         task = spmm_task(
             args.dataset, args.hidden, kernel=args.kernel,
             max_vertices=args.max_vertices, seed=args.seed,
@@ -830,18 +827,20 @@ def _cmd_resilience(args, out):
 
     tasks = [task_for(s) for s in severities]
     cache = ResultCache(enabled=not args.no_cache)
-    report = run_sweep(tasks, workers=args.workers, cache=cache,
-                       check_level=args.check_level)
-
     mismatches = []
     if args.verify_engines:
-        reference = run_sweep(
+        # A checked run cannot replay, so the identity check pairs
+        # unchecked replay with the reference loop at --check-level;
+        # the sanitized reference run gives the curve.
+        replay = run_sweep(tasks, workers=args.workers, cache=cache,
+                           check_level=0)
+        report = run_sweep(
             [task_for(s, engine="reference") for s in severities],
             workers=args.workers, cache=cache,
             check_level=args.check_level,
         )
         for severity, got, ref in zip(
-            severities, report.records, reference.records
+            severities, replay.records, report.records
         ):
             diverged = [
                 name for name in _ENGINE_IDENTITY_FIELDS
@@ -849,6 +848,9 @@ def _cmd_resilience(args, out):
             ]
             if diverged:
                 mismatches.append((severity, diverged))
+    else:
+        report = run_sweep(tasks, workers=args.workers, cache=cache,
+                           check_level=args.check_level)
 
     low, high = ENVELOPES[args.kernel]
     baseline = report.records[0]["sim_time_ns"]
@@ -907,8 +909,9 @@ def _cmd_resilience(args, out):
                 out(f"engine mismatch at severity {severity:.2f}: "
                     + ", ".join(diverged))
         else:
-            out(f"{args.engine} and reference engines bit-identical at "
-                "every severity")
+            out("fast and reference engines bit-identical at every "
+                "severity (unchecked replay vs the reference loop at "
+                f"--check-level {args.check_level})")
     if args.json:
         path = pathlib.Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -941,7 +944,6 @@ def _cmd_check(args, out):
         n_cases=args.cases,
         seed=args.seed,
         check_level=args.level,
-        engine=args.engine,
         metamorphic=not args.no_metamorphic,
         mutations=not args.no_mutations,
         artifact=args.artifact,
@@ -952,8 +954,7 @@ def _cmd_check(args, out):
         out(f"  - {failure['case']} {failure['check']}: "
             f"{failure['detail']}")
     for failure in report.mutation_failures:
-        out(f"  - mutation {failure['mutation']} ({failure['engine']}): "
-            f"{failure['detail']}")
+        out(f"  - mutation {failure['mutation']}: {failure['detail']}")
     if report.shrunk is not None:
         out(f"  shrunk repro ({report.shrunk['check']}): "
             f"{report.shrunk['case']}")

@@ -98,12 +98,11 @@ class PIUMAConfig:
 
     #: DES engine: ``"fast"`` (default) replays op programs compiled
     #: at spawn time (``repro.piuma.vector_engine``) and runs the
-    #: peek-ahead loop (type-dispatch table plus thread continuation
-    #: over the binary heap) for runs it cannot replay, such as any
-    #: run at ``check_level >= 1``; ``"reference"`` is the plain
-    #: pop/execute/push loop, kept as the differential-test oracle.
-    #: All loops are bit-identical in results and event accounting
-    #: (DESIGN.md, "Host performance").
+    #: reference loop for runs it cannot replay, such as any run at
+    #: ``check_level >= 1``; ``"reference"`` always runs the reference
+    #: loop, the plain pop/execute/push loop kept as the
+    #: differential-test oracle.  Both loops are bit-identical in
+    #: results and event accounting (DESIGN.md, "Host performance").
     engine: str = "fast"
 
     #: Runtime invariant sanitizer level (``repro.piuma.invariants``):

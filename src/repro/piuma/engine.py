@@ -11,23 +11,21 @@ This is a *down-scaled* simulator in the sense of the paper's ref [18]:
 kernels simulate a bounded edge window at full mechanism fidelity and
 project steady-state throughput to the full graph.
 
-``PIUMAConfig.engine`` selects one of two engines (see DESIGN.md,
-"Host performance"):
+The simulator has two main loops (see DESIGN.md, "Host performance"):
 
-* ``"fast"`` (default) replays op programs compiled at spawn time
-  (:mod:`repro.piuma.vector_engine`) whenever every thread is one and
-  nothing hooks ``_execute``; any other run (a sanitizer or tracer
-  armed, a generator-driven thread) takes the peek-ahead loop, which
-  dispatches ops through a type table and keeps driving a thread's
-  generator without heap traffic while its resume time precedes every
-  other queued event;
-* ``"reference"`` is the plain pop/execute/push loop, kept as the
-  semantics oracle.
+* compiled replay (:mod:`repro.piuma.vector_engine`), which runs op
+  programs compiled at spawn time.  ``PIUMAConfig.engine="fast"`` (the
+  default) takes it whenever every thread is a compiled program and
+  nothing hooks ``_execute``;
+* the reference loop, the plain pop/execute/push loop kept as the
+  semantics oracle.  ``engine="reference"`` always takes it, and so
+  does every run replay cannot take: a sanitizer or tracer armed, a
+  generator-driven thread.
 
-All three loops share one event queue, a :mod:`heapq` list, and
-produce bit-identical results — same ``end_time``, per-tag stats,
-resource utilizations, and watchdog/event accounting — which the
-differential suite in ``tests/piuma/test_engine_fastpath.py`` enforces.
+Both loops share one event queue, a :mod:`heapq` list, and produce
+bit-identical results — same ``end_time``, per-tag stats, resource
+utilizations, and watchdog/event accounting — which the differential
+suite in ``tests/piuma/test_engine_fastpath.py`` enforces.
 """
 
 from __future__ import annotations
@@ -194,9 +192,9 @@ class Simulator:
         }
         # Runtime invariant sanitizer (repro.piuma.invariants): at
         # check_level>=1 it installs an instance `_execute` wrapper —
-        # the same hook a Tracer uses — so both main loops route every
-        # op through it; at level 0 nothing is constructed and the hot
-        # loops keep the direct-dispatch path.
+        # the same hook a Tracer uses — which rules replay out, so the
+        # reference loop routes every op through it; at level 0
+        # nothing is constructed.
         self.checker = (
             InvariantChecker(self, config.check_level)
             if config.check_level
@@ -219,9 +217,9 @@ class Simulator:
         """Register a compiled :class:`~repro.piuma.ops.OpProgram`.
 
         The program's generator view goes into the thread table, so the
-        peek-ahead and reference loops run it unchanged; when the run
-        can replay, the program is also compiled here and :meth:`run`
-        replays it without generator resumption.
+        reference loop runs it unchanged; when the run can replay, the
+        program is also compiled here and :meth:`run` replays it
+        without generator resumption.
         """
         if not 0 <= core < self.config.n_cores:
             raise ValueError("core out of range")
@@ -406,10 +404,10 @@ class Simulator:
     def _make_exec_dma(self):
         """Build the DMA handler as a closure over pre-bound resources.
 
-        This is the simulator's one DMA implementation: every main loop
-        dispatches DMA ops through it, so the engines cannot disagree
-        on DMA semantics, and the compiled replay plans share its plan
-        cache and repeat its arithmetic.  It is the
+        This is the simulator's one DMA implementation: the reference
+        loop dispatches DMA ops through it, and the compiled replay
+        plans share its plan cache and repeat its arithmetic, so the
+        loops cannot disagree on DMA semantics.  It is the
         hottest code in the simulator (a couple of executions per
         simulated edge), so the pipeline issue-slot reserve, the
         engine's staging-credit bookkeeping and occupancy
@@ -600,8 +598,7 @@ class Simulator:
             return issued, done
 
         # Replay plan assembly shares this cache (and its builder) so
-        # DMA plans are resolved once per (op, core) no matter which
-        # main loop touches them first.
+        # DMA plans are resolved once per (op, core).
         exec_dma.plans = plans
         exec_dma.build_plan = build_plan
         return exec_dma
@@ -633,19 +630,15 @@ class Simulator:
         :class:`~repro.runtime.errors.SimulationDiverged` instead of
         spinning forever on a buggy kernel or pathological point.
 
-        ``PIUMAConfig.engine`` selects the engine: ``"fast"`` replays
-        compiled programs when it can and runs :meth:`_run_fast`
-        otherwise (:func:`~repro.piuma.vector_engine.run_programs`);
-        ``"reference"`` runs :meth:`_run_reference`, the escape hatch
-        and differential-test oracle.  All loops produce bit-identical
-        results.  The compiled programs are dropped when the run ends.
+        :func:`~repro.piuma.vector_engine.run_programs` replays the
+        compiled programs when it can (only ``engine="fast"`` compiles
+        any) and runs :meth:`_run_reference`, the differential-test
+        oracle, otherwise.  Both loops produce bit-identical results.
+        The compiled programs are dropped when the run ends.
         """
         started = time.perf_counter()
         try:
-            if self.config.engine == "fast":
-                result = vector_engine.run_programs(self)
-            else:
-                result = self._run_reference()
+            result = vector_engine.run_programs(self)
             if self.checker is not None:
                 self.checker.after_run()
             return result
@@ -674,114 +667,14 @@ class Simulator:
             cause="stall",
         )
 
-    def _run_fast(self):
-        """Peek-ahead main loop (the default engine's unreplayed runs).
-
-        After executing an op, if the thread's resume time strictly
-        precedes the earliest queued event, the same generator is driven
-        again without a heap push/pop — the global event order is
-        provably unchanged, because the skipped push would have been
-        popped next anyway (a new entry can never beat an equal-time
-        queued entry: sequence numbers only grow, and the heap breaks
-        time ties by sequence).  Long dependent op chains (SpMM threads)
-        therefore bypass most heap churn.
-
-        Event accounting is identical to the reference loop: every
-        generator resumption — including the final ``StopIteration``
-        — counts as one event, in the same global order, so the
-        watchdog ceilings trip at exactly the same point.
-        """
-        cfg = self.config
-        heap = self._heap
-        threads = self._threads
-        slices = self.slices
-        # A Tracer monkey-patches `_execute` on the instance; when it
-        # has, every op must route through the patched wrapper.  When it
-        # hasn't (the overwhelmingly common case), dispatch straight
-        # through the type table and skip the wrapper frame.
-        execute = self._execute if "_execute" in self.__dict__ else None
-        dispatch_get = self._dispatch.get
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        # Falsy ceilings mean "unbounded"; folding that into an infinite
-        # ceiling keeps the per-event watchdog to one comparison each.
-        inf = float("inf")
-        max_events = cfg.max_events or inf
-        max_sim_ns = cfg.max_sim_ns or inf
-        stall_limit = cfg.stall_events or inf
-        latest = 0.0
-        events = 0
-        stalled = 0
-        last_now = -1.0
-        seq = self._seq
-        try:
-            while heap:
-                now, _seq, idx, value = heappop(heap)
-                generator, core, mtp = threads[idx]
-                while True:
-                    events += 1
-                    if not events & 2047:
-                        # Periodically retire DRAM-timeline history:
-                        # global event time is non-decreasing and every
-                        # future allocation arrives at or after it, so
-                        # intervals ending 1 ns before `now` are dead
-                        # weight (see Timeline.compact — compaction is
-                        # result-transparent at any event boundary).
-                        cutoff = now - 1.0
-                        for s in slices:
-                            s.retire_before(cutoff)
-                    if events > max_events:
-                        raise self._diverged_events(events, now)
-                    if now > max_sim_ns:
-                        raise self._diverged_sim_ns(now)
-                    if now == last_now:
-                        stalled += 1
-                        if stalled > stall_limit:
-                            raise self._diverged_stall(stalled, now)
-                    else:
-                        stalled = 0
-                        last_now = now
-                    try:
-                        op = generator.send(value)
-                    except StopIteration:
-                        if now > latest:
-                            latest = now
-                        break
-                    if execute is None:
-                        handler = dispatch_get(op.__class__)
-                        if handler is None:
-                            raise TypeError(f"unknown op {op!r}")
-                        resume, completion = handler(op, now, core, mtp)
-                    else:
-                        resume, completion = execute(op, now, core, mtp)
-                    if completion > latest:
-                        latest = completion
-                    if heap and heap[0][0] <= resume:
-                        # An already-queued event runs first (earlier
-                        # time, or an equal time with a smaller
-                        # sequence number).  The push-then-pop pair is
-                        # fused into one sift: the new entry can never
-                        # beat the queued head (its sequence number is
-                        # larger), so heappushpop returns exactly what
-                        # push followed by pop would have.
-                        now, _seq, idx, value = heappushpop(
-                            heap, (resume, seq, idx, completion)
-                        )
-                        seq += 1
-                        generator, core, mtp = threads[idx]
-                        continue
-                    now, value = resume, completion
-        finally:
-            self._seq = seq
-            self.events = events
-        self.end_time = latest + cfg.launch_overhead_ns
-        return self.end_time
-
     def _run_reference(self):
-        """The original pop/execute/push loop (``engine="reference"``).
+        """The plain pop/execute/push loop.
 
-        Kept as the semantics oracle: the differential suite asserts
-        the peek-ahead and replay loops reproduce it bit-for-bit.
+        ``engine="reference"`` always runs it, and so does every run
+        that cannot replay (a sanitizer or tracer hooked on
+        ``_execute``, a generator thread).  Kept as the semantics
+        oracle: the differential suite asserts that replay reproduces
+        it bit-for-bit.
         """
         cfg = self.config
         heap = self._heap
@@ -794,6 +687,12 @@ class Simulator:
                 now, _seq, idx, value = heapq.heappop(heap)
                 events += 1
                 if not events & 2047:
+                    # Periodically retire DRAM-timeline history: event
+                    # time is non-decreasing and every future
+                    # allocation arrives at or after it, so intervals
+                    # ending 1 ns before `now` are dead weight
+                    # (Timeline.compact is result-transparent at any
+                    # event boundary).
                     cutoff = now - 1.0
                     for s in self.slices:
                         s.retire_before(cutoff)

@@ -4,7 +4,7 @@ Every conclusion the reproduction draws is a memory-system accounting
 claim, so a silent accounting bug in the simulator corrupts everything
 downstream.  This module is the guard rail that lets the hot paths keep
 being rewritten (DESIGN.md, "Host performance") without fear: a
-pluggable checker that watches both engine main loops and the shared
+pluggable checker that watches the reference main loop and the shared
 resources, raising a structured
 :class:`~repro.runtime.errors.InvariantViolation` the moment the
 simulation's books stop balancing.
@@ -25,9 +25,11 @@ simulation's books stop balancing.
   and periodic structural scans of the DRAM busy-interval timelines.
 
 The checker installs itself the same way :class:`repro.piuma.trace.Tracer`
-does — by binding the instance ``_execute`` slot — so both the fast and
-the reference main loop route every op through it, and a Tracer stacked
-on top keeps working.
+does — by binding the instance ``_execute`` slot.  A bound hook rules
+compiled replay out, so every checked run takes the reference main
+loop, which routes every op through the hook, and a Tracer stacked on
+top keeps working.  Compiled replay is held to this checked loop by
+the differential oracle (``repro.testing.oracle``), not by the checker.
 """
 
 from __future__ import annotations
@@ -136,10 +138,9 @@ class InvariantChecker:
             if handler is None:
                 raise TypeError(f"unknown op {op!r}")
             resume, completion = handler(op, now, core, mtp)
-            # Event-time monotonicity: both main loops execute ops in
-            # global event order (the fast path's peek-ahead provably
-            # preserves it), so the issue time seen here can never run
-            # backwards.
+            # Event-time monotonicity: the reference loop executes
+            # ops in global event order, so the issue time seen here
+            # can never run backwards.
             if now < state.last_event_ns:
                 raise violation(
                     "event-monotonicity",

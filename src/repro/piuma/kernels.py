@@ -12,8 +12,8 @@ populated exactly as they would be in a full run.
 Threads are spawned as compiled op programs while the run can replay
 (``Simulator.can_replay``, read before each thread) and the thread
 factory declares a static op stream (``program_safe``); otherwise they
-are spawned as generators and the run takes the peek-ahead or
-reference loop (``repro.piuma.engine``).
+are spawned as generators and the run takes the reference loop
+(``repro.piuma.engine``).
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     # threads spawn as generators.  Factories without the marker (e.g.
     # the dynamic work-stealing kernel, whose stream depends on runtime
     # interleaving) stay generator-driven, and a run with any such
-    # thread takes the peek-ahead loop.
+    # thread takes the reference loop.
     compile_programs = getattr(thread_factory, "program_safe", False)
     for work in work_items:
         if accepts_shared:

@@ -252,8 +252,8 @@ class OpProgram:
     def replay(self):
         """Generator view: yields the op sequence (ignores sent values).
 
-        Lets the peek-ahead and reference loops run a compiled program
-        unchanged (whenever a run cannot replay) — a program-backed
+        Lets the reference loop run a compiled program unchanged
+        (whenever a run cannot replay) — a program-backed
         thread is indistinguishable from its source generator, which is
         what keeps the differential oracle honest.
         """

@@ -1,13 +1,13 @@
 """Compiled-program replay, the default engine's loop for static kernels.
 
-``PIUMAConfig.engine="fast"`` runs one of two loops.  The peek-ahead
-loop (``engine.py:_run_fast``) pays, per event, a generator
-resumption, a type-table dispatch, a handler frame, and the attribute
-chains inside the handler.  For the static SpMM/dense kernels the
-entire op stream of a thread is known before ``run()`` — the kernels
-drain it into an :class:`~repro.piuma.ops.OpProgram` (an interned op
-table plus a step-code array) and :meth:`Simulator.run` replays those
-programs here instead:
+The reference loop (``Simulator._run_reference``) pays, per event, a
+heap push and pop, a generator resumption, a type-table dispatch, a
+handler frame, and the attribute chains inside the handler.  For the
+static SpMM/dense kernels the entire op stream of a thread is known
+before ``run()`` — the kernels drain it into an
+:class:`~repro.piuma.ops.OpProgram` (an interned op table plus a
+step-code array) and, on ``PIUMAConfig.engine="fast"``,
+:meth:`Simulator.run` replays those programs here instead:
 
 * **Plan compilation** (at ``spawn_program`` time): every unique
   ``(op, core)`` pair is compiled once to a replay *closure*
@@ -36,28 +36,33 @@ programs here instead:
   2**53 are exact in IEEE doubles *in any order*, so the batched
   totals are bit-identical to the reference's per-event accumulation.
   A run with a non-integral addend anywhere (a fractional stripe
-  share) is not replayed: it runs the peek-ahead loop, which accounts
+  share) is not replayed: it runs the reference loop, which accounts
   every event live.  Order-dependent float state (``busy_until``/
   ``busy_time`` chains, ``wait_ns``) always stays live in event order.
 
 Global event order is *semantic* (threads contend on shared FIFO
 resources), so the loop keeps the exact ``(when, seq)`` total order of
-the other loops: the same binary heap, the same fused ``heappushpop``
-thread switch, the same peek-ahead continuation rule, the same event
-accounting (every op plus the final program exhaustion counts one
-event), the same watchdog ceilings, and the same ``events & 2047``
-compaction cadence as ``_run_fast`` — so ``SimulationDiverged`` trips
-at exactly the same event in every loop.
+the reference loop on the same binary heap.  Two shortcuts leave that
+order unchanged: a thread whose resume time strictly precedes every
+queued event keeps running without a heap round trip (the skipped
+push would have been popped next), and a thread switch fuses the push
+and pop into one ``heappushpop`` (the pushed entry can never beat the
+queued head: sequence numbers only grow, and ties break by sequence).
+Event accounting (every op plus the final program exhaustion counts
+one event), the watchdog ceilings and the ``events & 2047`` compaction
+cadence are the reference loop's, so ``SimulationDiverged`` trips at
+exactly the same event in both loops.
 
 Replay runs only when every thread is a compiled program and
-``Simulator.can_replay`` holds: no ``_execute`` hook bound, the
-engine's own DMA dispatch entry, and every deferred addend integral.
-Every other run goes to ``_run_fast``, which drives each program's
-generator view: a sanitizer or tracer armed (``check_level >= 1``), a
-thread without a registered program (custom factories, the dynamic
-work-stealing kernel whose op stream depends on runtime interleaving),
-a wrapped DMA dispatch entry, or a fractional addend.  The kernels
-read ``can_replay`` before draining each thread, so a run that cannot
+``Simulator.can_replay`` holds: the default engine, no ``_execute``
+hook bound, the engine's own DMA dispatch entry, and every deferred
+addend integral.  Every other run goes to ``_run_reference``, which
+drives each program's generator view: the reference engine, a
+sanitizer or tracer armed (``check_level >= 1``), a thread without a
+registered program (custom factories, the dynamic work-stealing kernel
+whose op stream depends on runtime interleaving), a wrapped DMA
+dispatch entry, or a fractional addend.  The kernels read
+``can_replay`` before draining each thread, so a run that cannot
 replay spawns generators and pays no drain or compile.
 
 The compiled state lives on ``Simulator._vector_state`` from the first
@@ -885,7 +890,7 @@ def compile_thread(sim, idx, program, core, mtp):
     table a 32-core run compiles a few thousand of them for 2,048
     threads.  Only called while ``Simulator.can_replay`` holds.
     Replay is ruled out for the run, what was compiled is freed, and
-    the run takes the peek-ahead loop, when a thread was spawned out of
+    the run takes the reference loop, when a thread was spawned out of
     order (a generator thread came first) or a plan has a non-integral
     deferred addend.
     """
@@ -973,18 +978,19 @@ def _settle(state, pcs):
 
 
 def run_programs(sim):
-    """Run every spawned thread; returns kernel ns (``engine="fast"``).
+    """Run every spawned thread; returns kernel ns.
 
     Replays the compiled programs when every thread is one and
-    ``Simulator.can_replay`` still holds; otherwise runs
-    :meth:`Simulator._run_fast`, which drives every program's generator
-    view with identical results.
+    ``Simulator.can_replay`` still holds (never on the reference
+    engine, which compiles nothing); otherwise runs
+    :meth:`Simulator._run_reference`, which drives every program's
+    generator view with identical results.
     """
     state = sim._vector_state
     n_threads = len(sim._threads)
     if (state is None or not sim.can_replay
             or len(state.steps) != n_threads):
-        return sim._run_fast()
+        return sim._run_reference()
     pcs = [0] * n_threads
     try:
         return _replay_programs(sim, state.steps, state.pipes, pcs)
@@ -1000,7 +1006,7 @@ def _replay_programs(sim, progs, pipes, pcs):
     (:class:`_ReplayExhausted` replaces a per-event bound check), and
     the three watchdog comparisons share one fused guard.  Event order,
     event counts, watchdog trip points, and all accounting are
-    identical to ``_run_fast`` — only the per-event constant drops.
+    identical to ``_run_reference`` — only the per-event constant drops.
     ``pcs`` receives every thread's executed step count.
     """
     cfg = sim.config
@@ -1035,8 +1041,8 @@ def _replay_programs(sim, progs, pipes, pcs):
                 while True:
                     events += 1
                     if not events & 2047:
-                        # Same boundary as _run_fast: retire dead DRAM
-                        # timeline history (result-transparent).
+                        # Same boundary as _run_reference: retire dead
+                        # DRAM timeline history (result-transparent).
                         cutoff = now - 1.0
                         for s in slices:
                             s.retire_before(cutoff)

@@ -1,17 +1,17 @@
 """Differential conformance harness for the PIUMA DES.
 
-The simulator ships two bit-identical engines plus an analytical
+The simulator ships two bit-identical main loops plus an analytical
 model of the same kernel, which makes it unusually testable: any
-seeded workload can be run through the fast engine (which replays
-compiled op programs, or runs its peek-ahead loop when a sanitizer is
-armed), the reference engine, and the Equation 5 model, and the three
-answers cross-checked without hand-written expectations.  This package
+seeded workload can be run through compiled replay (the default
+engine, unchecked), the reference loop (with the invariant sanitizer
+armed), and the Equation 5 model, and the three answers cross-checked
+without hand-written expectations.  This package
 packages that idea:
 
 * :mod:`repro.testing.cases` — seeded RMAT/config case generation with
   greedy shrinking;
 * :mod:`repro.testing.oracle` — the three-way differential oracle
-  (fast vs reference bit-identity, both vs the Eq. 5 envelope);
+  (replay vs reference bit-identity, both vs the Eq. 5 envelope);
 * :mod:`repro.testing.metamorphic` — relations that must hold across
   config edits (more cores never slower beyond tolerance, more
   bandwidth never slower, vertex relabeling never changes throughput
@@ -29,7 +29,6 @@ from repro.testing.mutations import MUTATIONS, run_mutation
 from repro.testing.oracle import (
     differential_failures,
     run_case,
-    run_peek_ahead,
     run_sharded_case,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "run_case",
     "run_conformance",
     "run_mutation",
-    "run_peek_ahead",
     "run_sharded_case",
     "shrink",
 ]

@@ -2,13 +2,12 @@
 
 One call runs the whole safety net over a seeded case population:
 
-1. the three-way differential oracle on every case (fast vs reference
-   bit-identity, both vs the Eq. 5 envelope), with the runtime
-   invariant sanitizer armed at the requested ``check_level`` inside
-   every run;
+1. the three-way differential oracle on every case (unchecked replay
+   vs the reference loop with the runtime invariant sanitizer armed at
+   the requested ``check_level``, both vs the Eq. 5 envelope);
 2. the metamorphic relations on every case;
 3. the mutation smoke-checks — each seeded accounting perturbation
-   must be caught by its named invariant on every requested engine.
+   must be caught by its named invariant.
 
 The first failing case is greedily shrunk (same check, smaller
 graph/config) and the shrunk reproduction — with every failure record
@@ -22,19 +21,10 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 
-from repro.piuma.config import ENGINES
 from repro.testing.cases import generate_cases, shrink
 from repro.testing.metamorphic import metamorphic_failures
 from repro.testing.mutations import MUTATIONS, run_mutation
 from repro.testing.oracle import differential_failures, run_case
-
-#: Engine selections understood by :func:`run_conformance`: each name
-#: in :data:`~repro.piuma.config.ENGINES` alone, and ``"all"`` (fast vs
-#: reference).
-ENGINE_CHOICES = {
-    **{engine: (engine,) for engine in ENGINES},
-    "all": ENGINES,
-}
 
 
 @dataclass
@@ -50,7 +40,6 @@ class ConformanceReport:
 
     cases: int
     check_level: int
-    engines: tuple
     failures: list = field(default_factory=list)
     mutation_failures: list = field(default_factory=list)
     mutations_run: int = 0
@@ -66,7 +55,6 @@ class ConformanceReport:
             "passed": self.passed,
             "cases": self.cases,
             "check_level": self.check_level,
-            "engines": list(self.engines),
             "failures": self.failures,
             "mutation_failures": self.mutation_failures,
             "mutations_run": self.mutations_run,
@@ -77,8 +65,8 @@ class ConformanceReport:
     def summary(self):
         verdict = "PASS" if self.passed else "FAIL"
         text = (
-            f"[{verdict}] {self.cases} case(s) at check_level="
-            f"{self.check_level} on {'+'.join(self.engines)} engine(s); "
+            f"[{verdict}] {self.cases} case(s), replay vs reference at "
+            f"check_level={self.check_level}; "
             f"{self.mutations_run} mutation(s); "
             f"{len(self.failures)} oracle/metamorphic failure(s), "
             f"{len(self.mutation_failures)} sanitizer miss(es) "
@@ -87,21 +75,19 @@ class ConformanceReport:
         return text
 
 
-def _shrink_failure(case, failure, check_level, engines):
+def _shrink_failure(case, failure, check_level):
     """Minimize the case behind one oracle failure record."""
     check = failure["check"]
 
     def still_fails(candidate):
-        found = differential_failures(
-            candidate, check_level=check_level, engines=engines
-        )
+        found = differential_failures(candidate, check_level=check_level)
         return any(f["check"] == check for f in found)
 
     smallest = shrink(case, still_fails)
     return {"check": check, "case": smallest.to_json()}
 
 
-def run_conformance(n_cases=25, seed=0, check_level=2, engine="all", *,
+def run_conformance(n_cases=25, seed=0, check_level=2, *,
                     metamorphic=True, mutations=True, cases=None,
                     artifact=None, out=None):
     """Run the full conformance suite; returns a :class:`ConformanceReport`.
@@ -112,14 +98,9 @@ def run_conformance(n_cases=25, seed=0, check_level=2, engine="all", *,
         Size and seed of the generated case population (ignored when
         an explicit ``cases`` list is given).
     check_level:
-        Sanitizer level armed inside every differential run (the
-        metamorphic and mutation stages manage their own levels).  At
-        level 1 or above the fast engine runs its peek-ahead loop; at
-        level 0 it replays compiled op programs.
-    engine:
-        ``"fast"``, ``"reference"``, or ``"all"`` (both).
-        Bit-identity needs both; a single-engine run still exercises
-        the sanitizer and the model envelope.
+        Sanitizer level armed inside every differential run's
+        reference leg (the replay leg runs unchecked; the metamorphic
+        and mutation stages manage their own levels).
     metamorphic / mutations:
         Disable individual stages (the mutation stage patches engine
         classes, so e.g. a profiling run may want it off).
@@ -132,20 +113,15 @@ def run_conformance(n_cases=25, seed=0, check_level=2, engine="all", *,
     out:
         Progress callback (e.g. ``print``); ``None`` is silent.
     """
-    engines = ENGINE_CHOICES[engine]
     if cases is None:
         cases = generate_cases(n_cases, seed=seed)
     emit = out if out is not None else (lambda _line: None)
     started = time.perf_counter()
-    report = ConformanceReport(
-        cases=len(cases), check_level=check_level, engines=engines,
-    )
+    report = ConformanceReport(cases=len(cases), check_level=check_level)
 
     first_failure = None
     for case in cases:
-        failures = differential_failures(
-            case, check_level=check_level, engines=engines
-        )
+        failures = differential_failures(case, check_level=check_level)
         if metamorphic and not failures and case.degradation is None:
             # Reuse the oracle's base run only implicitly (results are
             # deterministic); relations re-run the unmodified case at
@@ -162,27 +138,24 @@ def run_conformance(n_cases=25, seed=0, check_level=2, engine="all", *,
 
     if mutations:
         for name, mutation in sorted(MUTATIONS.items()):
-            for eng in engines:
-                report.mutations_run += 1
-                error = run_mutation(name, engine=eng)
-                if error is None:
-                    report.mutation_failures.append({
-                        "mutation": name,
-                        "engine": eng,
-                        "detail": (
-                            "sanitizer did not fire at check_level="
-                            f"{mutation.level} ({mutation.description})"
-                        ),
-                    })
-                elif error.invariant != mutation.invariant:
-                    report.mutation_failures.append({
-                        "mutation": name,
-                        "engine": eng,
-                        "detail": (
-                            f"expected invariant {mutation.invariant!r} "
-                            f"but {error.invariant!r} fired: {error}"
-                        ),
-                    })
+            report.mutations_run += 1
+            error = run_mutation(name)
+            if error is None:
+                report.mutation_failures.append({
+                    "mutation": name,
+                    "detail": (
+                        "sanitizer did not fire at check_level="
+                        f"{mutation.level} ({mutation.description})"
+                    ),
+                })
+            elif error.invariant != mutation.invariant:
+                report.mutation_failures.append({
+                    "mutation": name,
+                    "detail": (
+                        f"expected invariant {mutation.invariant!r} "
+                        f"but {error.invariant!r} fired: {error}"
+                    ),
+                })
         emit(f"mutations: {report.mutations_run} run, "
              f"{len(report.mutation_failures)} missed")
 
@@ -193,9 +166,7 @@ def run_conformance(n_cases=25, seed=0, check_level=2, engine="all", *,
         if failure["check"].startswith(("invariant:", "engine-mismatch",
                                         "model-envelope:")):
             emit(f"shrinking {case.name} ({failure['check']})...")
-            report.shrunk = _shrink_failure(
-                case, failure, check_level, engines
-            )
+            report.shrunk = _shrink_failure(case, failure, check_level)
 
     report.wall_s = time.perf_counter() - started
     if artifact is not None:

@@ -6,8 +6,9 @@ works.  Each mutation here perturbs one *known accounting line* of the
 engine — the kind of silent bookkeeping bug the sanitizer exists to
 catch — and records which named invariant must fire, at which
 ``check_level``.  The conformance harness (and the CI lane) runs every
-mutation on both engine paths and fails if the expected invariant does
-not trip: a seeded-fault test of the safety net, not of the simulator.
+mutation once and fails if the expected invariant does not trip: a
+seeded-fault test of the safety net, not of the simulator.  A checked
+run cannot replay, so every mutation runs on the reference loop.
 
 Mutations patch *class* attributes (``DRAMSlice.request``,
 ``Timeline.backfill``, ``FluidResource.reserve``, ``Simulator``
@@ -112,7 +113,7 @@ def _dma_lost_bytes():
     The hot DMA handler is a closure inlined against the resources, so
     the accounting line itself cannot be patched; instead the dispatch
     entry is wrapped post-construction (the checker reads the dispatch
-    dict live, so the wrapper is on-path for both engine loops).
+    dict live, so the wrapper is on-path).
     """
     original_init = Simulator.__init__
 
@@ -280,14 +281,13 @@ SMOKE_CASE = ConformanceCase(
 )
 
 
-def run_mutation(name, check_level=None, case=None, engine="fast"):
+def run_mutation(name, check_level=None, case=None):
     """Run the smoke case under one mutation.
 
     Returns the :class:`InvariantViolation` the sanitizer raised, or
     ``None`` if the perturbed run completed silently (which the
     conformance harness treats as a failure of the safety net).
     ``check_level`` defaults to the mutation's guaranteed level.
-    ``engine`` names one of :data:`repro.piuma.config.ENGINES`.
     """
     mutation = MUTATIONS[name]
     if case is None:
@@ -296,7 +296,7 @@ def run_mutation(name, check_level=None, case=None, engine="fast"):
     level = mutation.level if check_level is None else check_level
     with mutation.patch():
         try:
-            run_case(case, check_level=level, engine=engine)
+            run_case(case, check_level=level)
         except InvariantViolation as error:
             return error
     return None

@@ -1,9 +1,12 @@
-"""Three-way differential oracle: fast engine vs reference engine vs Eq. 5.
+"""Three-way differential oracle: replay vs sanitized reference vs Eq. 5.
 
-The fast and reference engines promise *bit-identical* results
-(DESIGN.md, "Host performance"), so the first leg compares every
-observable of a :class:`~repro.piuma.kernels.KernelResult` exactly —
-no tolerances.  The second leg checks both against the analytical
+The DES's two main loops, compiled replay and the reference loop,
+promise *bit-identical* results (DESIGN.md, "Host performance"), so the
+first leg compares every observable of a
+:class:`~repro.piuma.kernels.KernelResult` exactly — no tolerances.  A
+checked run cannot replay, so that leg runs the default engine
+unchecked (replay) against the reference engine with the sanitizer
+armed.  The second leg checks both against the analytical
 Equation 5 model: the DES has real mechanisms the model ignores
 (latency chains, issue slots, queueing), so exact agreement is neither
 expected nor desirable, but the efficiency ratio lives inside a
@@ -15,14 +18,7 @@ envelope is for — it is a tripwire, not a precision claim.
 
 from __future__ import annotations
 
-from repro.piuma import (
-    effective_total_bandwidth,
-    run_spmm_kernel,
-    simulate_spmm,
-    spmm_kernel,
-    spmm_model,
-)
-from repro.piuma.config import ENGINES
+from repro.piuma import effective_total_bandwidth, simulate_spmm, spmm_model
 from repro.runtime.errors import InvariantViolation
 
 #: Per-kernel (min, max) bounds on DES gflops / Eq.5 model gflops,
@@ -47,36 +43,6 @@ def run_case(case, check_level=0, engine="fast"):
         config=case.config(check_level=check_level, engine=engine),
         kernel=case.kernel,
         window_edges=case.window_edges,
-    )
-
-
-def generator_threads(factory):
-    """``factory`` with its threads spawned as generators.
-
-    :func:`~repro.piuma.kernels.run_spmm_kernel` compiles the threads
-    of a ``program_safe`` factory into op programs whenever the run can
-    replay.  The wrapper carries no such marker, so its threads stay
-    generators and an unchecked run on the default engine takes the
-    peek-ahead loop (``Simulator._run_fast``) and its direct-dispatch
-    branch instead of replaying.
-    """
-    def thread(work, embedding_dim, config, shared=None):
-        return factory(work, embedding_dim, config, shared=shared)
-
-    return thread
-
-
-def run_peek_ahead(adj, embedding_dim, config, kernel="dma",
-                   window_edges=None):
-    """:func:`~repro.piuma.simulate_spmm` on the peek-ahead loop.
-
-    The same point with every thread spawned as a generator
-    (:func:`generator_threads`); bit-identical to the replayed run.
-    """
-    factory, splitter = spmm_kernel(kernel)
-    return run_spmm_kernel(
-        adj, embedding_dim, config, generator_threads(factory),
-        window_edges, splitter,
     )
 
 
@@ -193,65 +159,53 @@ def model_efficiency(case, result):
     return result.gflops / model.gflops if model.gflops > 0 else 0.0
 
 
-def differential_failures(case, check_level=2, engines=("fast", "reference")):
+def differential_failures(case, check_level=2):
     """Run the oracle on one case; returns failure records (empty = pass).
 
-    ``engines`` names engines from :data:`~repro.piuma.config.ENGINES`;
-    every result is compared bit-for-bit against the reference engine
-    (or the first engine that completed, when the reference was not
-    requested).
+    The case runs twice: on the default engine at ``check_level=0``,
+    where it replays compiled op programs, and on the reference engine
+    with the sanitizer armed at ``check_level``.  A checked run cannot
+    replay, so this pairing is what holds replay to the sanitized
+    reference loop.  The two results are compared bit-for-bit.
     Each failure is a plain dict: ``{"case", "check", "detail"}`` with
     ``check`` one of ``invariant:<engine>``, ``engine-mismatch``, or
     ``model-envelope:<engine>``.  An ``InvariantViolation`` raised by
-    the sanitizer inside any engine is captured as a failure record
-    rather than propagating — the harness reports, it does not crash.
+    the sanitizer is captured as a failure record rather than
+    propagating — the harness reports, it does not crash.
     """
     sharded = case.n_shards > 1
+    run = run_sharded_case if sharded else run_case
     failures = []
     results = {}
-    for engine in engines:
-        if engine not in ENGINES:
-            raise KeyError(f"unknown engine {engine!r}")
+    for engine, level in (("fast", 0), ("reference", check_level)):
         try:
-            if sharded:
-                results[engine] = run_sharded_case(
-                    case, check_level=check_level, engine=engine,
-                )
-            else:
-                results[engine] = run_case(
-                    case, check_level=check_level, engine=engine,
-                )
+            results[engine] = run(case, check_level=level, engine=engine)
         except InvariantViolation as error:
             failures.append({
                 "case": case.name,
                 "check": f"invariant:{engine}",
                 "detail": str(error),
             })
-    if len(results) >= 2:
-        base_name = ("reference" if "reference" in results
-                     else next(iter(results)))
-        base = case_signature(case, results[base_name])
-        for engine, result in results.items():
-            if engine == base_name:
-                continue
-            sig = case_signature(case, result)
-            if sig != base:
-                diverged = sorted(
-                    key for key in sig if sig[key] != base[key]
-                )
-                failures.append({
-                    "case": case.name,
-                    "check": "engine-mismatch",
-                    "detail": (
-                        f"{engine} and {base_name} engines disagree on "
-                        f"{', '.join(diverged)}: "
-                        + "; ".join(
-                            f"{key} {engine}={sig[key]!r} "
-                            f"{base_name}={base[key]!r}"
-                            for key in diverged[:3]
-                        )
-                    ),
-                })
+    if len(results) == 2:
+        fast = case_signature(case, results["fast"])
+        reference = case_signature(case, results["reference"])
+        diverged = sorted(
+            key for key in fast if fast[key] != reference[key]
+        )
+        if diverged:
+            failures.append({
+                "case": case.name,
+                "check": "engine-mismatch",
+                "detail": (
+                    "fast and reference engines disagree on "
+                    f"{', '.join(diverged)}: "
+                    + "; ".join(
+                        f"{key} fast={fast[key]!r} "
+                        f"reference={reference[key]!r}"
+                        for key in diverged[:3]
+                    )
+                ),
+            })
     if sharded:
         # Tier-3 oracle of the sharded path: the assembled end-to-end
         # multi-node time must live inside the Eq.5-derived DGAS

@@ -45,3 +45,31 @@ def small_rmat():
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Names of the DES main loops run in this test, in call order.
+
+    ``"replay"`` for compiled replay (``vector_engine._replay_programs``)
+    and ``"reference"`` for ``Simulator._run_reference``.  Only runs in
+    this process are seen.
+    """
+    from repro.piuma import vector_engine
+    from repro.piuma.engine import Simulator
+
+    calls = []
+    run_reference = Simulator._run_reference
+    replay = vector_engine._replay_programs
+
+    def spy_reference(sim):
+        calls.append("reference")
+        return run_reference(sim)
+
+    def spy_replay(*args):
+        calls.append("replay")
+        return replay(*args)
+
+    monkeypatch.setattr(Simulator, "_run_reference", spy_reference)
+    monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
+    return calls

@@ -276,7 +276,6 @@ class TestEngineFlags:
             "sweep": ENGINES,
             "multinode": ENGINES,
             "resilience": ENGINES,
-            "check": ENGINES + ("all",),
         }
 
     @pytest.mark.parametrize("engine", ("auto", "calendar", "vector"))
@@ -298,6 +297,22 @@ class TestEngineFlags:
         ])
         assert "fast and reference engines bit-identical" in text
         assert "engine mismatch" not in text
+
+    def test_resilience_verifies_replay_against_checked_reference(
+            self, tmp_path, monkeypatch, loop_calls):
+        # At the default --check-level 1 a fast-engine run cannot
+        # replay, so --verify-engines runs the fast leg unchecked:
+        # every severity replays once and runs the sanitized
+        # reference loop once.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code, text = run_cli([
+            "resilience", "--verify-engines",
+            "--max-vertices", "1024", "--cores", "2", "--hidden", "16",
+            "--severities", "0", "0.5", "--workers", "1",
+        ])
+        assert code == 0, text
+        assert "--check-level 1" in text
+        assert sorted(loop_calls) == ["reference"] * 2 + ["replay"] * 2
 
     def test_resilience_refuses_to_verify_reference_against_itself(self):
         code, text = run_cli(["resilience", "--engine", "reference",

@@ -363,10 +363,9 @@ class TestDifferentialUnderFaults:
 
     The degraded mirror of ``test_engine_fastpath.TestDifferential``:
     21 points spanning kernels, core counts, and randomized fault specs
-    run through the peek-ahead, reference, and replay main loops —
-    every fingerprint field must match exactly.  The level-1 sanitizer
-    runs inside the fast engine (which then takes its peek-ahead loop)
-    and the reference engine; the replay leg runs the fast engine at
+    run through the replay and reference main loops — every
+    fingerprint field must match exactly.  The reference leg runs with
+    the level-1 sanitizer armed; the replay leg runs the fast engine at
     ``check_level=0``, the only level at which it replays compiled
     programs.
     """
@@ -413,12 +412,9 @@ class TestDifferentialUnderFaults:
             seed=point["graph_seed"],
         )
         results = {}
-        for name, engine, check_level in (
-            ("fast", "fast", 1), ("reference", "reference", 1),
-            ("replay", "fast", 0),
-        ):
+        for engine, check_level in (("reference", 1), ("fast", 0)):
             try:
-                results[name] = simulate_spmm(
+                results[engine] = simulate_spmm(
                     adj, point["embedding_dim"],
                     PIUMAConfig(
                         n_cores=point["n_cores"],
@@ -430,14 +426,10 @@ class TestDifferentialUnderFaults:
                     kernel=point["kernel"],
                 )
             except HardwareExhausted as error:
-                results[name] = ("exhausted", error.cause)
-        fast = results["fast"]
-        for name in ("reference", "replay"):
-            other = results[name]
-            if isinstance(fast, tuple) or isinstance(other, tuple):
-                # Structured exhaustion must be engine-independent too.
-                assert fast == other, (name, point)
-            else:
-                assert _fingerprint(fast) == _fingerprint(other), (
-                    name, point,
-                )
+                results[engine] = ("exhausted", error.cause)
+        fast, reference = results["fast"], results["reference"]
+        if isinstance(fast, tuple) or isinstance(reference, tuple):
+            # Structured exhaustion must be engine-independent too.
+            assert fast == reference, point
+        else:
+            assert _fingerprint(fast) == _fingerprint(reference), point

@@ -1,21 +1,18 @@
-"""Bit-identity of the three DES main loops.
+"""Bit-identity of the two DES main loops.
 
 ``PIUMAConfig.engine`` has two values.  The default ``fast`` engine
 replays op programs compiled at spawn time, with deferred integral
-counters settled post-run, and runs the peek-ahead/type-dispatch loop
-for any run it cannot replay; ``reference`` is the plain
-pop/execute/push loop.  All three loops must produce **bit-identical
-results** — same ``end_time``, per-tag stats, utilizations, bandwidth,
-and event count.  This suite pins golden numbers on a fixed window and
-differentially fuzzes the loops across a randomized RMAT grid covering
-every kernel, so any divergence introduced by a hot-path
-"optimization" fails loudly.
+counters settled post-run, and runs the reference loop for any run it
+cannot replay; ``reference`` always runs the plain pop/execute/push
+loop.  Both loops must produce **bit-identical results** — same
+``end_time``, per-tag stats, utilizations, bandwidth, and event count.
+This suite pins golden numbers on a fixed window and differentially
+fuzzes the loops across a randomized RMAT grid covering every kernel,
+so any divergence introduced by a hot-path "optimization" fails loudly.
 
-Every golden and fuzz point runs four legs: the default config at
-``check_level=0`` (replay), the same point with threads spawned as
-generators at ``check_level=0`` (the peek-ahead loop's direct-dispatch
-branch), the peek-ahead loop with the level-1 sanitizer armed, and the
-reference loop.
+Every golden and fuzz point runs three legs: the default config at
+``check_level=0`` (replay), the reference loop, and the reference loop
+with the level-1 sanitizer armed (the loop every checked run takes).
 """
 
 import random
@@ -30,7 +27,6 @@ from repro.piuma.ops import DMAOp
 from repro.piuma.spmm_dma import dma_thread
 from repro.piuma.spmm_dynamic import simulate_spmm_dynamic
 from repro.runtime.errors import SimulationDiverged
-from repro.testing.oracle import run_peek_ahead
 
 
 def _result_fingerprint(result):
@@ -62,21 +58,8 @@ def _both_paths(adj, embedding_dim, kernel="dma", **overrides):
     return fast, ref
 
 
-def _peek_ahead_path(adj, embedding_dim, kernel="dma", **overrides):
-    """Default engine at ``check_level=0`` with generator threads.
-
-    The unchecked default run replays compiled programs; spawning the
-    same threads as generators sends it through ``_run_fast`` with no
-    ``_execute`` hook, so the direct type-table dispatch stays checked
-    on the static kernels.
-    """
-    return run_peek_ahead(
-        adj, embedding_dim, PIUMAConfig(**overrides), kernel=kernel,
-    )
-
-
 def _checked_fast_path(adj, embedding_dim, kernel="dma", **overrides):
-    """Peek-ahead loop with the level-1 sanitizer armed."""
+    """Default engine with the level-1 sanitizer armed (reference loop)."""
     return simulate_spmm(
         adj, embedding_dim,
         PIUMAConfig(engine="fast", check_level=1, **overrides),
@@ -98,8 +81,6 @@ class TestGolden:
     def test_pinned_end_time_and_stats(self, window):
         fast, ref = _both_paths(window, 64, n_cores=4)
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        peek = _peek_ahead_path(window, 64, n_cores=4)
-        assert _result_fingerprint(peek) == _result_fingerprint(fast)
         checked = _checked_fast_path(window, 64, n_cores=4)
         assert _result_fingerprint(checked) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(41025.25, rel=1e-12)
@@ -115,8 +96,6 @@ class TestGolden:
     def test_loop_kernel_pinned(self, window):
         fast, ref = _both_paths(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        peek = _peek_ahead_path(window, 64, kernel="loop", n_cores=4)
-        assert _result_fingerprint(peek) == _result_fingerprint(fast)
         checked = _checked_fast_path(window, 64, kernel="loop", n_cores=4)
         assert _result_fingerprint(checked) == _result_fingerprint(fast)
         assert fast.sim_time_ns == pytest.approx(42644.5625, rel=1e-12)
@@ -160,14 +139,6 @@ class TestDifferential:
             threads_per_mtp=point["threads_per_mtp"],
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref), point
-        peek = _peek_ahead_path(
-            adj, point["embedding_dim"], kernel=point["kernel"],
-            n_cores=point["n_cores"],
-            threads_per_mtp=point["threads_per_mtp"],
-        )
-        assert _result_fingerprint(peek) == _result_fingerprint(
-            fast
-        ), point
         checked = _checked_fast_path(
             adj, point["embedding_dim"], kernel=point["kernel"],
             n_cores=point["n_cores"],
@@ -189,7 +160,7 @@ class TestDifferential:
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
         # The work-stealing kernel is not program_safe: its threads
         # stay generator-driven and the default run takes the
-        # peek-ahead loop, checked or not, still bit-identical.
+        # reference loop, checked or not, still bit-identical.
         checked = simulate_spmm_dynamic(
             adj, 32,
             PIUMAConfig(n_cores=2, threads_per_mtp=2, check_level=1),
@@ -208,9 +179,6 @@ class TestDifferential:
                 simulate_spmm(adj, 32, config, kernel="dma")
             assert err.value.cause == "max_events", engine
             messages.add(str(err.value))
-        with pytest.raises(SimulationDiverged) as err:
-            run_peek_ahead(adj, 32, PIUMAConfig(n_cores=4, max_events=5000))
-        messages.add(str(err.value))
         assert len(messages) == 1
 
 

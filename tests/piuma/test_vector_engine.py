@@ -8,7 +8,7 @@ integral counters settled from executed step prefixes, the release of
 every replayed simulator — and at which loop a default-engine run
 executes: compiled replay when every thread is a program, no
 ``_execute`` hook is bound and every deferred addend is integral, the
-peek-ahead loop otherwise (a generator thread, a wrapped DMA dispatch,
+reference loop otherwise (a generator thread, a wrapped DMA dispatch,
 the sanitizer armed, a fractional addend).
 """
 
@@ -30,7 +30,6 @@ from repro.piuma.spmm_dma import dma_thread
 from repro.piuma import vector_engine
 from repro.piuma.vector_engine import _merge_backfill
 from repro.runtime.errors import SimulationDiverged
-from repro.testing.oracle import run_peek_ahead
 
 
 def _fingerprint(result):
@@ -225,21 +224,22 @@ class TestPlanCache:
 class TestEquivalence:
     def test_compiled_matches_generator_driven(self):
         # The same work spawned as compiled programs (replay) and as
-        # generators (peek-ahead) — the raw simulator state must agree.
+        # generators (the reference loop) — the raw simulator state
+        # must agree.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         replayed = Simulator(config)
         _spawn_all(replayed, adj, 32, config, as_programs=True)
         replayed.run()
-        peek = Simulator(config)
-        _spawn_all(peek, adj, 32, config, as_programs=False)
-        peek.run()
-        assert _sim_fingerprint(replayed) == _sim_fingerprint(peek)
-        assert _resource_state(replayed) == _resource_state(peek)
+        generators = Simulator(config)
+        _spawn_all(generators, adj, 32, config, as_programs=False)
+        generators.run()
+        assert _sim_fingerprint(replayed) == _sim_fingerprint(generators)
+        assert _resource_state(replayed) == _resource_state(generators)
 
     def test_mixed_program_and_generator_threads(self):
         # Half the threads compiled, half generator-driven: the run
-        # goes to the peek-ahead loop and still matches.
+        # goes to the reference loop and still matches.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
@@ -255,16 +255,16 @@ class TestEquivalence:
             else:
                 sim.spawn(generator, work.core, work.mtp)
         sim.run()
-        peek = Simulator(config)
-        _spawn_all(peek, adj, 32, config, as_programs=False)
-        peek.run()
-        assert _sim_fingerprint(sim) == _sim_fingerprint(peek)
+        replayed = Simulator(config)
+        _spawn_all(replayed, adj, 32, config, as_programs=True)
+        replayed.run()
+        assert _sim_fingerprint(sim) == _sim_fingerprint(replayed)
 
     def test_wrapped_dma_dispatch_falls_back(self):
         # Anything that replaces the DMA dispatch entry (the mutation
         # harness, instrumentation) must stay on-path: compile_thread
         # stops compiling rather than routing compiled plans around
-        # the wrapper, and the run goes to the peek-ahead loop.
+        # the wrapper, and the run goes to the reference loop.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
@@ -281,14 +281,14 @@ class TestEquivalence:
         assert sim._vector_state is None
         sim.run()
         assert calls, "wrapped dispatch was never invoked"
-        peek = Simulator(config)
-        _spawn_all(peek, adj, 32, config, as_programs=False)
-        peek.run()
-        assert _sim_fingerprint(sim) == _sim_fingerprint(peek)
+        replayed = Simulator(config)
+        _spawn_all(replayed, adj, 32, config, as_programs=True)
+        replayed.run()
+        assert _sim_fingerprint(sim) == _sim_fingerprint(replayed)
 
     def test_dense_kernel_bit_identical(self):
-        # DenseMM replays by default too: replay, the checked
-        # peek-ahead loop and the reference loop agree exactly.
+        # DenseMM replays by default too: replay and the reference
+        # loop, checked and unchecked, agree exactly.
         from repro.piuma.densemm_kernel import simulate_dense_mm
 
         results = [
@@ -298,7 +298,7 @@ class TestEquivalence:
         assert results[0] == results[1] == results[2]
 
     def test_checked_replay_at_level2(self):
-        # At check_level=2 the default engine runs the peek-ahead loop
+        # At check_level=2 the default engine runs the reference loop
         # with the sanitizer on every op; results still bit-identical
         # to the unchecked, replayed run.
         adj = _adj()
@@ -314,30 +314,12 @@ class TestLoopSelection:
 
     Compiled replay (``_replay_programs``) needs every thread compiled,
     no ``_execute`` hook bound and every deferred addend integral;
-    every other run goes to ``Simulator._run_fast``, which drives the
-    programs' generator views.
+    every other run goes to ``Simulator._run_reference``, which drives
+    the programs' generator views.
     """
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        run_fast = Simulator._run_fast
-        replay = vector_engine._replay_programs
-
-        def spy_fast(sim):
-            calls.append("fast")
-            return run_fast(sim)
-
-        def spy_replay(*args):
-            calls.append("replay")
-            return replay(*args)
-
-        monkeypatch.setattr(Simulator, "_run_fast", spy_fast)
-        monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
-        return calls
-
     @pytest.mark.parametrize("kernel", ["spmm", "dense"])
-    def test_default_static_kernels_replay(self, calls, kernel):
+    def test_default_static_kernels_replay(self, loop_calls, kernel):
         """A default-config static kernel at level 0 replays."""
         from repro.piuma.densemm_kernel import simulate_dense_mm
 
@@ -346,33 +328,33 @@ class TestLoopSelection:
             simulate_spmm(_adj(), 16, config, window_edges=1024)
         else:
             simulate_dense_mm(256, 16, 16, config, window_rows=256)
-        assert calls == ["replay"]
+        assert loop_calls == ["replay"]
 
-    def test_unchecked_programs_replay(self, calls):
+    def test_unchecked_programs_replay(self, loop_calls):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         sim.run()
-        assert calls == ["replay"]
+        assert loop_calls == ["replay"]
 
-    def test_checked_run_takes_fast_loop(self, calls):
+    def test_checked_run_takes_reference_loop(self, loop_calls):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2, check_level=1)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         assert sim._vector_state is None
         sim.run()
-        assert calls == ["fast"]
+        assert loop_calls == ["reference"]
 
-    def test_generator_thread_takes_fast_loop(self, calls):
+    def test_generator_thread_takes_reference_loop(self, loop_calls):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         work = split_work(_adj(), config, 2048)[0]
         sim.spawn(dma_thread(work, 32, config), work.core, work.mtp)
         sim.run()
-        assert calls == ["fast"]
+        assert loop_calls == ["reference"]
 
-    def test_detached_tracer_lets_the_run_replay(self, calls):
+    def test_detached_tracer_lets_the_run_replay(self, loop_calls):
         from repro.piuma.trace import Tracer
 
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
@@ -381,11 +363,11 @@ class TestLoopSelection:
         assert "_execute" not in sim.__dict__
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         sim.run()
-        assert calls == ["replay"]
+        assert loop_calls == ["replay"]
 
     @pytest.mark.parametrize("kernel", ["spmm", "dense"])
-    def test_checked_kernel_spawns_generators(self, calls, monkeypatch,
-                                              kernel):
+    def test_checked_kernel_spawns_generators(self, loop_calls,
+                                              monkeypatch, kernel):
         """A sanitized run cannot replay, so nothing is compiled."""
         from repro.piuma.densemm_kernel import simulate_dense_mm
 
@@ -399,9 +381,10 @@ class TestLoopSelection:
             simulate_spmm(_adj(), 16, config, window_edges=1024)
         else:
             simulate_dense_mm(256, 16, 16, config, window_rows=256)
-        assert calls == ["fast"]
+        assert loop_calls == ["reference"]
 
-    def test_reference_engine_compiles_nothing(self, calls, monkeypatch):
+    def test_reference_engine_compiles_nothing(self, loop_calls,
+                                               monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("compiled a reference-engine run")
 
@@ -409,9 +392,9 @@ class TestLoopSelection:
         simulate_spmm(_adj(), 16, PIUMAConfig(n_cores=2,
                                               engine="reference"),
                       window_edges=1024)
-        assert calls == []
+        assert loop_calls == ["reference"]
 
-    def test_wrapped_dma_dispatch_takes_fast_loop(self, calls):
+    def test_wrapped_dma_dispatch_takes_reference_loop(self, loop_calls):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
         inner = sim._dispatch[DMAOp]
@@ -420,9 +403,10 @@ class TestLoopSelection:
         )
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         sim.run()
-        assert calls == ["fast"]
+        assert loop_calls == ["reference"]
 
-    def test_fractional_addend_takes_fast_loop(self, calls, monkeypatch):
+    def test_fractional_addend_takes_reference_loop(self, loop_calls,
+                                                    monkeypatch):
         # K=40 rows are 160 bytes, three cache lines, so a DMA read
         # stripes 53.33 bytes over three slices: a counter addend no
         # batched integer settle can reproduce, so the run is not
@@ -440,7 +424,7 @@ class TestLoopSelection:
         adj = _adj()
         config = PIUMAConfig(n_cores=4, threads_per_mtp=2)
         result = simulate_spmm(adj, 40, config, window_edges=1024)
-        assert calls == ["fast"]
+        assert loop_calls == ["reference"]
         assert len(drains) == 1 < config.n_threads
         reference = simulate_spmm(
             adj, 40, config.with_(engine="reference"), window_edges=1024,
@@ -507,7 +491,7 @@ class TestDegradedPresets:
     def test_preset_bit_identical_checked(self, preset):
         # Every shipped degradation preset: compiled replay (default
         # engine, check_level=0) must reproduce the sanitized
-        # peek-ahead loop (check_level=1) bit-for-bit on a degraded
+        # reference loop (check_level=1) bit-for-bit on a degraded
         # fabric too (stall windows, retries, rerouting).
         adj = _adj()
         spec = DEGRADATION_PRESETS[preset]
@@ -526,15 +510,14 @@ class TestWatchdogParity:
 
     The deferred counters make this subtle: a mid-run raise must
     settle the executed prefix exactly, so the structured payloads —
-    cause, event count, simulated time — must match the peek-ahead
+    cause, event count, simulated time — must match the reference
     loop's.
     """
 
-    def _trip(self, replay, **ceilings):
-        config = PIUMAConfig(n_cores=2, **ceilings)
-        run = simulate_spmm if replay else run_peek_ahead
+    def _trip(self, engine, **ceilings):
+        config = PIUMAConfig(n_cores=2, engine=engine, **ceilings)
         with pytest.raises(SimulationDiverged) as err:
-            run(_adj(), 16, config, window_edges=1024)
+            simulate_spmm(_adj(), 16, config, window_edges=1024)
         return err.value.payload()
 
     @pytest.mark.parametrize("ceilings", [
@@ -542,34 +525,31 @@ class TestWatchdogParity:
         {"max_sim_ns": 400.0},
     ], ids=["max_events", "max_sim_ns"])
     def test_trip_payloads_match_fast(self, ceilings):
-        assert self._trip(True, **ceilings) == self._trip(
-            False, **ceilings
+        assert self._trip("fast", **ceilings) == self._trip(
+            "reference", **ceilings
         )
 
-    def test_stall_trip_matches_fast(self):
-        # A zero-cost spinner is generator-driven (no program): the
-        # stall detector must fire identically in both engines.
+    def test_stall_trip_matches_fast(self, loop_calls):
+        # A zero-cost spinner program: the stall detector must fire
+        # identically in replay and in the reference loop.
         from repro.piuma.ops import Compute
 
+        spin = Compute(n_instrs=0, tag="spin")
         payloads = {}
         for engine in ("fast", "reference"):
             sim = Simulator(
                 PIUMAConfig(n_cores=1, engine=engine, stall_events=100)
             )
-
-            def spinner():
-                while True:
-                    yield Compute(n_instrs=0, tag="spin")
-
-            sim.spawn(spinner(), 0, 0)
+            sim.spawn_program(OpProgram.from_generator([spin] * 200), 0, 0)
             with pytest.raises(SimulationDiverged) as err:
                 sim.run()
             payloads[engine] = err.value.payload()
+        assert loop_calls == ["replay", "reference"]
         assert payloads["reference"] == payloads["fast"]
 
     def test_partial_settle_is_exact(self):
         # After a max_events trip, the replay's settled counters must
-        # equal the peek-ahead loop's live accounting at the same event
+        # equal the reference loop's live accounting at the same event
         # — the executed-prefix settle, exercised end-to-end.
         state = {}
         for as_programs in (True, False):

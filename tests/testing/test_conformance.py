@@ -1,17 +1,17 @@
 """Tests for the differential conformance subsystem itself.
 
-The acceptance bar from the issue lives here: at least four seeded
-accounting perturbations, each caught by its *named* invariant at
-``check_level >= 1``, on both engine paths.  The rest covers the
-machinery around that bar — deterministic case generation, shrinking,
-JSON round-trips, the calibrated Eq. 5 envelopes, and the orchestrator.
+The acceptance bar lives here: at least four seeded accounting
+perturbations, each caught by its *named* invariant at
+``check_level >= 1``.  The rest covers the machinery around that bar —
+deterministic case generation, shrinking, JSON round-trips, the
+calibrated Eq. 5 envelopes, the loops the oracle pairs, and the
+orchestrator.
 """
 
 import json
 
 import pytest
 
-from repro.piuma.config import ENGINES
 from repro.runtime.errors import InvariantViolation
 from repro.testing import (
     MUTATIONS,
@@ -86,25 +86,23 @@ class TestShrinking:
 
 
 class TestMutationsCaught:
-    """The issue's acceptance criterion: >= 4 seeded perturbations,
-    each caught by its named invariant at check_level >= 1."""
+    """>= 4 seeded perturbations, each caught by its named invariant
+    at check_level >= 1."""
 
     def test_at_least_four_level1_mutations(self):
         assert sum(1 for m in MUTATIONS.values() if m.level == 1) >= 4
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_sanitizer_fires_with_exact_attribution(self, name, engine):
-        # The full backend matrix: every seeded perturbation must be
-        # caught by its named invariant on every engine.  A checked run
-        # on the fast engine takes its peek-ahead loop, so the replay
-        # loop's deferred bookkeeping can never route around the
-        # sanitizer.
+    def test_sanitizer_fires_with_exact_attribution(self, name):
+        # Every seeded perturbation must be caught by its named
+        # invariant.  A checked run cannot replay, so it takes the
+        # reference loop; replay's deferred bookkeeping is held to
+        # that loop by the differential oracle instead.
         mutation = MUTATIONS[name]
         assert mutation.level >= 1
-        error = run_mutation(name, engine=engine)
+        error = run_mutation(name)
         assert isinstance(error, InvariantViolation), (
-            f"sanitizer missed mutation {name!r} on {engine}"
+            f"sanitizer missed mutation {name!r}"
         )
         assert error.invariant == mutation.invariant
 
@@ -135,24 +133,19 @@ class TestOracle:
         case = generate_cases(1, seed=0)[0]
         assert differential_failures(case, check_level=2) == []
 
-    def test_single_engine_skips_bit_identity(self):
-        case = generate_cases(1, seed=0)[0]
-        assert differential_failures(
-            case, check_level=1, engines=("fast",)
-        ) == []
-
     def test_level0_engine_matrix(self):
-        # At check_level=0 the fast engine replays compiled programs:
-        # the oracle then holds replay to the reference loop.
+        # At check_level=0 both legs run unchecked: replay against the
+        # plain reference loop.
         case = generate_cases(1, seed=0)[0]
-        assert differential_failures(
-            case, check_level=0, engines=("fast", "reference")
-        ) == []
+        assert differential_failures(case, check_level=0) == []
 
-    def test_unknown_engine_rejected(self):
+    def test_replay_checked_against_sanitized_reference(self, loop_calls):
+        # A checked run cannot replay, so the oracle pairs one
+        # unchecked replay with one sanitized reference run.
         case = generate_cases(1, seed=0)[0]
-        with pytest.raises(KeyError):
-            differential_failures(case, engines=("warp",))
+        assert case.n_shards == 1
+        assert differential_failures(case, check_level=2) == []
+        assert sorted(loop_calls) == ["reference", "replay"]
 
 
 def test_metamorphic_relations_hold_on_smoke_case():
@@ -164,29 +157,20 @@ class TestRunConformance:
     def test_small_population_passes(self, tmp_path):
         artifact = tmp_path / "report" / "conformance.json"
         report = run_conformance(
-            n_cases=2, seed=0, check_level=2, engine="all",
+            n_cases=2, seed=0, check_level=2,
             metamorphic=False, mutations=False, artifact=artifact,
         )
         assert report.passed
         assert report.cases == 2
-        assert report.engines == ("fast", "reference")
         assert "PASS" in report.summary()
         data = json.loads(artifact.read_text())
         assert data["passed"] is True
         assert data["check_level"] == 2
 
-    def test_engine_selection(self):
-        report = run_conformance(
-            n_cases=1, seed=0, check_level=1, engine="reference",
-            metamorphic=False, mutations=False,
-        )
-        assert report.engines == ("reference",)
-        assert report.passed
-
     def test_progress_callback_sees_every_case(self):
         lines = []
         report = run_conformance(
-            n_cases=2, seed=0, check_level=1, engine="fast",
+            n_cases=2, seed=0, check_level=1,
             metamorphic=False, mutations=False, out=lines.append,
         )
         assert report.passed
