@@ -6,11 +6,11 @@ the Fig 5 medium point (`products` window, K=256, 8 cores) through
 both main loops the engine ships:
 
 * ``replay``: the default engine (``PIUMAConfig()``) at
-  ``check_level=0``, which replays op programs compiled at
-  ``spawn_program`` time (``repro.piuma.vector_engine``) — one
-  constant-bound closure per (op, core), ``run()`` only replays them in
-  exact (when, seq) event order, deferred integral counters settled
-  post-run;
+  ``check_level=0``, which replays the op program the kernel emits for
+  all threads, compiled at ``spawn_programs`` time
+  (``repro.piuma.vector_engine``) — one constant-bound closure per
+  (op, core), ``run()`` only replays them in exact (when, seq) event
+  order, deferred integral counters settled post-run;
 * ``reference``: the plain pop/execute/push loop kept as the
   semantics oracle.  It is also the loop every run replay cannot take
   runs, checked runs included.
@@ -29,9 +29,11 @@ raw per-round samples go into the JSON artifact so a flaky CI run can
 be diagnosed from the record alone.
 
 Each column times ``Simulator.run`` (``host_wall_s``).  Replay moves
-the op-stream drain and plan compilation out of ``run()`` into spawn
+op-stream emission and plan compilation out of ``run()`` into spawn
 time, so the artifact also records each loop's whole-point wall
-(``point_wall_s``: work split, spawn, drain, compile, run, projection).
+(``point_wall_s``: work split, emission, compile, run, projection) and
+its spawn time (``spawn_s``, the point wall minus ``run()``).  Spawn
+time carries no guard.
 
 On replay's expectations, honestly: ``run()`` measures ~2.1-2.5x the
 reference loop on this point (CPython 3.11).  The measured
@@ -143,6 +145,9 @@ def test_host_perf(emit):
             "host_wall_s": medians[loop],
             "events_per_s": base.events / medians[loop],
             "point_wall_s": statistics.median(walls[loop]),
+            "spawn_s": statistics.median(
+                wall - run for wall, run in zip(walls[loop], samples[loop])
+            ),
             "rounds_host_wall_s": samples[loop],
             "rounds_point_wall_s": walls[loop],
         }
@@ -193,7 +198,8 @@ def test_host_perf(emit):
         column = columns[loop]
         return (f"{label:<18}{column['host_wall_s']:.4f}s  "
                 f"({column['events_per_s']:,.0f} events/s; whole point "
-                f"{column['point_wall_s']:.4f}s)")
+                f"{column['point_wall_s']:.4f}s, spawn "
+                f"{column['spawn_s']:.4f}s)")
 
     emit(
         "host_perf",
@@ -206,7 +212,7 @@ def test_host_perf(emit):
             f"check_level=1:    {checked_s:.4f}s  "
             f"({check_overhead:.3f}x the unchecked reference loop)",
             f"replay vs reference: {replay_vs_ref:.2f}x",
-            f"[written to {path}]",
+            f"[written to benchmarks/out/{path.name}]",
         ]),
     )
 

@@ -259,7 +259,8 @@ def _build_parser():
                                  "--engine fast (compiled replay) and on "
                                  "the reference engine at --check-level, "
                                  "and require bit-identity; the curve "
-                                 "comes from the reference run")
+                                 "comes from the reference run (both "
+                                 "runs bypass the result cache)")
     resilience.add_argument("--workers", type=int, default=None)
     resilience.add_argument("--no-cache", action="store_true",
                             help="bypass the on-disk result cache")
@@ -826,17 +827,18 @@ def _cmd_resilience(args, out):
         return task
 
     tasks = [task_for(s) for s in severities]
-    cache = ResultCache(enabled=not args.no_cache)
     mismatches = []
     if args.verify_engines:
         # A checked run cannot replay, so the identity check pairs
         # unchecked replay with the reference loop at --check-level;
-        # the sanitized reference run gives the curve.
-        replay = run_sweep(tasks, workers=args.workers, cache=cache,
+        # the sanitized reference run gives the curve.  Both legs
+        # bypass the cache: a cached record would verify nothing.
+        uncached = ResultCache(enabled=False)
+        replay = run_sweep(tasks, workers=args.workers, cache=uncached,
                            check_level=0)
         report = run_sweep(
             [task_for(s, engine="reference") for s in severities],
-            workers=args.workers, cache=cache,
+            workers=args.workers, cache=uncached,
             check_level=args.check_level,
         )
         for severity, got, ref in zip(
@@ -849,7 +851,8 @@ def _cmd_resilience(args, out):
             if diverged:
                 mismatches.append((severity, diverged))
     else:
-        report = run_sweep(tasks, workers=args.workers, cache=cache,
+        report = run_sweep(tasks, workers=args.workers,
+                           cache=ResultCache(enabled=not args.no_cache),
                            check_level=args.check_level)
 
     low, high = ENVELOPES[args.kernel]

@@ -12,12 +12,19 @@ updates the DMA streams do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.piuma.engine import Simulator
 from repro.piuma.ops import Compute, DMAOp, OpProgram
-from repro.piuma.spmm_loop import owner_core, setup_done
+from repro.piuma.spmm_loop import (
+    core_op,
+    intern_codes,
+    owner_core,
+    owner_core_array,
+    setup_done,
+)
 
 #: Scalar instructions per MAC: PIUMA's pipelines have no SIMD, so one
 #: MAC is one instruction, plus amortized loop/address bookkeeping.
@@ -36,6 +43,17 @@ class DenseKernelResult:
     pipeline_utilization: float
 
 
+def _mac_op(in_dim, out_dim, shared):
+    """The interned MAC burst of one row."""
+    op = shared.get("mac")
+    if op is None:
+        op = shared["mac"] = Compute(
+            n_instrs=max(1, int(round(in_dim * out_dim * INSTRS_PER_MAC))),
+            tag="dense_mac",
+        )
+    return op
+
+
 def dense_thread(rows, in_dim, out_dim, config, core_of_row, shared=None):
     """Thread generator: stream rows, MAC them against the resident W.
 
@@ -47,14 +65,10 @@ def dense_thread(rows, in_dim, out_dim, config, core_of_row, shared=None):
     """
     row_in_bytes = in_dim * config.feature_bytes
     row_out_bytes = out_dim * config.feature_bytes
-    macs = in_dim * out_dim
-    instrs = max(1, int(round(macs * INSTRS_PER_MAC)))
     if shared is None:
         shared = {}
     yield setup_done(shared)
-    mac_op = shared.get("mac")
-    if mac_op is None:
-        mac_op = shared["mac"] = Compute(n_instrs=instrs, tag="dense_mac")
+    mac_op = _mac_op(in_dim, out_dim, shared)
     in_ops = shared.setdefault("in", {})    # target core -> DMAOp (stream-in)
     out_ops = shared.setdefault("out", {})  # target core -> DMAOp (stream-out)
     for row in rows:
@@ -76,8 +90,50 @@ def dense_thread(rows, in_dim, out_dim, config, core_of_row, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram for replay.
-dense_thread.program_safe = True
+def emit_dense(thread_rows, in_dim, out_dim, config, shared):
+    """:func:`dense_thread`'s op streams for every thread at once.
+
+    ``thread_rows`` holds each thread's ``range`` of rows, homed by
+    :func:`~repro.piuma.spmm_loop.owner_core` under the config's
+    placement (what :func:`simulate_dense_mm` passes the generators).
+    Per thread: the setup marker, then per row its stream-in DMA, the
+    MAC burst and its stream-out DMA.  Returns one
+    :class:`~repro.piuma.ops.OpProgram` against one table, interned
+    through ``shared`` like the generators.
+    """
+    counts = np.array([len(rows) for rows in thread_rows], dtype=np.int64)
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(1 + 3 * counts, out=bounds[1:])
+    offset = np.cumsum(counts) - counts
+    index = np.arange(counts.sum(), dtype=np.int64)
+    first = np.array([rows.start for rows in thread_rows], dtype=np.int64)
+    target = owner_core_array(
+        index + np.repeat(first - offset, counts), config.n_cores,
+        config.hashed_placement,
+    )
+    # A thread's j-th row streams in at bounds[t] + 1 + 3 * j.
+    at = 3 * index + np.repeat(bounds[:-1] + 1 - 3 * offset, counts)
+    del index, first, offset
+    codes = np.empty(bounds[-1], dtype=np.int32)
+    table = [setup_done(shared)]
+    codes[bounds[:-1]] = 0
+    codes[at] = intern_codes(
+        table, target, config.n_cores,
+        core_op(shared, "in", lambda core: DMAOp(
+            kind="read", nbytes=in_dim * config.feature_bytes,
+            target_core=core, tag="dense_in",
+        )),
+    )
+    codes[at + 1] = len(table)
+    table.append(_mac_op(in_dim, out_dim, shared))
+    codes[at + 2] = intern_codes(
+        table, target, config.n_cores,
+        core_op(shared, "out", lambda core: DMAOp(
+            kind="write", nbytes=out_dim * config.feature_bytes,
+            target_core=core, tag="dense_out",
+        )),
+    )
+    return OpProgram(table, codes, bounds)
 
 
 def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
@@ -103,29 +159,30 @@ def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
     n_threads = config.n_threads
     per_thread = max(1, window_rows // n_threads)
     hashed = config.hashed_placement
-    # Dense MM's op stream is static (see dense_thread.program_safe):
-    # while the run can replay, drain each generator into an OpProgram.
+    thread_rows = [
+        range(start, min(start + per_thread, window_rows))
+        for start in range(0, min(n_threads * per_thread, window_rows),
+                           per_thread)
+    ]
+    placements = [
+        (t // config.threads_per_core,
+         (t % config.threads_per_core) // config.threads_per_mtp)
+        for t in range(len(thread_rows))
+    ]
+    spawned_rows = sum(len(rows) for rows in thread_rows)
+    # Dense MM's op stream is static: while the run can replay, every
+    # thread's steps are emitted at once; otherwise (or when compiling
+    # rules replay out) the generators run on the reference loop.
     shared = {}
-    spawned_rows = 0
-    for t in range(n_threads):
-        start = t * per_thread
-        if start >= window_rows:
-            break
-        rows = range(start, min(start + per_thread, window_rows))
-        spawned_rows += len(rows)
-        core = t // config.threads_per_core
-        mtp = (t % config.threads_per_core) // config.threads_per_mtp
-        generator = dense_thread(
-            rows, in_dim, out_dim, config,
-            core_of_row=lambda r: owner_core(r, config.n_cores, hashed),
-            shared=shared,
-        )
-        if simulator.can_replay:
-            simulator.spawn_program(
-                OpProgram.from_generator(generator), core, mtp
-            )
-        else:
-            simulator.spawn(generator, core, mtp)
+    if not (simulator.can_replay and simulator.spawn_programs(
+            emit_dense(thread_rows, in_dim, out_dim, config, shared),
+            placements)):
+        for rows, (core, mtp) in zip(thread_rows, placements):
+            simulator.spawn(dense_thread(
+                rows, in_dim, out_dim, config,
+                core_of_row=lambda r: owner_core(r, config.n_cores, hashed),
+                shared=shared,
+            ), core, mtp)
     end = simulator.run()
     steady = max(end - config.launch_overhead_ns - simulator.setup_end, 1e-9)
     flops = 2.0 * spawned_rows * in_dim * out_dim

@@ -163,8 +163,8 @@ class Simulator:
         self._seq = 0
         self._threads = []
         # Replay compile state (vector_engine.ReplayState): the
-        # per-(op, core) plan closures and per-thread step lists, built
-        # at spawn_program time so run() only replays; run() drops it.
+        # per-(op, core) plan closures and the flat step list, built at
+        # spawn_programs time so run() only replays; run() drops it.
         self._vector_state = None
         # Memoized topology tables: stripe-target core lists and the
         # matching (slice, core) pairs for DMA, both keyed by
@@ -205,31 +205,55 @@ class Simulator:
 
     def spawn(self, generator, core, mtp):
         """Register a thread generator pinned to (core, mtp)."""
-        if not 0 <= core < self.config.n_cores:
-            raise ValueError("core out of range")
-        if not 0 <= mtp < self.config.mtps_per_core:
-            raise ValueError("mtp out of range")
+        self._check_placement(core, mtp)
         idx = len(self._threads)
         self._threads.append((generator, core, mtp))
         self._push(0.0, idx, None)
 
-    def spawn_program(self, program, core, mtp):
-        """Register a compiled :class:`~repro.piuma.ops.OpProgram`.
-
-        The program's generator view goes into the thread table, so the
-        reference loop runs it unchanged; when the run can replay, the
-        program is also compiled here and :meth:`run` replays it
-        without generator resumption.
-        """
+    def _check_placement(self, core, mtp):
         if not 0 <= core < self.config.n_cores:
             raise ValueError("core out of range")
         if not 0 <= mtp < self.config.mtps_per_core:
             raise ValueError("mtp out of range")
-        idx = len(self._threads)
-        self._threads.append((program.replay(), core, mtp))
-        if self.can_replay:
-            vector_engine.compile_thread(self, idx, program, core, mtp)
-        self._push(0.0, idx, None)
+
+    def spawn_programs(self, program, placements):
+        """Register every thread of a compiled multi-thread program.
+
+        ``program`` is an :class:`~repro.piuma.ops.OpProgram` (one op
+        table, one flat step-code array) and ``placements`` gives each
+        of its threads' ``(core, mtp)``, in spawn order.  When the run
+        can replay, the whole program is compiled in one pass
+        (:func:`~repro.piuma.vector_engine.compile_programs`) and every
+        thread is registered with its generator view, which the
+        reference loop runs should replay be lost later.  Returns False
+        and registers nothing when the run cannot replay or compiling
+        rules replay out (a fractional deferred addend); the caller
+        then spawns its generators.
+        """
+        if len(placements) != program.n_threads:
+            raise ValueError("one placement per program thread")
+        for core, mtp in placements:
+            self._check_placement(core, mtp)
+        if not self.can_replay:
+            return False
+        views = vector_engine.compile_programs(self, program, placements)
+        if views is None:
+            return False
+        for view, (core, mtp) in zip(views, placements):
+            idx = len(self._threads)
+            self._threads.append((view, core, mtp))
+            self._push(0.0, idx, None)
+        return True
+
+    def spawn_program(self, program, core, mtp):
+        """Register a one-thread :class:`~repro.piuma.ops.OpProgram`.
+
+        Goes through the same compile as :meth:`spawn_programs`; when
+        the run cannot replay, the program's generator view is spawned
+        instead, so the reference loop runs it unchanged.
+        """
+        if not self.spawn_programs(program, [(core, mtp)]):
+            self.spawn(program.replay(), core, mtp)
 
     @property
     def can_replay(self):
@@ -239,9 +263,9 @@ class Simulator:
         (the sanitizer binds one in ``__init__``), the engine's own DMA
         dispatch entry (a wrapper must stay on-path), and nothing
         compiled so far that rules it out
-        (:func:`~repro.piuma.vector_engine.compile_thread`).  Kernels
-        read it before draining each thread into a program, so once it
-        turns False the remaining threads spawn as plain generators.
+        (:func:`~repro.piuma.vector_engine.compile_programs`).  Kernels
+        read it before emitting their programs, so a run that cannot
+        replay spawns plain generators and emits nothing.
         """
         state = self._vector_state
         return (self.config.engine == "fast"

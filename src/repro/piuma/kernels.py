@@ -9,10 +9,10 @@ contiguous 1/T slice of the edge array, and the simulated window takes
 the leading edges of every slice so all cores and pipelines stay
 populated exactly as they would be in a full run.
 
-Threads are spawned as compiled op programs while the run can replay
-(``Simulator.can_replay``, read before each thread) and the thread
-factory declares a static op stream (``program_safe``); otherwise they
-are spawned as generators and the run takes the reference loop
+Threads are spawned as one compiled op program while the run can
+replay (``Simulator.can_replay``) and the thread factory has a numpy
+emitter for its static op stream (``thread_factory.emit``); otherwise
+they are spawned as generators and the run takes the reference loop
 (``repro.piuma.engine``).
 """
 
@@ -27,7 +27,6 @@ import numpy as np
 from repro.piuma.degradation import thread_placements
 from repro.piuma.engine import Simulator
 from repro.piuma.invariants import verify_kernel_result
-from repro.piuma.ops import OpProgram
 from repro.sparse.spmm import spmm_traffic
 
 
@@ -166,6 +165,19 @@ def split_work(adj, config, window_edges):
     return work
 
 
+def window_work(adj, config, window_edges=None, splitter=None):
+    """The per-thread work :func:`run_spmm_kernel` simulates.
+
+    ``window_edges`` defaults to :func:`auto_window` and ``splitter`` to
+    :func:`split_work` (edge-parallel, Algorithm 2).
+    """
+    if window_edges is None:
+        window_edges = auto_window(config, adj.nnz)
+    if splitter is None:
+        splitter = split_work
+    return splitter(adj, config, window_edges)
+
+
 def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
                     window_edges=None, splitter=None):
     """Simulate one SpMM kernel and project to the full graph.
@@ -190,12 +202,8 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     """
     if adj.nnz == 0:
         raise ValueError("cannot simulate SpMM on an empty matrix")
-    if window_edges is None:
-        window_edges = auto_window(config, adj.nnz)
-    if splitter is None:
-        splitter = split_work
     simulator = Simulator(config)
-    work_items = splitter(adj, config, window_edges)
+    work_items = window_work(adj, config, window_edges, splitter)
     simulated_edges = sum(len(w.cols) for w in work_items)
     # Kernels that take a `shared` intern table get one per invocation
     # (ops are immutable, so one instance can serve every thread);
@@ -206,27 +214,25 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     )
     shared = {} if accepts_shared else None
     # While the run can replay (the default engine, no sanitizer
-    # armed, nothing compiled so far ruling it out), factories that
-    # declare their op stream static (`program_safe`) are compiled by
-    # draining the generator into an OpProgram the replay loop executes
-    # without resumption; once replay is ruled out, the remaining
-    # threads spawn as generators.  Factories without the marker (e.g.
-    # the dynamic work-stealing kernel, whose stream depends on runtime
-    # interleaving) stay generator-driven, and a run with any such
-    # thread takes the reference loop.
-    compile_programs = getattr(thread_factory, "program_safe", False)
-    for work in work_items:
-        if accepts_shared:
-            generator = thread_factory(
-                work, embedding_dim, config, shared=shared
-            )
-        else:
-            generator = thread_factory(work, embedding_dim, config)
-        if compile_programs and simulator.can_replay:
-            simulator.spawn_program(
-                OpProgram.from_generator(generator), work.core, work.mtp
-            )
-        else:
+    # armed), a factory with an emitter (`emit`: its static op stream
+    # for every thread at once, in numpy) is compiled in one pass, and
+    # the replay loop executes it without generator resumption.  When
+    # the run cannot replay, compiling rules it out, or the factory has
+    # no emitter (e.g. the dynamic work-stealing kernel, whose stream
+    # depends on runtime interleaving), the generators are spawned and
+    # the run takes the reference loop.
+    emit = getattr(thread_factory, "emit", None)
+    if not (emit is not None and simulator.can_replay
+            and simulator.spawn_programs(
+                emit(work_items, embedding_dim, config, shared),
+                [(work.core, work.mtp) for work in work_items])):
+        for work in work_items:
+            if accepts_shared:
+                generator = thread_factory(
+                    work, embedding_dim, config, shared=shared
+                )
+            else:
+                generator = thread_factory(work, embedding_dim, config)
             simulator.spawn(generator, work.core, work.mtp)
     end = simulator.run()
     # Steady state excludes the per-thread setup (binary search): in a

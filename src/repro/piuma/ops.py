@@ -207,25 +207,33 @@ def op_kind_code(op):
 
 
 class OpProgram:
-    """Compiled form of one thread's op stream.
+    """Compiled op streams of one or more threads.
 
     Replay (``repro.piuma.vector_engine``) executes programs instead of
-    resuming generators: a *table* of the thread's unique op instances
-    (the kernels intern their op shapes, so the table is tiny) plus a
-    per-step ``codes`` array (``int32``) indexing into it.
+    resuming generators: a *table* of unique op instances (the kernels
+    intern their op shapes, so the table is tiny) plus one flat
+    ``codes`` array (``int32``) indexing into it, thread after thread:
+    thread ``i``'s steps are ``codes[bounds[i]:bounds[i + 1]]``.  The
+    static kernels emit one program for all threads of an invocation
+    with numpy (their ``emit`` functions); :meth:`from_generator`
+    drains one generator into a one-thread program, the oracle those
+    emitters are held to.
 
-    Programs are *static by contract*: a generator may be compiled into
-    one only when its op stream does not depend on the values the
-    simulator sends back or on other threads' execution timing (true
-    for the static SpMM/dense kernels, not for the dynamic work-stealing
+    Programs are *static by contract*: an op stream may be compiled
+    into one only when it does not depend on the values the simulator
+    sends back or on other threads' execution timing (true for the
+    static SpMM/dense kernels, not for the dynamic work-stealing
     kernel, which stays generator-driven).
     """
 
-    __slots__ = ("table", "codes")
+    __slots__ = ("table", "codes", "bounds")
 
-    def __init__(self, table, codes):
+    def __init__(self, table, codes, bounds=None):
         self.table = list(table)
         self.codes = np.asarray(codes, dtype=np.int32)
+        if bounds is None:
+            bounds = (0, len(self.codes))
+        self.bounds = np.asarray(bounds, dtype=np.int64)
 
     @classmethod
     def from_generator(cls, generator):
@@ -249,21 +257,27 @@ class OpProgram:
             append(code)
         return cls(table, codes)
 
-    def replay(self):
-        """Generator view: yields the op sequence (ignores sent values).
+    @property
+    def n_threads(self):
+        return len(self.bounds) - 1
+
+    def thread_ops(self, thread=0):
+        """Thread ``thread``'s op sequence as a list."""
+        table = self.table
+        lo, hi = self.bounds[thread], self.bounds[thread + 1]
+        return [table[code] for code in self.codes[lo:hi].tolist()]
+
+    def replay(self, thread=0):
+        """Generator view of one thread: yields its op sequence
+        (ignores sent values).
 
         Lets the reference loop run a compiled program unchanged
         (whenever a run cannot replay) — a program-backed
         thread is indistinguishable from its source generator, which is
         what keeps the differential oracle honest.
         """
-        table = self.table
-        for code in self.step_codes():
-            yield table[code]
-
-    def step_codes(self):
-        """Per-step table indices as a plain Python list."""
-        return self.codes.tolist()
+        for op in self.thread_ops(thread):
+            yield op
 
 
 def dram_bytes(op):

@@ -17,11 +17,32 @@ from __future__ import annotations
 from repro.piuma.ops import AtomicUpdate, DMAOp, Load
 from repro.piuma.spmm_loop import (
     as_int_list,
+    atomic_write_op,
     binary_search_op,
+    core_op,
+    emit_edge_stream,
     nnz_line_core,
     owner_cores,
     setup_done,
 )
+
+
+def dma_init_op(shared):
+    """The interned scratchpad buffer init: descriptor overhead only,
+    no DRAM traffic — one instance covers every edge."""
+    op = shared.get("dma_init")
+    if op is None:
+        op = shared["dma_init"] = DMAOp(
+            kind="internal", nbytes=0, target_core=0, tag="dma_init"
+        )
+    return op
+
+
+def dma_read_op(shared, row_bytes):
+    """Per-core DMA multiply-read of a neighbor's feature vector."""
+    return core_op(shared, "read", lambda core: DMAOp(
+        kind="read", nbytes=row_bytes, target_core=core, tag="dma_read",
+    ))
 
 
 def dma_thread(work, embedding_dim, config, shared=None):
@@ -48,13 +69,8 @@ def dma_thread(work, embedding_dim, config, shared=None):
     col_cores = owner_cores(work.cols, n_cores, hashed)
     row_cores = owner_cores(work.rows, n_cores, hashed)
     rows = as_int_list(work.rows)
-    # Buffer init with the vectorized edge weight: descriptor overhead
-    # only, no DRAM traffic — one instance covers every edge.
-    dma_init = shared.get("dma_init")
-    if dma_init is None:
-        dma_init = shared["dma_init"] = DMAOp(
-            kind="internal", nbytes=0, target_core=0, tag="dma_init"
-        )
+    # Buffer init with the vectorized edge weight.
+    dma_init = dma_init_op(shared)
     nnz_loads = shared.setdefault("nnz", {})    # (core, bytes) -> Load
     read_ops = shared.setdefault("read", {})    # core -> DMAOp
     atomic_ops = shared.setdefault("atomic", {})  # core -> AtomicUpdate
@@ -105,5 +121,17 @@ def dma_thread(work, embedding_dim, config, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram for replay.
-dma_thread.program_safe = True
+def emit_dma(work_items, embedding_dim, config, shared):
+    """:func:`dma_thread`'s op streams for every work item at once, as
+    one :class:`~repro.piuma.ops.OpProgram`
+    (:func:`~repro.piuma.spmm_loop.emit_edge_stream`)."""
+    row_bytes = embedding_dim * config.feature_bytes
+    return emit_edge_stream(
+        work_items, config, shared,
+        (dma_init_op(shared), dma_read_op(shared, row_bytes)),
+        atomic_write_op(shared, row_bytes),
+    )
+
+
+#: The op stream is static: replayable runs emit it for all threads.
+dma_thread.emit = emit_dma

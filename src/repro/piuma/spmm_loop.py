@@ -49,20 +49,28 @@ def owner_core(vertex, n_cores, hashed=True):
     return (mixed >> 16) % n_cores
 
 
+def owner_core_array(vertices, n_cores, hashed=True):
+    """Vectorized :func:`owner_core` over an index array (``int32``).
+
+    Bit-identical to the scalar function: the mix product of a sub-2^32
+    vertex id fits comfortably in int64.
+    """
+    arr = np.asarray(vertices, dtype=np.int64)
+    if not hashed:
+        return (arr % n_cores).astype(np.int32)
+    mixed = (arr * 0x9E3779B1) & 0xFFFFFFFF
+    return ((mixed >> 16) % n_cores).astype(np.int32)
+
+
 def owner_cores(vertices, n_cores, hashed=True):
-    """Vectorized :func:`owner_core` over an index array → list of ints.
+    """:func:`owner_core_array` as a list of native ints.
 
     The kernels resolve the home slice of every simulated edge; calling
     :func:`owner_core` per edge was a measurable share of host time, so
     the whole array is mixed and reduced in numpy and converted to
-    native ints once.  Bit-identical to the scalar function: the mix
-    product of a sub-2^32 vertex id fits comfortably in int64.
+    native ints once.
     """
-    arr = np.asarray(vertices, dtype=np.int64)
-    if not hashed:
-        return (arr % n_cores).tolist()
-    mixed = (arr * 0x9E3779B1) & 0xFFFFFFFF
-    return ((mixed >> 16) % n_cores).tolist()
+    return owner_core_array(vertices, n_cores, hashed).tolist()
 
 
 def nnz_line_core(edge_index, group, n_cores):
@@ -78,9 +86,16 @@ def binary_search_op(work, config, shared):
     kernel's ``shared`` table by (probes, target), so threads that
     search alike share one instance.
     """
-    n_rows = max(2, int(work.rows.max()) + 1 if len(work.rows) else 2)
+    top_row = int(work.rows.max()) if len(work.rows) else -1
+    return search_op(top_row, work.core, work.mtp, config, shared)
+
+
+def search_op(top_row, core, mtp, config, shared):
+    """:func:`binary_search_op` of a thread on (core, mtp) whose highest
+    row is ``top_row`` (-1 for an empty slice)."""
+    n_rows = max(2, top_row + 1)
     probes = max(1, int(math.ceil(math.log2(n_rows))))
-    target = (work.core * 7 + work.mtp + 3) % config.n_cores
+    target = (core * 7 + mtp + 3) % config.n_cores
     searches = shared.setdefault("search", {})
     op = searches.get((probes, target))
     if op is None:
@@ -100,6 +115,169 @@ def setup_done(shared):
     if op is None:
         op = shared["setup_done"] = PhaseMarker()
     return op
+
+
+def core_op(shared, name, build):
+    """``get(core)``: the op ``build(core)``, interned per home core in
+    ``shared[name]`` — the emitters' form of the generators' per-core
+    intern tables (same keys, so both yield the same instances)."""
+    ops = shared.setdefault(name, {})
+
+    def get(core):
+        op = ops.get(core)
+        if op is None:
+            op = ops[core] = build(core)
+        return op
+    return get
+
+
+def atomic_write_op(shared, row_bytes):
+    """Per-core atomic row write-back of the edge-parallel kernels."""
+    return core_op(shared, "atomic", lambda core: AtomicUpdate(
+        nbytes=row_bytes, target_core=core, tag="atomic_write",
+    ))
+
+
+def intern_codes(table, keys, size, build):
+    """Table codes of integer ``keys`` in ``[0, size)``.
+
+    Appends ``build(key)`` to ``table`` once per distinct key, in
+    ascending key order, and returns the ``int32`` table index of every
+    key — how the emitters turn per-step key arrays (a home core, an
+    NNZ line shape) into step codes without a per-step Python call.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    used = np.flatnonzero(np.bincount(keys, minlength=size))
+    lut = np.zeros(size, dtype=np.int32)
+    lut[used] = np.arange(len(table), len(table) + len(used))
+    table.extend(build(key) for key in used.tolist())
+    return lut[keys]
+
+
+def emit_edge_stream(work_items, config, shared, edge_ops, flush_op,
+                     search=True):
+    """Step codes of every thread of one edge-stream kernel invocation.
+
+    The numpy emitter the three SpMM kernels share; their generators
+    are the specification it is tested against, step for step.  Per
+    thread: the binary-search op (when ``search``), the setup marker,
+    then per edge a grouped NNZ load at each group start, a flush of
+    the previous row at each row change, and the per-edge ops; then a
+    final flush of the last row.  ``edge_ops`` lists the per-edge ops
+    in issue order, each an op or a function of the neighbor's home
+    core; ``flush_op`` maps a finished row's home core to its
+    write-back op.  Ops are interned through ``shared`` exactly as the
+    generators intern them, into one table for the invocation, in the
+    order their kinds first appear in a thread's stream.  Returns an
+    :class:`~repro.piuma.ops.OpProgram` with one thread per work item,
+    in order.
+    """
+    from repro.piuma.ops import OpProgram
+
+    n_cores = config.n_cores
+    group = config.nnz_group_edges
+    n_threads = len(work_items)
+    if not n_threads:
+        return OpProgram([], [], [0])
+    counts = np.array([len(w.cols) for w in work_items], dtype=np.int64)
+    edge_end = np.cumsum(counts)
+    edge_start = edge_end - counts
+    busy = counts > 0
+    rows = np.concatenate([w.rows for w in work_items])
+    # Per-edge temporaries are int32 and die with this call, before
+    # the run.
+    thread = np.repeat(np.arange(n_threads, dtype=np.int32), counts)
+    local = np.arange(len(rows), dtype=np.int32)
+    local -= edge_start.astype(np.int32)[thread]
+    opens = local % group == 0
+    # A row change flushes the previous row; a thread's first edge
+    # never does.
+    flush = np.empty(len(rows), dtype=bool)
+    flush[:1] = False
+    np.not_equal(rows[1:], rows[:-1], out=flush[1:])
+    flush[edge_start[busy]] = False
+    # Step layout: thread t spans codes[bounds[t]:bounds[t + 1]], and
+    # edge e's first step (its NNZ load, flush or first op) is at[e].
+    prefix = 2 if search else 1
+    before = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(opens + flush.astype(np.int32) + len(edge_ops),
+              out=before[1:])
+    lengths = prefix + before[edge_end] - before[edge_start] + busy
+    bounds = np.zeros(n_threads + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    at = before[:-1] + np.repeat(
+        (bounds[:-1] + prefix - before[edge_start]).astype(np.int32), counts
+    )
+    del before, lengths
+    codes = np.empty(bounds[-1], dtype=np.int32)
+    table = []
+    if search:
+        top = np.full(n_threads, -1, dtype=np.int64)
+        if busy.any():
+            top[busy] = np.maximum.reduceat(rows, edge_start[busy])
+        searches = [
+            search_op(m, w.core, w.mtp, config, shared)
+            for m, w in zip(top.tolist(), work_items)
+        ]
+        index = {}
+        for op in searches:
+            if id(op) not in index:
+                index[id(op)] = len(table)
+                table.append(op)
+        codes[bounds[:-1]] = [index[id(op)] for op in searches]
+    codes[bounds[:-1] + prefix - 1] = len(table)
+    table.append(setup_done(shared))
+    row_core = owner_core_array(rows, n_cores, config.hashed_placement)
+    del rows
+    # NNZ line loads, keyed by (home slice of the line, edges in the
+    # group): a thread's trailing group may be partial.
+    nnz_ops = shared.setdefault("nnz", {})
+    entry_bytes = config.index_bytes + config.value_bytes
+    first = np.flatnonzero(opens)
+    in_group = np.minimum(group, counts[thread[first]] - local[first])
+    starts = np.array([w.start_edge for w in work_items], dtype=np.int64)
+    line = (starts[thread[first]] + local[first]) // group % n_cores
+
+    def nnz_load(key):
+        nnz_key = (key // (group + 1), key % (group + 1) * entry_bytes)
+        op = nnz_ops.get(nnz_key)
+        if op is None:
+            op = nnz_ops[nnz_key] = Load(
+                nbytes=nnz_key[1], target_core=nnz_key[0], tag="nnz",
+                grouped=2,
+            )
+        return op
+
+    codes[at[first]] = intern_codes(
+        table, line * (group + 1) + in_group, n_cores * (group + 1),
+        nnz_load,
+    )
+    del first, in_group, line, local, thread
+    step = at + opens
+    del at, opens
+    flushed = np.flatnonzero(flush)
+    flush_at = step[flushed]
+    flush_core = row_core[flushed - 1]
+    del flushed
+    step += flush
+    del flush
+    col_core = owner_core_array(
+        np.concatenate([w.cols for w in work_items]), n_cores,
+        config.hashed_placement,
+    )
+    for op in edge_ops:
+        if callable(op):
+            codes[step] = intern_codes(table, col_core, n_cores, op)
+        else:
+            codes[step] = len(table)
+            table.append(op)
+        step += 1
+    del col_core, step
+    codes[np.concatenate((flush_at, bounds[1:][busy] - 1))] = intern_codes(
+        table, np.concatenate((flush_core, row_core[edge_end[busy] - 1])),
+        n_cores, flush_op,
+    )
+    return OpProgram(table, codes, bounds)
 
 
 def loop_unrolled_thread(work, embedding_dim, config, shared=None):
@@ -184,5 +362,21 @@ def loop_unrolled_thread(work, embedding_dim, config, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram for replay.
-loop_unrolled_thread.program_safe = True
+def emit_loop_unrolled(work_items, embedding_dim, config, shared):
+    """:func:`loop_unrolled_thread`'s op streams for every work item at
+    once, as one :class:`~repro.piuma.ops.OpProgram`
+    (:func:`emit_edge_stream`)."""
+    rounds = max(1, math.ceil(embedding_dim / config.unroll))
+    round_bytes = min(embedding_dim, config.unroll) * config.feature_bytes
+    feature = core_op(shared, "feature", lambda core: SequentialAccess(
+        n_rounds=rounds, bytes_per_round=round_bytes, target_core=core,
+        instrs_per_round=config.instrs_per_unrolled_round, tag="feature",
+    ))
+    return emit_edge_stream(
+        work_items, config, shared, (feature,),
+        atomic_write_op(shared, embedding_dim * config.feature_bytes),
+    )
+
+
+#: The op stream is static: replayable runs emit it for all threads.
+loop_unrolled_thread.emit = emit_loop_unrolled

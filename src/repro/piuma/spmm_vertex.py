@@ -19,8 +19,11 @@ import numpy as np
 from repro.piuma.degradation import thread_placements
 from repro.piuma.kernels import ThreadWork
 from repro.piuma.ops import DMAOp, Load
+from repro.piuma.spmm_dma import dma_init_op, dma_read_op
 from repro.piuma.spmm_loop import (
     as_int_list,
+    core_op,
+    emit_edge_stream,
     nnz_line_core,
     owner_cores,
     setup_done,
@@ -86,11 +89,7 @@ def vertex_parallel_thread(work, embedding_dim, config, shared=None):
     col_cores = owner_cores(work.cols, n_cores, hashed)
     row_cores = owner_cores(work.rows, n_cores, hashed)
     rows = as_int_list(work.rows)
-    dma_init = shared.get("dma_init")
-    if dma_init is None:
-        dma_init = shared["dma_init"] = DMAOp(
-            kind="internal", nbytes=0, target_core=0, tag="dma_init"
-        )
+    dma_init = dma_init_op(shared)
     nnz_loads = shared.setdefault("nnz", {})    # (core, bytes) -> Load
     read_ops = shared.setdefault("read", {})    # core -> DMAOp
     write_ops = shared.setdefault("write", {})  # core -> DMAOp
@@ -140,5 +139,21 @@ def vertex_parallel_thread(work, embedding_dim, config, shared=None):
         yield op
 
 
-#: Static op stream: safe to compile into an OpProgram for replay.
-vertex_parallel_thread.program_safe = True
+def emit_vertex_parallel(work_items, embedding_dim, config, shared):
+    """:func:`vertex_parallel_thread`'s op streams for every work item
+    at once, as one :class:`~repro.piuma.ops.OpProgram`
+    (:func:`~repro.piuma.spmm_loop.emit_edge_stream`, no search)."""
+    row_bytes = embedding_dim * config.feature_bytes
+    return emit_edge_stream(
+        work_items, config, shared,
+        (dma_init_op(shared), dma_read_op(shared, row_bytes)),
+        core_op(shared, "write", lambda core: DMAOp(
+            kind="write", nbytes=row_bytes, target_core=core,
+            tag="dma_write",
+        )),
+        search=False,
+    )
+
+
+#: The op stream is static: replayable runs emit it for all threads.
+vertex_parallel_thread.emit = emit_vertex_parallel

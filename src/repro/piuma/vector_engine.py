@@ -2,15 +2,17 @@
 
 The reference loop (``Simulator._run_reference``) pays, per event, a
 heap push and pop, a generator resumption, a type-table dispatch, a
-handler frame, and the attribute chains inside the handler.  For the
-static SpMM/dense kernels the entire op stream of a thread is known
-before ``run()`` — the kernels drain it into an
-:class:`~repro.piuma.ops.OpProgram` (an interned op table plus a
+handler frame, and the attribute chains inside the handler.  For
+the static SpMM/dense kernels every thread's op stream is a pure
+function of the work split, known before ``run()`` — the kernels emit
+all of them at once with numpy into one
+:class:`~repro.piuma.ops.OpProgram` (an interned op table plus a flat
 step-code array) and, on ``PIUMAConfig.engine="fast"``,
-:meth:`Simulator.run` replays those programs here instead:
+:meth:`Simulator.run` replays that program here instead:
 
-* **Plan compilation** (at ``spawn_program`` time): every unique
-  ``(op, core)`` pair is compiled once to a replay *closure*
+* **Plan compilation** (at ``spawn_programs`` time, one pass per
+  program): every ``(op, core)`` pair the program's threads use is
+  compiled once to a replay *closure*
   ``fn(now, pipe) -> (resume, completion)``.  The four MTPs of a core
   share it: the thread's pipeline is the one argument, and default
   arguments pre-bind everything else the handlers would look up per
@@ -23,15 +25,17 @@ step-code array) and, on ``PIUMAConfig.engine="fast"``,
   unrolled (:func:`_dma_factory`).  DMA timing comes from (and fills)
   the per-(op, core) plan cache of the dispatch closure in
   ``engine.py``.
-* **Replay** (the hot loop): per event, ``prog[pc](now, pipe)`` — no
-  generator, no dispatch ladder, no handler attribute chains, no plan
-  lookup; every constant is a ``LOAD_FAST``.
+* **Replay** (the hot loop): every thread's closures sit in one flat
+  step list, each thread's run ending in a sentinel; per event,
+  ``prog[pc](now, pipe)`` — no generator, no dispatch ladder, no
+  handler attribute chains, no plan lookup; every constant is a
+  ``LOAD_FAST``.
 * **Deferred counters** (batch accounting): monotone counters the run
   never *reads* (``units_served``/``requests``/``bytes_served``/
   ``ops``/``bytes_moved``/tag ``count``/``bytes``) are left out of the
-  replay bodies and settled once after the loop from per-table-entry
-  execution counts (``numpy.bincount`` over each program's executed
-  step prefix).  This is exact, not approximate: every deferred addend
+  replay bodies and settled once after the loop from per-plan
+  execution counts (one ``numpy.bincount`` over every thread's
+  executed step prefix).  This is exact, not approximate: every deferred addend
   is checked integral at compile time, and sums of integers below
   2**53 are exact in IEEE doubles *in any order*, so the batched
   totals are bit-identical to the reference's per-event accumulation.
@@ -62,11 +66,12 @@ sanitizer or tracer armed (``check_level >= 1``), a thread without a
 registered program (custom factories, the dynamic work-stealing kernel
 whose op stream depends on runtime interleaving), a wrapped DMA
 dispatch entry, or a fractional addend.  The kernels read
-``can_replay`` before draining each thread, so a run that cannot
-replay spawns generators and pays no drain or compile.
+``can_replay`` before emitting, and a fractional addend is found while
+compiling, before any thread is registered, so a run that cannot
+replay spawns generators only.
 
 The compiled state lives on ``Simulator._vector_state`` from the first
-``spawn_program`` until :meth:`Simulator.run` returns, which drops it:
+``spawn_programs`` until :meth:`Simulator.run` returns, which drops it:
 the closures bind the simulator's resources, so holding them past the
 run would keep every replayed simulator's compiled form alive.
 """
@@ -161,29 +166,31 @@ def _merge_backfill(starts, ends, arrival, duration):
     return end
 
 
-def _collapse(entries):
-    """Fold raw deferred-counter entries into per-(obj, attr) integers.
+def _collapse(entries, addends):
+    """Intern one plan's raw deferred-counter entries.
 
     Returns a tuple of ``(obj, attrname, int_amount)`` triples — the
-    per-execution counter delta of one plan — or ``None`` when any
-    amount is not integral (fractional stripe shares), which rules out
-    replay for the whole run: mixing batched integral adds with live
-    fractional adds on the same counter would change float rounding
-    order.  Zero amounts are dropped (value-identical no-ops).
+    per-execution counter delta of one plan, each triple shared through
+    ``addends`` by every plan that adds the same amount to the same
+    counter — or ``None`` when any amount is not integral (fractional
+    stripe shares), which rules out replay for the whole run: mixing
+    batched integral adds with live fractional adds on the same counter
+    would change float rounding order.  Zero amounts are dropped
+    (value-identical no-ops); a counter may appear more than once, and
+    the settle pass adds its triples up.
     """
-    acc = {}
+    out = []
     for obj, attr, amount in entries:
         if amount:
             i = int(amount)
             if i != amount:
                 return None
-            key = (id(obj), attr)
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = [obj, attr, i]
-            else:
-                cur[2] += i
-    return tuple(map(tuple, acc.values()))
+            key = (id(obj), attr, i)
+            triple = addends.get(key)
+            if triple is None:
+                triple = addends[key] = (obj, attr, i)
+            out.append(triple)
+    return tuple(out)
 
 
 #: Compiled healthy-DMA replay templates, keyed by plan shape
@@ -649,8 +656,9 @@ def _build_plan(sim, op, core, exec_dma):
     completion)`` executes one step on the thread's pipeline; ``units``
     is the pipeline instructions one execution charges (``None`` for a
     phase marker, which charges no pipeline request); ``deferred`` is
-    the per-execution delta of every other deferred counter (see
-    :func:`_collapse`), or ``None`` when an addend is not integral.
+    the raw ``(obj, attr, amount)`` entries of every other deferred
+    counter one execution adds (see :func:`_collapse`), or ``None``
+    when a live-accounted addend is not integral.
     """
     kind = op_kind_code(op)
     if kind == OP_PHASE:
@@ -680,12 +688,13 @@ def _build_plan(sim, op, core, exec_dma):
         if dma_plan[0] is None:
             return _dma_internal_plan(
                 engine, eng, dma_plan[1], fail, issue_cost,
-            ), issue_instrs, _collapse(entries)
+            ), issue_instrs, entries
         resolved, duration, share, inj, inj_service, limit = dma_plan
         targets_v = []
         hot_targets = []
         stalled = False
         tainted = False
+        remote = 0
         for memory, timeline, lat, service, lat_ns in resolved:
             targets_v.append((
                 memory, timeline._starts, timeline._ends, lat, service,
@@ -695,8 +704,7 @@ def _build_plan(sim, op, core, exec_dma):
                 timeline._starts, timeline._ends, lat, service, lat_ns,
             ))
             if lat is not None:
-                entries.append((inj, "units_served", share))
-                entries.append((inj, "requests", 1))
+                remote += 1
             if memory.stall_period_ns:
                 # bulk_request accounts this target live inside the
                 # call; a fractional share there still taints the
@@ -707,11 +715,17 @@ def _build_plan(sim, op, core, exec_dma):
             else:
                 entries.append((memory, "bytes_served", share))
                 entries.append((memory, "requests", 1))
+        if remote:
+            # One injection per remote target, folded.  A fractional
+            # share still rules replay out: every target carries it in
+            # its own entry or taints the plan.
+            entries.append((inj, "units_served", share * remote))
+            entries.append((inj, "requests", remote))
         if stalled:
             return _dma_stall_plan(
                 engine, eng, tuple(targets_v), duration, share, inj,
                 inj_service, limit, nbytes, fail, issue_cost,
-            ), issue_instrs, None if tainted else _collapse(entries)
+            ), issue_instrs, None if tainted else entries
         factory = _dma_factory(
             tuple(lat is not None for _s, _e, lat, _v, _n in hot_targets),
             bool(fail),
@@ -719,7 +733,7 @@ def _build_plan(sim, op, core, exec_dma):
         return factory(
             engine, eng, inj, duration, inj_service, limit, nbytes, fail,
             issue_cost, hot_targets,
-        ), issue_instrs, _collapse(entries)
+        ), issue_instrs, entries
     if kind == OP_LOAD:
         grouped = op.grouped
         nbytes = op.nbytes
@@ -731,10 +745,10 @@ def _build_plan(sim, op, core, exec_dma):
             timeline._starts, timeline._ends, nbytes / slice_.rate,
             slice_.latency_ns, network.latency(dst, core), record,
             op.priority, slice_.stall_period_ns, slice_.stall_duration_ns,
-        ), grouped, _collapse([
+        ), grouped, [
             (slice_, "bytes_served", nbytes), (slice_, "requests", 1),
             (record, "count", 1), (record, "bytes", nbytes),
-        ])
+        ]
     if kind == OP_SEQUENTIAL:
         n_units = op.n_rounds * op.instrs_per_round
         total_bytes = op.n_rounds * op.bytes_per_round
@@ -760,7 +774,7 @@ def _build_plan(sim, op, core, exec_dma):
         return _sequential_plan(
             n_units / rate + 0.0, tuple(targets), op.n_rounds - 1,
             worst_trip, record,
-        ), n_units, _collapse(entries)
+        ), n_units, entries
     if kind == OP_STORE:
         nbytes = op.nbytes
         raw = sim._stripe_targets(op.target_core, nbytes)
@@ -786,7 +800,7 @@ def _build_plan(sim, op, core, exec_dma):
             entries.append((slice_, "requests", 1))
         return _store_plan(
             1 / rate + 0.0, tuple(targets),
-        ), 1, _collapse(entries)
+        ), 1, entries
     if kind == OP_ATOMIC:
         nbytes = op.nbytes
         dst = op.target_core
@@ -812,12 +826,12 @@ def _build_plan(sim, op, core, exec_dma):
             timeline._starts, timeline._ends, two / slice_.rate,
             slice_.latency_ns, slice_.stall_period_ns,
             slice_.stall_duration_ns,
-        ), 1, _collapse(entries)
+        ), 1, entries
     # kind == OP_COMPUTE
     n_instrs = op.n_instrs
-    return _compute_plan(n_instrs / rate + 0.0), n_instrs, _collapse([
+    return _compute_plan(n_instrs / rate + 0.0), n_instrs, [
         (record, "count", 1),
-    ])
+    ]
 
 
 class _ReplayExhausted(Exception):
@@ -843,89 +857,146 @@ class ReplayState:
     """Spawn-time compile state of one simulator.
 
     Lives on ``Simulator._vector_state`` from the first
-    :func:`compile_thread` until the run ends.
+    :func:`compile_programs` until the run ends.
 
     Attributes
     ----------
     plans:
-        ``(id(op), core) -> (fn, uid, units)``: the replay closure,
-        its index into ``deferred``, and the pipeline instructions one
-        execution charges (``None`` for a phase marker).
-    deferred:
-        Per-plan deferred counter deltas (:func:`_collapse`), their
-        ``(obj, attr, amount)`` addends interned across plans through
-        ``addends`` — most plans of a run repeat the same few.
-    steps / pipes / rows:
-        Per thread, in spawn order: the step closures (one per op
-        plus :func:`_exhaust`), the thread's pipeline, and
-        ``(codes, plans)`` — the program's step codes and the plan of
-        each table entry, which the settle pass counts.
+        ``(id(op), core) -> uid``: the plan compiled for a table entry
+        on a core.  Plan ``uid`` has the replay closure ``fns[uid]``,
+        the pipeline instructions ``units[uid]`` one execution charges
+        (``None`` for a phase marker) and the deferred counter deltas
+        ``deferred[uid]`` (:func:`_collapse`), their ``(obj, attr,
+        amount)`` addends interned across plans through ``addends`` —
+        most plans of a run repeat the same few — and its op is
+        ``ops[uid]``.  Uid 0 is the :func:`_exhaust` sentinel.
+    steps:
+        The flat step list: every registered thread's step closures,
+        thread after thread, each followed by :func:`_exhaust`.
+    starts / pipes:
+        Per thread, in spawn order: its first pc in ``steps`` and its
+        pipeline.
+    keys / cores:
+        ``uid * mtps_per_core + mtp`` of every step (``int32`` chunks,
+        one per registration, sentinel slots included), which the
+        settle pass counts and the threads' generator views read, and
+        each plan's core.
     replayable:
         False once compiling ruled replay out for this run (see
-        :func:`compile_thread`); ``Simulator.can_replay`` then reads
+        :func:`compile_programs`); ``Simulator.can_replay`` then reads
         False and the tables are empty.
     """
 
-    __slots__ = ("plans", "deferred", "addends", "steps", "pipes", "rows",
-                 "replayable")
+    __slots__ = ("plans", "fns", "units", "deferred", "addends", "ops",
+                 "steps", "starts", "pipes", "keys", "cores", "replayable")
 
     def __init__(self):
         self.plans = {}
-        self.deferred = []
+        self.fns = [_exhaust]
+        self.units = [None]
+        self.deferred = [()]
         self.addends = {}
+        self.ops = [None]
         self.steps = []
+        self.starts = []
         self.pipes = []
-        self.rows = []
+        self.keys = []
+        self.cores = [0]
         self.replayable = True
 
 
-def compile_thread(sim, idx, program, core, mtp):
-    """Compile one registered program into its replay step list.
+def compile_programs(sim, program, placements):
+    """Compile a registered program, every thread in one pass.
 
-    Called by :meth:`Simulator.spawn_program` at spawn time (the
+    Called by :meth:`Simulator.spawn_programs` at spawn time (the
     resources every plan binds exist from ``__init__``), so ``run()``
-    itself only replays — compilation is program setup, amortized like
-    the generator drain in :meth:`OpProgram.from_generator`.  Plans
-    are cached per ``(op, core)``; with the kernels' shared intern
-    table a 32-core run compiles a few thousand of them for 2,048
-    threads.  Only called while ``Simulator.can_replay`` holds.
-    Replay is ruled out for the run, what was compiled is freed, and
-    the run takes the reference loop, when a thread was spawned out of
-    order (a generator thread came first) or a plan has a non-integral
-    deferred addend.
+    itself only replays.  Plans are built only for the (table entry,
+    core) pairs the program's threads use, once per ``(op, core)``
+    across registrations, in table order (so per-tag stats records are
+    created in the order the kernels' streams first reach each tag);
+    every step then maps to its plan in one numpy gather, and the
+    threads' closures join the flat step list, each thread followed by
+    the :func:`_exhaust` sentinel.  Only called while
+    ``Simulator.can_replay`` holds.  Returns one generator view per
+    thread (:func:`_thread_view`), which the caller registers; the
+    program itself is not kept.  Returns None, having ruled replay out
+    for the run and freed what was compiled, when a thread without a
+    program was spawned first or a plan has a non-integral deferred
+    addend.
     """
     state = sim._vector_state
     if state is None:
         state = sim._vector_state = ReplayState()
-    if idx != len(state.steps):
+    if len(state.starts) != len(sim._threads):
         _rule_out(sim)
-        return
+        return None
+    table = program.table
+    n_cores = sim.config.n_cores
+    lengths = np.diff(program.bounds)
+    # Entry-major (table entry, core) pair of every step.
+    pair = program.codes * np.int32(n_cores)
+    pair += np.repeat(
+        np.array([core for core, _mtp in placements], dtype=np.int32),
+        lengths,
+    )
+    used = np.flatnonzero(np.bincount(pair, minlength=len(table) * n_cores))
+    lut = np.zeros(len(table) * n_cores, dtype=np.int32)
     exec_dma = sim._dispatch[DMAOp]
     plans = state.plans
-    row = []
-    for op in program.table:
-        key = (id(op), core)
-        plan = plans.get(key)
-        if plan is None:
-            fn, units, deferred = _build_plan(sim, op, core, exec_dma)
+    addends = state.addends
+    for key in used.tolist():
+        entry, core = divmod(key, n_cores)
+        op = table[entry]
+        uid = plans.get((id(op), core))
+        if uid is None:
+            fn, units, entries = _build_plan(sim, op, core, exec_dma)
+            deferred = None if entries is None else _collapse(entries,
+                                                              addends)
             if deferred is None or (units is not None
                                     and units != int(units)):
                 _rule_out(sim)
-                return
-            plan = plans[key] = (fn, len(state.deferred), units)
-            addends = state.addends
-            state.deferred.append(tuple(
-                addends.setdefault((id(obj), attr, amount),
-                                   (obj, attr, amount))
-                for obj, attr, amount in deferred
-            ))
-        row.append(plan)
-    fns = [plan[0] for plan in row]
-    steps = list(map(fns.__getitem__, program.step_codes()))
-    steps.append(_exhaust)
-    state.steps.append(steps)
-    state.pipes.append(sim.pipelines[core][mtp])
-    state.rows.append((program.codes, row))
+                return None
+            uid = plans[(id(op), core)] = len(state.fns)
+            state.fns.append(fn)
+            state.ops.append(op)
+            state.units.append(units)
+            state.cores.append(core)
+            state.deferred.append(deferred)
+        lut[key] = uid
+    # Each thread's steps, then its sentinel slot (uid 0).
+    uids = np.insert(lut[pair], program.bounds[1:], 0)
+    del pair, lut
+    fns = np.empty(len(state.fns), dtype=object)
+    fns[:] = state.fns
+    starts = (program.bounds[:-1] + np.arange(len(placements))).tolist()
+    base = len(state.steps)
+    state.starts.extend(start + base for start in starts)
+    if base:
+        state.steps.extend(fns[uids].tolist())
+    else:
+        state.steps = fns[uids].tolist()
+    del fns
+    mtps = sim.config.mtps_per_core
+    uids *= np.int32(mtps)
+    uids += np.repeat(
+        np.array([mtp for _core, mtp in placements], dtype=np.int32),
+        lengths + 1,
+    )
+    state.keys.append(uids)
+    pipelines = sim.pipelines
+    state.pipes.extend(pipelines[core][mtp] for core, mtp in placements)
+    return [
+        _thread_view(state.ops, uids, start, start + length, mtps)
+        for start, length in zip(starts, lengths.tolist())
+    ]
+
+
+def _thread_view(ops, keys, lo, hi, mtps):
+    """Generator view of one compiled thread: its op sequence, read
+    back from its step keys (ignores sent values), so the reference
+    loop can run the thread should the run lose replay after spawn."""
+    for key in keys[lo:hi].tolist():
+        yield ops[key // mtps]
 
 
 def _rule_out(sim):
@@ -934,37 +1005,57 @@ def _rule_out(sim):
     state.replayable = False
 
 
-def _settle(state, pcs):
+def _settle(sim, state, pcs):
     """Add the deferred counters of every executed step.
 
-    For every thread, ``pcs`` gives the executed step prefix — exact
-    even when the run raised mid-stream (watchdog, dead DMA), so the
-    settled totals match what the reference loop would have
-    accumulated live up to the same event.  ``n * amount`` and the
-    running totals are Python ints (arbitrary precision); the float
-    adds at the end are exact while a counter stays below 2**53, which
-    is the same bound at which the reference's own per-event float
-    accumulation would start rounding.
+    ``pcs`` gives every thread's final pc, so thread ``t`` executed the
+    steps ``[starts[t], pcs[t])`` of the flat step list — exact even
+    when the run raised mid-stream (watchdog, dead DMA), so the settled
+    totals match what the reference loop would have accumulated live
+    up to the same event.  One ``bincount`` keyed by (plan, MTP) counts
+    them; a plan belongs to one core, so the key names the pipeline
+    too.  When every thread ran to its sentinel, all steps are counted,
+    sentinels included (plan 0 charges nothing).  The counts and
+    ``n * amount`` are integers (numpy ``int64`` for the pipeline
+    counters, Python ints for the rest); the float adds at the end are
+    exact while a counter stays below 2**53, which is the same bound at
+    which the reference's own per-event float accumulation would start
+    rounding.
     """
-    uid_counts = [0] * len(state.deferred)
-    for idx, (codes, row) in enumerate(state.rows):
-        pc = pcs[idx]
-        if not pc:
-            continue
-        executed = np.bincount(codes[:pc], minlength=len(row)).tolist()
-        units = requests = 0
-        for (_fn, uid, unit), n in zip(row, executed):
-            if n:
-                uid_counts[uid] += n
-                if unit is not None:
-                    units += n * unit
-                    requests += n
-        pipe = state.pipes[idx]
-        pipe.units_served += units
-        pipe.requests += requests
+    n_steps = len(state.steps)
+    mtps = sim.config.mtps_per_core
+    n_plans = len(state.fns)
+    keys = (state.keys[0] if len(state.keys) == 1
+            else np.concatenate(state.keys))
+    starts = np.array(state.starts, dtype=np.int64)
+    pcs = np.array(pcs, dtype=np.int64)
+    sentinels = np.append(starts[1:], n_steps) - 1
+    if not np.array_equal(pcs, sentinels):
+        # +1 at every start, -1 at every final pc (pc <= the thread's
+        # sentinel, which precedes the next start, so no two collide).
+        ran = np.zeros(n_steps + 1, dtype=np.int32)
+        ran[starts] += 1
+        ran[pcs] -= 1
+        keys = keys[np.cumsum(ran[:-1], dtype=np.int32).astype(bool)]
+        del ran
+    counts = np.bincount(
+        keys, minlength=n_plans * mtps
+    ).reshape(n_plans, mtps)
+    del keys
+    units = np.array([u or 0 for u in state.units], dtype=np.int64)
+    issues = np.array([u is not None for u in state.units], dtype=np.int64)
+    cores = np.array(state.cores, dtype=np.int64)
+    pipe_units = np.zeros((sim.config.n_cores, mtps), dtype=np.int64)
+    np.add.at(pipe_units, cores, counts * units[:, None])
+    pipe_requests = np.zeros((sim.config.n_cores, mtps), dtype=np.int64)
+    np.add.at(pipe_requests, cores, counts * issues[:, None])
+    for core, mtp in zip(*np.nonzero(pipe_requests)):
+        pipe = sim.pipelines[core][mtp]
+        pipe.units_served += int(pipe_units[core, mtp])
+        pipe.requests += int(pipe_requests[core, mtp])
     totals = {}
     t_get = totals.get
-    for uid, n in enumerate(uid_counts):
+    for uid, n in enumerate(counts.sum(axis=1).tolist()):
         if n:
             for obj, attr, amount in state.deferred[uid]:
                 key = (id(obj), attr)
@@ -987,27 +1078,28 @@ def run_programs(sim):
     generator view with identical results.
     """
     state = sim._vector_state
-    n_threads = len(sim._threads)
     if (state is None or not sim.can_replay
-            or len(state.steps) != n_threads):
+            or len(state.starts) != len(sim._threads)):
         return sim._run_reference()
-    pcs = [0] * n_threads
+    pcs = list(state.starts)
     try:
-        return _replay_programs(sim, state.steps, state.pipes, pcs)
+        return _replay_programs(sim, state.steps, state.starts,
+                                state.pipes, pcs)
     finally:
-        _settle(state, pcs)
+        _settle(sim, state, pcs)
 
 
-def _replay_programs(sim, progs, pipes, pcs):
+def _replay_programs(sim, prog, starts, pipes, pcs):
     """The replay loop: every thread is a compiled program.
 
-    Each heap entry carries the thread's pc in the value slot (programs
-    never consume a resumption value), programs are sentinel-terminated
-    (:class:`_ReplayExhausted` replaces a per-event bound check), and
-    the three watchdog comparisons share one fused guard.  Event order,
-    event counts, watchdog trip points, and all accounting are
-    identical to ``_run_reference`` — only the per-event constant drops.
-    ``pcs`` receives every thread's executed step count.
+    ``prog`` is the flat step list and ``starts`` each thread's first
+    pc in it.  Each heap entry carries the thread's pc in the value
+    slot (programs never consume a resumption value), every thread's
+    steps end in a sentinel (:class:`_ReplayExhausted` replaces a
+    per-event bound check), and the three watchdog comparisons share
+    one fused guard.  Event order, event counts, watchdog trip points,
+    and all accounting are identical to ``_run_reference`` — only the
+    per-event constant drops.  ``pcs`` receives every thread's final pc.
     """
     cfg = sim.config
     slices = sim.slices
@@ -1018,7 +1110,7 @@ def _replay_programs(sim, progs, pipes, pcs):
     for i, entry in enumerate(pending):
         if entry[3] is not None:
             raise RuntimeError("replay requires a fresh event queue")
-        pending[i] = (entry[0], entry[1], entry[2], 0)
+        pending[i] = (entry[0], entry[1], entry[2], starts[entry[2]])
     heappop_ = heappop
     heappushpop_ = heappushpop
     inf = float("inf")
@@ -1035,7 +1127,6 @@ def _replay_programs(sim, progs, pipes, pcs):
     try:
         while pending:
             now, _seq, idx, pc = heappop_(pending)
-            prog = progs[idx]
             pipe = pipes[idx]
             try:
                 while True:
@@ -1070,7 +1161,6 @@ def _replay_programs(sim, progs, pipes, pcs):
                             pending, (resume, seq, idx, pc)
                         )
                         seq += 1
-                        prog = progs[idx]
                         pipe = pipes[idx]
                         continue
                     now = resume
@@ -1091,9 +1181,7 @@ def _replay_programs(sim, progs, pipes, pcs):
         # executed-prefix counts match the reference's live
         # accounting up to the same event.
         for entry in pending:
-            e_pc = entry[3]
-            if e_pc:
-                pcs[entry[2]] = e_pc
+            pcs[entry[2]] = entry[3]
         if idx >= 0:
             pcs[idx] = pc
         sim._seq = seq

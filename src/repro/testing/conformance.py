@@ -163,7 +163,8 @@ def run_conformance(n_cases=25, seed=0, check_level=2, *,
         case, failure = first_failure
         # Metamorphic failures are about *pairs* of runs; only the
         # differential checks shrink cleanly against a single case.
-        if failure["check"].startswith(("invariant:", "engine-mismatch",
+        if failure["check"].startswith(("emission", "invariant:",
+                                        "engine-mismatch",
                                         "model-envelope:")):
             emit(f"shrinking {case.name} ({failure['check']})...")
             report.shrunk = _shrink_failure(case, failure, check_level)

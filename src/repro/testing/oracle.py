@@ -1,8 +1,11 @@
 """Three-way differential oracle: replay vs sanitized reference vs Eq. 5.
 
-The DES's two main loops, compiled replay and the reference loop,
-promise *bit-identical* results (DESIGN.md, "Host performance"), so the
-first leg compares every observable of a
+Replay executes the op programs the kernels' numpy emitters build, so
+a case first holds those programs to the kernel's generators step for
+step (:func:`emission_failures`).  The DES's two main loops, compiled
+replay and the reference loop, promise *bit-identical* results
+(DESIGN.md, "Host performance"), so the first leg compares every
+observable of a
 :class:`~repro.piuma.kernels.KernelResult` exactly — no tolerances.  A
 checked run cannot replay, so that leg runs the default engine
 unchecked (replay) against the reference engine with the sanitizer
@@ -159,6 +162,67 @@ def model_efficiency(case, result):
     return result.gflops / model.gflops if model.gflops > 0 else 0.0
 
 
+def _first_divergence(emitted, drained):
+    """Index of the first step where two op sequences differ, or None."""
+    for step, (got, want) in enumerate(zip(emitted, drained)):
+        if got != want:
+            return step
+    if len(emitted) != len(drained):
+        return min(len(emitted), len(drained))
+    return None
+
+
+def emission_failures(case):
+    """Hold the case's emitted op programs to its drained generators.
+
+    A replayed run executes what the kernel's numpy emitter
+    (``thread_factory.emit``) builds, not what its generators yield,
+    so the two must agree op for op.  For the case's window (or every
+    non-empty shard's), the emitted program of each thread is compared
+    with that thread's drained generator; the first diverging (kernel,
+    thread, step) becomes one ``emission`` failure record.
+    """
+    from repro.piuma import spmm_kernel
+    from repro.piuma.kernels import window_work
+    from repro.runtime.shard import shard_geometry
+
+    factory, splitter = spmm_kernel(case.kernel)
+    config = case.config()
+    adj = case.graph()
+    if case.n_shards <= 1:
+        windows = [("", adj)]
+    else:
+        windows = [
+            (f" shard {index}", shard_geometry(
+                adj, case.n_shards, index, case.partition_strategy)[0])
+            for index in range(case.n_shards)
+        ]
+    for where, graph in windows:
+        if not graph.nnz:
+            continue
+        work = window_work(graph, config, case.window_edges, splitter)
+        program = factory.emit(work, case.embedding_dim, config, {})
+        shared = {}
+        for thread, item in enumerate(work):
+            emitted = program.thread_ops(thread)
+            drained = list(factory(item, case.embedding_dim, config,
+                                   shared=shared))
+            step = _first_divergence(emitted, drained)
+            if step is not None:
+                return [{
+                    "case": case.name,
+                    "check": "emission",
+                    "detail": (
+                        f"{case.kernel} kernel{where} thread {thread} "
+                        f"step {step}: emitted "
+                        f"{emitted[step] if step < len(emitted) else 'end'}"
+                        f", drained "
+                        f"{drained[step] if step < len(drained) else 'end'}"
+                    ),
+                }]
+    return []
+
+
 def differential_failures(case, check_level=2):
     """Run the oracle on one case; returns failure records (empty = pass).
 
@@ -167,15 +231,19 @@ def differential_failures(case, check_level=2):
     with the sanitizer armed at ``check_level``.  A checked run cannot
     replay, so this pairing is what holds replay to the sanitized
     reference loop.  The two results are compared bit-for-bit.
-    Each failure is a plain dict: ``{"case", "check", "detail"}`` with
-    ``check`` one of ``invariant:<engine>``, ``engine-mismatch``, or
+    Before either run, the case's emitted programs are compared with
+    its drained generators (:func:`emission_failures`), so an emission
+    bug is named at its first diverging step rather than as an engine
+    mismatch.  Each failure is a plain dict: ``{"case", "check",
+    "detail"}`` with ``check`` one of ``emission``,
+    ``invariant:<engine>``, ``engine-mismatch``, or
     ``model-envelope:<engine>``.  An ``InvariantViolation`` raised by
     the sanitizer is captured as a failure record rather than
     propagating — the harness reports, it does not crash.
     """
     sharded = case.n_shards > 1
     run = run_sharded_case if sharded else run_case
-    failures = []
+    failures = emission_failures(case)
     results = {}
     for engine, level in (("fast", 0), ("reference", check_level)):
         try:

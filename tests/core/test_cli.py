@@ -314,6 +314,23 @@ class TestEngineFlags:
         assert "--check-level 1" in text
         assert sorted(loop_calls) == ["reference"] * 2 + ["replay"] * 2
 
+    def test_resilience_verifies_on_every_run(self, tmp_path, monkeypatch,
+                                               loop_calls):
+        # Both legs bypass the result cache: a second run sharing the
+        # first one's cache directory still runs every DES point.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = [
+            "resilience", "--verify-engines",
+            "--max-vertices", "1024", "--cores", "2", "--hidden", "16",
+            "--severities", "0", "0.5", "--workers", "1",
+        ]
+        for _ in range(2):
+            del loop_calls[:]
+            code, text = run_cli(argv)
+            assert code == 0, text
+            assert "bit-identical at every severity" in text
+            assert sorted(loop_calls) == ["reference"] * 2 + ["replay"] * 2
+
     def test_resilience_refuses_to_verify_reference_against_itself(self):
         code, text = run_cli(["resilience", "--engine", "reference",
                               "--verify-engines"])

@@ -13,6 +13,9 @@ so any divergence introduced by a hot-path "optimization" fails loudly.
 Every golden and fuzz point runs three legs: the default config at
 ``check_level=0`` (replay), the reference loop, and the reference loop
 with the level-1 sanitizer armed (the loop every checked run takes).
+Replay executes the programs the kernels' numpy emitters build, so
+``TestEmission`` holds every emitter to its kernel's generators, step
+for step, over the same grid and the work-split shapes it misses.
 """
 
 import random
@@ -20,13 +23,18 @@ import random
 import pytest
 
 from repro.graphs.rmat import rmat_for_size
-from repro.piuma import simulate_spmm
+from repro.piuma import simulate_spmm, spmm_kernel
 from repro.piuma.config import ENGINES, PIUMAConfig
+from repro.piuma.degradation import DegradationSpec
+from repro.piuma.densemm_kernel import dense_thread, emit_dense
 from repro.piuma.engine import Simulator
-from repro.piuma.ops import DMAOp
+from repro.piuma.kernels import ThreadWork, run_spmm_kernel, window_work
+from repro.piuma.ops import DMAOp, OpProgram
 from repro.piuma.spmm_dma import dma_thread
 from repro.piuma.spmm_dynamic import simulate_spmm_dynamic
+from repro.piuma.spmm_loop import owner_core
 from repro.runtime.errors import SimulationDiverged
+from repro.runtime.shard import shard_geometry
 
 
 def _result_fingerprint(result):
@@ -158,7 +166,7 @@ class TestDifferential:
             PIUMAConfig(n_cores=2, threads_per_mtp=2, engine="reference"),
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref)
-        # The work-stealing kernel is not program_safe: its threads
+        # The work-stealing kernel has no emitter: its threads
         # stay generator-driven and the default run takes the
         # reference loop, checked or not, still bit-identical.
         checked = simulate_spmm_dynamic(
@@ -180,6 +188,121 @@ class TestDifferential:
             assert err.value.cause == "max_events", engine
             messages.add(str(err.value))
         assert len(messages) == 1
+
+
+def _assert_emission_matches(factory, work, embedding_dim, config):
+    """The emitted program equals the drained generators: op values,
+    per thread, in spawn order."""
+    program = factory.emit(work, embedding_dim, config, {})
+    assert program.n_threads == len(work)
+    shared = {}
+    for thread, item in enumerate(work):
+        drained = OpProgram.from_generator(
+            factory(item, embedding_dim, config, shared=shared)
+        )
+        assert program.thread_ops(thread) == drained.thread_ops(), thread
+
+
+def _slices_splitter(adj, config, window_edges):
+    """Edge-parallel work plus an empty and a one-edge thread slice."""
+    work = window_work(adj, config, window_edges)
+    return [
+        ThreadWork(core=0, mtp=0, cols=work[0].cols[:0],
+                   rows=work[0].rows[:0], start_edge=work[0].start_edge),
+        ThreadWork(core=work[1].core, mtp=work[1].mtp,
+                   cols=work[1].cols[:1], rows=work[1].rows[:1],
+                   start_edge=work[1].start_edge),
+    ] + work[2:]
+
+
+class TestEmission:
+    """Every static kernel's numpy emitter against its generators.
+
+    The fuzz grid's graphs and configs for all three SpMM kernels, then
+    the shapes the grid's splits do not reach.  The special cases also
+    run end to end: replay must match the reference loop.
+    """
+
+    @pytest.mark.parametrize("index", range(21))
+    def test_grid_point(self, index):
+        point = TestDifferential()._grid()[index]
+        adj = rmat_for_size(
+            point["n_vertices"],
+            point["n_vertices"] * point["degree"],
+            seed=point["graph_seed"],
+        )
+        config = PIUMAConfig(n_cores=point["n_cores"],
+                             threads_per_mtp=point["threads_per_mtp"])
+        for kernel in ("dma", "loop", "vertex"):
+            factory, splitter = spmm_kernel(kernel)
+            work = window_work(adj, config, None, splitter)
+            _assert_emission_matches(
+                factory, work, point["embedding_dim"], config,
+            )
+
+    CASES = {
+        # (config overrides, K, window edges, graph transform, splitter)
+        "empty-and-one-edge-slices": ({}, 32, 1024, None,
+                                      _slices_splitter),
+        # 16 threads x 13 edges: every thread ends in a 5-edge group.
+        "partial-nnz-group": ({}, 32, 16 * 13, None, None),
+        "unhashed-placement": ({"hashed_placement": False}, 32, None,
+                               None, None),
+        "k-not-multiple-of-unroll": ({}, 20, None, None, None),
+        "dead-cores": ({"n_cores": 4, "degradation": DegradationSpec(
+            dead_core_fraction=0.25, seed=3)}, 32, None, None, None),
+        "dead-mtps": ({"n_cores": 4, "degradation": DegradationSpec(
+            dead_mtp_fraction=0.25, seed=5)}, 32, None, None, None),
+        "multinode-shard": ({}, 32, None,
+                            lambda adj: shard_geometry(adj, 4, 1)[0], None),
+    }
+
+    @pytest.mark.parametrize("kernel", ["dma", "loop", "vertex"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_special_case(self, loop_calls, case, kernel):
+        overrides, embedding_dim, window, transform, splitter = \
+            self.CASES[case]
+        adj = rmat_for_size(1024, 1024 * 8, seed=21)
+        if transform is not None:
+            adj = transform(adj)
+        config = PIUMAConfig(**{"n_cores": 2, "threads_per_mtp": 2,
+                                **overrides})
+        factory, default_splitter = spmm_kernel(kernel)
+        splitter = splitter or default_splitter
+        work = window_work(adj, config, window, splitter)
+        _assert_emission_matches(factory, work, embedding_dim, config)
+        results = [
+            run_spmm_kernel(adj, embedding_dim, config.with_(engine=engine),
+                            factory, window, splitter)
+            for engine in ENGINES
+        ]
+        assert loop_calls == ["replay", "reference"]
+        assert _result_fingerprint(results[0]) == _result_fingerprint(
+            results[1]
+        )
+
+    @pytest.mark.parametrize("n_cores,window_rows", [
+        (4, 4096), (32, 8192), (2, 1000),
+    ])
+    def test_dense(self, n_cores, window_rows):
+        # simulate_dense_mm's split: contiguous row ranges, the last
+        # one ragged when the window does not divide evenly.
+        config = PIUMAConfig(n_cores=n_cores)
+        per = max(1, window_rows // config.n_threads)
+        thread_rows = [
+            range(start, min(start + per, window_rows))
+            for start in range(0, min(config.n_threads * per, window_rows),
+                               per)
+        ]
+        program = emit_dense(thread_rows, 64, 32, config, {})
+        shared = {}
+        for thread, rows in enumerate(thread_rows):
+            drained = OpProgram.from_generator(dense_thread(
+                rows, 64, 32, config,
+                core_of_row=lambda r: owner_core(r, n_cores),
+                shared=shared,
+            ))
+            assert program.thread_ops(thread) == drained.thread_ops()
 
 
 class TestStripeTargets:

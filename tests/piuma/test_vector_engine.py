@@ -88,10 +88,22 @@ def _resource_state(sim):
     )
 
 
-def _spawn_all(sim, adj, embedding_dim, config, as_programs):
-    """Spawn the DMA kernel's threads, compiled or generator-driven."""
+def _spawn_all(sim, adj, embedding_dim, config, as_programs,
+               per_thread=False):
+    """Spawn the DMA kernel's threads, compiled or generator-driven.
+
+    Compiled threads are registered as the kernels register them, one
+    emitted program for all threads (generators when the run cannot
+    replay), or with ``per_thread`` one drained program per
+    ``spawn_program`` call.
+    """
     shared = {}
-    for work in split_work(adj, config, 2048):
+    work_items = split_work(adj, config, 2048)
+    if as_programs and not per_thread and sim.spawn_programs(
+            dma_thread.emit(work_items, embedding_dim, config, shared),
+            [(work.core, work.mtp) for work in work_items]):
+        return
+    for work in work_items:
         generator = dma_thread(work, embedding_dim, config, shared=shared)
         if as_programs:
             sim.spawn_program(
@@ -162,8 +174,12 @@ class TestPlanCache:
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         state = sim._vector_state
         assert state is not None and state.replayable
-        assert len(state.steps) == len(sim._threads)
-        total_steps = sum(len(steps) - 1 for steps in state.steps)
+        assert len(state.starts) == len(sim._threads)
+        # One flat step list: every thread's steps, then the sentinel.
+        ends = state.starts[1:] + [len(state.steps)]
+        threads = [state.steps[lo:hi] for lo, hi in zip(state.starts, ends)]
+        assert all(steps[-1] is vector_engine._exhaust for steps in threads)
+        total_steps = len(state.steps) - len(threads)
         assert len(state.plans) < total_steps / 4
         # One closure per distinct (op, core): threads on different
         # MTPs of a core step through the same plan objects.
@@ -171,7 +187,7 @@ class TestPlanCache:
             (core, mtp) for _gen, core, mtp in sim._threads
         }} == {0, 1}
         fns_by_mtp = {}
-        for (_gen, core, mtp), steps in zip(sim._threads, state.steps):
+        for (_gen, core, mtp), steps in zip(sim._threads, threads):
             fns_by_mtp.setdefault((core, mtp), set()).update(steps[:-1])
         for core in (0, 1):
             shared = set.intersection(
@@ -222,20 +238,26 @@ class TestPlanCache:
 
 
 class TestEquivalence:
-    def test_compiled_matches_generator_driven(self):
-        # The same work spawned as compiled programs (replay) and as
+    def test_compiled_matches_generator_driven(self, loop_calls):
+        # The same work spawned as compiled programs (replay; one
+        # emitted program, and one drained program per thread) and as
         # generators (the reference loop) — the raw simulator state
         # must agree.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
-        replayed = Simulator(config)
-        _spawn_all(replayed, adj, 32, config, as_programs=True)
-        replayed.run()
         generators = Simulator(config)
         _spawn_all(generators, adj, 32, config, as_programs=False)
         generators.run()
-        assert _sim_fingerprint(replayed) == _sim_fingerprint(generators)
-        assert _resource_state(replayed) == _resource_state(generators)
+        for per_thread in (False, True):
+            replayed = Simulator(config)
+            _spawn_all(replayed, adj, 32, config, as_programs=True,
+                       per_thread=per_thread)
+            replayed.run()
+            assert _sim_fingerprint(replayed) == _sim_fingerprint(
+                generators)
+            assert _resource_state(replayed) == _resource_state(
+                generators)
+        assert loop_calls == ["reference", "replay", "replay"]
 
     def test_mixed_program_and_generator_threads(self):
         # Half the threads compiled, half generator-driven: the run
@@ -262,9 +284,9 @@ class TestEquivalence:
 
     def test_wrapped_dma_dispatch_falls_back(self):
         # Anything that replaces the DMA dispatch entry (the mutation
-        # harness, instrumentation) must stay on-path: compile_thread
-        # stops compiling rather than routing compiled plans around
-        # the wrapper, and the run goes to the reference loop.
+        # harness, instrumentation) must stay on-path: nothing is
+        # compiled rather than routing compiled plans around the
+        # wrapper, and the run goes to the reference loop.
         adj = _adj()
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
@@ -291,11 +313,15 @@ class TestEquivalence:
         # loop, checked and unchecked, agree exactly.
         from repro.piuma.densemm_kernel import simulate_dense_mm
 
-        results = [
-            simulate_dense_mm(4096, 64, 32, PIUMAConfig(n_cores=4, **knobs))
-            for knobs in ({}, {"check_level": 1}, {"engine": "reference"})
-        ]
-        assert results[0] == results[1] == results[2]
+        for n_cores, shape in ((4, (4096, 64, 32)),
+                               (32, (1 << 20, 256, 256))):
+            results = [
+                simulate_dense_mm(*shape, PIUMAConfig(n_cores=n_cores,
+                                                      **knobs))
+                for knobs in ({}, {"check_level": 1},
+                              {"engine": "reference"})
+            ]
+            assert results[0] == results[1] == results[2], n_cores
 
     def test_checked_replay_at_level2(self):
         # At check_level=2 the default engine runs the reference loop
@@ -330,6 +356,30 @@ class TestLoopSelection:
             simulate_dense_mm(256, 16, 16, config, window_rows=256)
         assert loop_calls == ["replay"]
 
+    @pytest.mark.parametrize("kernel", ["dma", "loop", "vertex", "dense"])
+    def test_static_kernels_emit_without_draining(self, loop_calls,
+                                                  monkeypatch, kernel):
+        """A default-engine run emits its programs: no generator is
+        drained, and the run replays."""
+        from repro.piuma.densemm_kernel import simulate_dense_mm
+
+        drains = []
+        from_generator = OpProgram.from_generator
+
+        def spy_drain(generator):
+            drains.append(generator)
+            return from_generator(generator)
+
+        monkeypatch.setattr(OpProgram, "from_generator", spy_drain)
+        config = PIUMAConfig(n_cores=2)
+        if kernel == "dense":
+            simulate_dense_mm(256, 16, 16, config, window_rows=256)
+        else:
+            simulate_spmm(_adj(), 16, config, kernel=kernel,
+                          window_edges=1024)
+        assert drains == []
+        assert loop_calls == ["replay"]
+
     def test_unchecked_programs_replay(self, loop_calls):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
@@ -346,13 +396,21 @@ class TestLoopSelection:
         assert loop_calls == ["reference"]
 
     def test_generator_thread_takes_reference_loop(self, loop_calls):
+        # A generator spawned after the emitted program loses replay:
+        # the reference loop runs the compiled threads' generator
+        # views, with the generator-driven run's results.
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
-        sim = Simulator(config)
-        _spawn_all(sim, _adj(), 32, config, as_programs=True)
         work = split_work(_adj(), config, 2048)[0]
-        sim.spawn(dma_thread(work, 32, config), work.core, work.mtp)
-        sim.run()
-        assert loop_calls == ["reference"]
+        sims = []
+        for as_programs in (True, False):
+            sim = Simulator(config)
+            _spawn_all(sim, _adj(), 32, config, as_programs=as_programs)
+            sim.spawn(dma_thread(work, 32, config), work.core, work.mtp)
+            sim.run()
+            sims.append(sim)
+        assert loop_calls == ["reference", "reference"]
+        assert _sim_fingerprint(sims[0]) == _sim_fingerprint(sims[1])
+        assert _resource_state(sims[0]) == _resource_state(sims[1])
 
     def test_detached_tracer_lets_the_run_replay(self, loop_calls):
         from repro.piuma.trace import Tracer
@@ -368,14 +426,18 @@ class TestLoopSelection:
     @pytest.mark.parametrize("kernel", ["spmm", "dense"])
     def test_checked_kernel_spawns_generators(self, loop_calls,
                                               monkeypatch, kernel):
-        """A sanitized run cannot replay, so nothing is compiled."""
+        """A sanitized run cannot replay, so nothing is emitted or
+        compiled."""
+        from repro.piuma import densemm_kernel
         from repro.piuma.densemm_kernel import simulate_dense_mm
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("compiled a run that cannot replay")
 
         monkeypatch.setattr(OpProgram, "from_generator", refuse)
-        monkeypatch.setattr(vector_engine, "compile_thread", refuse)
+        monkeypatch.setattr(vector_engine, "compile_programs", refuse)
+        monkeypatch.setattr(dma_thread, "emit", refuse)
+        monkeypatch.setattr(densemm_kernel, "emit_dense", refuse)
         config = PIUMAConfig(n_cores=2, check_level=1)
         if kernel == "spmm":
             simulate_spmm(_adj(), 16, config, window_edges=1024)
@@ -389,6 +451,8 @@ class TestLoopSelection:
             raise AssertionError("compiled a reference-engine run")
 
         monkeypatch.setattr(OpProgram, "from_generator", refuse)
+        monkeypatch.setattr(vector_engine, "compile_programs", refuse)
+        monkeypatch.setattr(dma_thread, "emit", refuse)
         simulate_spmm(_adj(), 16, PIUMAConfig(n_cores=2,
                                               engine="reference"),
                       window_edges=1024)
@@ -410,9 +474,9 @@ class TestLoopSelection:
         # K=40 rows are 160 bytes, three cache lines, so a DMA read
         # stripes 53.33 bytes over three slices: a counter addend no
         # batched integer settle can reproduce, so the run is not
-        # replayed and still matches the reference loop.  The first
-        # thread's compile rules replay out; the other 31 threads
-        # spawn as generators, drained and compiled never.
+        # replayed and still matches the reference loop.  Compiling the
+        # emitted program rules replay out before any thread is
+        # registered; every thread spawns as a generator, none drained.
         drains = []
         from_generator = OpProgram.from_generator
 
@@ -425,7 +489,7 @@ class TestLoopSelection:
         config = PIUMAConfig(n_cores=4, threads_per_mtp=2)
         result = simulate_spmm(adj, 40, config, window_edges=1024)
         assert loop_calls == ["reference"]
-        assert len(drains) == 1 < config.n_threads
+        assert drains == []
         reference = simulate_spmm(
             adj, 40, config.with_(engine="reference"), window_edges=1024,
         )
@@ -475,7 +539,7 @@ class TestReplayLeak:
         )
         state = sim._vector_state
         assert not sim.can_replay and not state.replayable
-        assert (state.plans, state.steps, state.rows) == ({}, [], [])
+        assert (state.plans, state.steps, state.starts) == ({}, [], [])
 
     def test_run_drops_compiled_state(self):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
