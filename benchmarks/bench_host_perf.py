@@ -8,8 +8,9 @@ both main loops the engine ships:
 * ``replay``: the default engine (``PIUMAConfig()``) at
   ``check_level=0``, which replays the op program the kernel emits for
   all threads, compiled at ``spawn_programs`` time
-  (``repro.piuma.vector_engine``) — one constant-bound closure per
-  (op, core), ``run()`` only replays them in exact (when, seq) event
+  (``repro.piuma.vector_engine``) — one numeric plan row per
+  (op, core), ``run()`` hands them to the native C loop
+  (``_replay.c``), which replays them in exact (when, seq) event
   order, deferred integral counters settled post-run;
 * ``reference``: the plain pop/execute/push loop kept as the
   semantics oracle.  It is also the loop every run replay cannot take
@@ -35,21 +36,25 @@ time, so the artifact also records each loop's whole-point wall
 its spawn time (``spawn_s``, the point wall minus ``run()``).  Spawn
 time carries no guard.
 
-On replay's expectations, honestly: ``run()`` measures ~2.1-2.5x the
-reference loop on this point (CPython 3.11).  The measured
-decomposition (DESIGN.md section 8) shows where the remaining ~2 us per
-event goes: ~0.55 us is the per-switch ``heappushpop`` on a ~500-entry
-queue (the exact (when, seq) total order is the bit-identity contract,
-so the switch cannot be elided) and ~1 us is the DRAM-timeline
-backfill/merge charges of the striped DMAs (interval placement feeds
-back into simulated time, so it cannot be batched out of the loop).
-Both costs are semantic, not overhead.  The guard asserts a 1.8x floor
-on the median per-round replay/reference ratio — high enough that
-losing the deferred-counter machinery, spawn-time plan compilation, or
-the sentinel-terminated tight loop each trips it immediately, low
-enough that a noisy shared CI host does not.  The floor is the product
-of two earlier guards, replay >= 1.7x a type-dispatch loop that was
-itself >= 1.05x the reference loop, rounded up.
+On replay's expectations, honestly: the native loop takes ``run()``
+from the ~2 us per event the Python closure replay spent to
+0.19-0.27 us on this point (ten runs on a 2-vCPU host; copying the
+simulator state in and out and settling the deferred counters
+included).  The two costs that dominated the Python loop, the thread
+switch on the event heap and the DRAM-timeline merges of the striped
+DMAs, are still paid on every event in exactly the reference order
+(the ``(when, seq)`` order and interval placement are the
+bit-identity contract); they were fixed costs of CPython, not of the
+work.  The guard asserts a floor of half the lowest median per-round
+replay/reference ratio seen over five runs of this bench with the
+native core (see CHANGES.md), so losing the native loop, or falling
+back to the reference loop, trips it at once while a noisy shared CI
+host does not.
+
+The level-1 guard compares two runs of the same Python reference loop,
+with and without the sanitizer, so host noise decides most of its
+spread: each round alternates which of the two goes first, and the
+median is taken over 11 rounds.
 """
 
 import json
@@ -64,17 +69,20 @@ from repro.piuma.config import PIUMAConfig
 
 K = 256
 N_CORES = 8
-ROUNDS = 7
+ROUNDS = 11
 
 #: Loops benched, in round order, with the engine value that runs
-#: each.  The checked run follows the reference loop inside every round,
-#: so both guarded pairs are measured back-to-back — the tightest
-#: pairing against host-frequency drift.
+#: each.  The checked run sits next to the reference loop inside every
+#: round, before it in odd rounds and after it in even ones, so both
+#: guarded pairs are measured back-to-back — the tightest pairing
+#: against host-frequency drift — and neither side of the level-1 pair
+#: always runs first.
 LOOPS = {"replay": "fast", "reference": "reference"}
 
-#: Floor on the median per-round replay/reference ratio (see
-#: docstring).
-REPLAY_VS_REFERENCE_FLOOR = 1.8
+#: Floor on the median per-round replay/reference ratio: half the
+#: lowest median (23.99x) of five runs with the native loop on a 2-vCPU
+#: host (see docstring).
+REPLAY_VS_REFERENCE_FLOOR = 11.99
 
 
 def _run_once(adj, engine, check_level=0):
@@ -115,14 +123,19 @@ def test_host_perf(emit):
     samples = {loop: [] for loop in LOOPS}
     walls = {loop: [] for loop in LOOPS}
     checked_samples = []
-    for _ in range(ROUNDS):
+    for round_ in range(ROUNDS):
         for loop, engine in LOOPS.items():
+            if loop == "reference" and round_ % 2:
+                checked_samples.append(
+                    _run_once(adj, "fast", check_level=1)[0].host_wall_s
+                )
             result, wall = _run_once(adj, engine)
             samples[loop].append(result.host_wall_s)
             walls[loop].append(wall)
-        checked_samples.append(
-            _run_once(adj, "fast", check_level=1)[0].host_wall_s
-        )
+        if not round_ % 2:
+            checked_samples.append(
+                _run_once(adj, "fast", check_level=1)[0].host_wall_s
+            )
     wall = time.perf_counter() - started
 
     # Bit-identical simulation results in both loops.
@@ -175,7 +188,8 @@ def test_host_perf(emit):
             "embedding_dim": K,
             "n_cores": N_CORES,
             "rounds": ROUNDS,
-            "method": "median of interleaved rounds, warmup excluded",
+            "method": "median of interleaved rounds, warmup excluded; "
+                      "checked and reference runs alternate order",
         },
         "events": base.events,
         "sim_time_ns": base.sim_time_ns,
@@ -218,9 +232,8 @@ def test_host_perf(emit):
 
     # Replay must hold its measured lead over the reference loop
     # (median per-round ratio of back-to-back runs, same process).
-    # Losing spawn-time plan compilation, the deferred counters, or
-    # the sentinel-terminated tight loop each costs well over this
-    # margin; see DESIGN.md section 8 for the decomposition.
+    # Losing the native loop costs well over this margin; see
+    # DESIGN.md section 8.
     assert replay_vs_ref >= REPLAY_VS_REFERENCE_FLOOR, (
         f"replay at {replay_vs_ref:.2f}x the reference loop "
         f"({replay_evs:,.0f} vs {ref_evs:,.0f} events/s) — below the "

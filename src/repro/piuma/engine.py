@@ -13,10 +13,10 @@ project steady-state throughput to the full graph.
 
 The simulator has two main loops (see DESIGN.md, "Host performance"):
 
-* compiled replay (:mod:`repro.piuma.vector_engine`), which runs op
-  programs compiled at spawn time.  ``PIUMAConfig.engine="fast"`` (the
-  default) takes it whenever every thread is a compiled program and
-  nothing hooks ``_execute``;
+* compiled replay (:mod:`repro.piuma.vector_engine`), a C loop that
+  runs op programs compiled at spawn time.  ``PIUMAConfig.engine="fast"``
+  (the default) takes it whenever every thread is a compiled program,
+  nothing hooks ``_execute`` and the native core loaded;
 * the reference loop, the plain pop/execute/push loop kept as the
   semantics oracle.  ``engine="reference"`` always takes it, and so
   does every run replay cannot take: a sanitizer or tracer armed, a
@@ -34,7 +34,7 @@ import heapq
 import time
 from collections import defaultdict
 
-from repro.piuma import vector_engine
+from repro.piuma import native, vector_engine
 from repro.piuma.degradation import DegradationModel
 from repro.piuma.dma import DMAEngine
 from repro.piuma.network import Network
@@ -163,7 +163,7 @@ class Simulator:
         self._seq = 0
         self._threads = []
         # Replay compile state (vector_engine.ReplayState): the
-        # per-(op, core) plan closures and the flat step list, built at
+        # per-(op, core) plan rows and the flat step list, built at
         # spawn_programs time so run() only replays; run() drops it.
         self._vector_state = None
         # Memoized topology tables: stripe-target core lists and the
@@ -261,18 +261,20 @@ class Simulator:
 
         Replay takes the default engine, no ``_execute`` hook bound
         (the sanitizer binds one in ``__init__``), the engine's own DMA
-        dispatch entry (a wrapper must stay on-path), and nothing
-        compiled so far that rules it out
-        (:func:`~repro.piuma.vector_engine.compile_programs`).  Kernels
-        read it before emitting their programs, so a run that cannot
-        replay spawns plain generators and emits nothing.
+        dispatch entry (a wrapper must stay on-path), nothing compiled
+        so far that rules it out
+        (:func:`~repro.piuma.vector_engine.compile_programs`), and the
+        native replay core (:mod:`repro.piuma.native`, built on first
+        use).  Kernels read it before emitting their programs, so a run
+        that cannot replay spawns plain generators and emits nothing.
         """
         state = self._vector_state
         return (self.config.engine == "fast"
                 and "_execute" not in self.__dict__
                 and getattr(self._dispatch[DMAOp], "plans", None)
                 is not None
-                and (state is None or state.replayable))
+                and (state is None or state.replayable)
+                and native.load() is not None)
 
     def _push(self, when, idx, value):
         heapq.heappush(self._heap, (when, self._seq, idx, value))

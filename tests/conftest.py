@@ -51,16 +51,16 @@ def rng():
 def loop_calls(monkeypatch):
     """Names of the DES main loops run in this test, in call order.
 
-    ``"replay"`` for compiled replay (``vector_engine._replay_programs``)
-    and ``"reference"`` for ``Simulator._run_reference``.  Only runs in
-    this process are seen.
+    ``"replay"`` for native compiled replay (its entry point,
+    ``vector_engine._replay_native``) and ``"reference"`` for
+    ``Simulator._run_reference``.  Only runs in this process are seen.
     """
     from repro.piuma import vector_engine
     from repro.piuma.engine import Simulator
 
     calls = []
     run_reference = Simulator._run_reference
-    replay = vector_engine._replay_programs
+    replay = vector_engine._replay_native
 
     def spy_reference(sim):
         calls.append("reference")
@@ -71,5 +71,5 @@ def loop_calls(monkeypatch):
         return replay(*args)
 
     monkeypatch.setattr(Simulator, "_run_reference", spy_reference)
-    monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
+    monkeypatch.setattr(vector_engine, "_replay_native", spy_replay)
     return calls

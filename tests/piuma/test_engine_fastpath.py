@@ -35,6 +35,7 @@ from repro.piuma.spmm_dynamic import simulate_spmm_dynamic
 from repro.piuma.spmm_loop import owner_core
 from repro.runtime.errors import SimulationDiverged
 from repro.runtime.shard import shard_geometry
+from tests.piuma.test_vector_engine import _capture_runs, _resource_state
 
 
 def _result_fingerprint(result):
@@ -134,19 +135,24 @@ class TestDifferential:
         return points
 
     @pytest.mark.parametrize("index", range(21))
-    def test_point(self, index):
+    def test_point(self, index, monkeypatch, loop_calls):
         point = self._grid()[index]
         adj = rmat_for_size(
             point["n_vertices"],
             point["n_vertices"] * point["degree"],
             seed=point["graph_seed"],
         )
+        sims = _capture_runs(monkeypatch)
         fast, ref = _both_paths(
             adj, point["embedding_dim"], kernel=point["kernel"],
             n_cores=point["n_cores"],
             threads_per_mtp=point["threads_per_mtp"],
         )
         assert _result_fingerprint(fast) == _result_fingerprint(ref), point
+        # Every resource field native replay writes back, against the
+        # reference loop's live state.
+        assert loop_calls == ["replay", "reference"], point
+        assert _resource_state(sims[0]) == _resource_state(sims[1]), point
         checked = _checked_fast_path(
             adj, point["embedding_dim"], kernel=point["kernel"],
             n_cores=point["n_cores"],

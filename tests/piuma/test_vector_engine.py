@@ -3,19 +3,28 @@
 ``tests/piuma/test_engine_fastpath.py`` pins the end-to-end contract
 (bit-identical fingerprints across every loop); this suite aims at the
 machinery that makes replay fast enough to matter — the spawn-time
-per-(op, core) plan cache, the fused ``_merge_backfill``, the deferred
-integral counters settled from executed step prefixes, the release of
-every replayed simulator — and at which loop a default-engine run
-executes: compiled replay when every thread is a program, no
-``_execute`` hook is bound and every deferred addend is integral, the
-reference loop otherwise (a generator thread, a wrapped DMA dispatch,
-the sanitizer armed, a fractional addend).
+per-(op, core) plan cache, the native loop's timeline backfill, the
+deferred integral counters settled from executed step prefixes, the
+write-back of every resource field, the release of every replayed
+simulator and of the native buffers, the native core's build and load —
+and at which loop a default-engine run executes: native compiled replay
+when every thread is a program, no ``_execute`` hook is bound, every
+deferred addend is integral and the native core loaded, the reference
+loop otherwise (a generator thread, a wrapped DMA dispatch, the
+sanitizer armed, a fractional addend, no working compiler).
 """
 
+import ctypes
 import gc
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.graphs.rmat import rmat_for_size
@@ -27,8 +36,7 @@ from repro.piuma.kernels import split_work
 from repro.piuma.ops import DMAOp, OpProgram, PhaseMarker
 from repro.piuma.resources import Timeline
 from repro.piuma.spmm_dma import dma_thread
-from repro.piuma import vector_engine
-from repro.piuma.vector_engine import _merge_backfill
+from repro.piuma import native, vector_engine
 from repro.runtime.errors import SimulationDiverged
 
 
@@ -67,7 +75,10 @@ def _resource_state(sim):
     The deferred counters (``units_served``, ``requests``,
     ``bytes_served``, ``ops``, ``bytes_moved``) only exist here, not in
     the kernel fingerprint, so this is what holds the settle pass to
-    the live accounting of the other loops.
+    the live accounting of the other loops; the rest is every field the
+    native loop copies back (timelines with their retired busy time,
+    priority horizons, staging queues, failure countdowns,
+    ``setup_end``), so a field it forgets fails here.
     """
     def fluid(r):
         return (r.busy_until, r.busy_time, r.units_served, r.requests)
@@ -78,14 +89,30 @@ def _resource_state(sim):
         [fluid(i) for i in sim.network._injection],
         [
             (s.bytes_served, s.requests, s._priority_busy,
-             s._timeline._starts, s._timeline._ends)
+             s._priority_horizon, s._timeline._starts, s._timeline._ends,
+             s._timeline._retired_busy)
             for s in sim.slices
         ],
         [
-            (e.ops, e.bytes_moved, e.retries, fluid(e._engine))
+            (e.ops, e.bytes_moved, e.retries, fluid(e._engine),
+             list(e._inflight), e._inflight_bytes, e._fail_countdown)
             for e in sim.dma_engines
         ],
+        sim.setup_end,
     )
+
+
+def _capture_runs(monkeypatch):
+    """Every simulator :meth:`Simulator.run` runs, in call order."""
+    sims = []
+    run = Simulator.run
+
+    def spy_run(self):
+        sims.append(self)
+        return run(self)
+
+    monkeypatch.setattr(Simulator, "run", spy_run)
+    return sims
 
 
 def _spawn_all(sim, adj, embedding_dim, config, as_programs,
@@ -114,26 +141,32 @@ def _spawn_all(sim, adj, embedding_dim, config, as_programs,
 
 
 class TestMergeBackfill:
-    """``_merge_backfill`` is ``Timeline.backfill`` minus the memmoves.
+    """The native loop's backfill is ``Timeline.backfill`` minus the
+    memmoves.
 
     The contract is *content* equivalence: same returned end and the
-    same interval lists after every single call, on adversarial
+    same interval arrays after every single call, on adversarial
     sequences that hit all three mutation cases (extend-predecessor,
-    overwrite-successor, plain insert).
+    overwrite-successor, plain insert).  ``piuma_backfill`` exports the
+    loop's own function for this.
     """
 
     def _differential(self, calls):
+        backfill = native.load().piuma_backfill
         timeline = Timeline()
-        starts, ends = [], []
+        cap = len(calls)
+        starts, ends = np.zeros(cap), np.zeros(cap)
+        n = ctypes.c_int64(0)
         for arrival, duration in calls:
-            # Timeline.backfill returns (start, end); the fused
-            # version returns only the end (callers never use start).
+            # Timeline.backfill returns (start, end); the native one
+            # returns only the end (callers never use start).
             _start, want = timeline.backfill(arrival, duration)
-            got = _merge_backfill(starts, ends, arrival, duration)
+            got = backfill(starts.ctypes.data, ends.ctypes.data,
+                           ctypes.byref(n), cap, arrival, duration)
             assert got == want, (arrival, duration)
-            assert list(zip(starts, ends)) == timeline._intervals, (
-                arrival, duration,
-            )
+            assert list(zip(starts[:n.value].tolist(),
+                            ends[:n.value].tolist())) == \
+                timeline._intervals, (arrival, duration)
 
     def test_randomized_sequences(self):
         rng = random.Random(0xBF11)
@@ -175,26 +208,30 @@ class TestPlanCache:
         state = sim._vector_state
         assert state is not None and state.replayable
         assert len(state.starts) == len(sim._threads)
-        # One flat step list: every thread's steps, then the sentinel.
-        ends = state.starts[1:] + [len(state.steps)]
-        threads = [state.steps[lo:hi] for lo, hi in zip(state.starts, ends)]
-        assert all(steps[-1] is vector_engine._exhaust for steps in threads)
-        total_steps = len(state.steps) - len(threads)
+        # One flat step list: every thread's plan ids, then plan 0.
+        steps = np.concatenate(state.steps)
+        assert steps.dtype == np.int32 and len(steps) == state.n_steps
+        assert state.plan_i[0][0] == vector_engine.PLAN_END
+        ends = state.starts[1:] + [len(steps)]
+        threads = [steps[lo:hi].tolist() for lo, hi in zip(state.starts, ends)]
+        assert all(uids[-1] == 0 and 0 not in uids[:-1] for uids in threads)
+        total_steps = len(steps) - len(threads)
         assert len(state.plans) < total_steps / 4
-        # One closure per distinct (op, core): threads on different
-        # MTPs of a core step through the same plan objects.
+        # One plan per distinct (op, core): threads on different MTPs
+        # of a core step through the same plan ids.
         assert {core for core, _mtp in {
             (core, mtp) for _gen, core, mtp in sim._threads
         }} == {0, 1}
-        fns_by_mtp = {}
-        for (_gen, core, mtp), steps in zip(sim._threads, threads):
-            fns_by_mtp.setdefault((core, mtp), set()).update(steps[:-1])
+        plans_by_mtp = {}
+        for (_gen, core, mtp), uids in zip(sim._threads, threads):
+            plans_by_mtp.setdefault((core, mtp), set()).update(uids[:-1])
         for core in (0, 1):
             shared = set.intersection(
-                *(fns for (c, _m), fns in fns_by_mtp.items() if c == core)
+                *(uids for (c, _m), uids in plans_by_mtp.items()
+                  if c == core)
             )
             assert shared, core
-        assert len({fn for fns in fns_by_mtp.values() for fn in fns}) \
+        assert len({uid for uids in plans_by_mtp.values() for uid in uids}) \
             == len(state.plans)
 
     def test_setup_ops_interned(self):
@@ -338,8 +375,9 @@ class TestEquivalence:
 class TestLoopSelection:
     """Which main loop a default-engine run executes.
 
-    Compiled replay (``_replay_programs``) needs every thread compiled,
-    no ``_execute`` hook bound and every deferred addend integral;
+    Native compiled replay (``_replay_native``) needs every thread
+    compiled, no ``_execute`` hook bound, every deferred addend
+    integral and the native core loaded;
     every other run goes to ``Simulator._run_reference``, which drives
     the programs' generator views.
     """
@@ -496,21 +534,25 @@ class TestLoopSelection:
         assert _fingerprint(result) == _fingerprint(reference)
 
 
+def _rss_mb():
+    with open("/proc/self/statm") as handle:
+        pages = int(handle.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 class TestReplayLeak:
-    """A replayed simulator is freed once its caller drops it."""
+    """A replayed simulator, and every buffer of the native loop, is
+    freed once its caller drops it."""
 
     def test_replayed_simulators_are_freed(self, monkeypatch):
-        # Every thread exhaustion raises the one prebuilt sentinel; if
-        # its traceback kept growing, the replay frames it holds would
-        # pin every simulator ever replayed.
         refs = []
-        replay = vector_engine._replay_programs
+        replay = vector_engine._replay_native
 
         def spy_replay(sim, *args):
             refs.append(weakref.ref(sim))
             return replay(sim, *args)
 
-        monkeypatch.setattr(vector_engine, "_replay_programs", spy_replay)
+        monkeypatch.setattr(vector_engine, "_replay_native", spy_replay)
         adj = _adj()
         for _ in range(3):
             simulate_spmm(adj, 16, PIUMAConfig(n_cores=2),
@@ -518,7 +560,24 @@ class TestReplayLeak:
         gc.collect()
         assert len(refs) == 3
         assert [ref() for ref in refs] == [None, None, None]
-        assert vector_engine._EXHAUSTED.__traceback__ is None
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads resident memory from /proc")
+    def test_rss_flat_over_replays(self, loop_calls):
+        # The native loop allocates its event queue and queue heads and
+        # works in arrays the caller sizes; 60 replays of a 256-thread
+        # point must leave resident memory where 5 left it.
+        adj = _adj()
+        config = PIUMAConfig(n_cores=4)
+        for _ in range(5):
+            simulate_spmm(adj, 64, config)
+        gc.collect()
+        before = _rss_mb()
+        for _ in range(60):
+            simulate_spmm(adj, 64, config)
+        gc.collect()
+        assert loop_calls == ["replay"] * 65
+        assert _rss_mb() - before < 4.0
 
     def test_rule_out_frees_compiled_state(self):
         # Threads compiled before a fractional addend rules replay out
@@ -552,13 +611,16 @@ class TestReplayLeak:
 
 class TestDegradedPresets:
     @pytest.mark.parametrize("preset", sorted(DEGRADATION_PRESETS))
-    def test_preset_bit_identical_checked(self, preset):
+    def test_preset_bit_identical_checked(self, preset, monkeypatch,
+                                          loop_calls):
         # Every shipped degradation preset: compiled replay (default
         # engine, check_level=0) must reproduce the sanitized
         # reference loop (check_level=1) bit-for-bit on a degraded
-        # fabric too (stall windows, retries, rerouting).
+        # fabric too (stall windows, retries, rerouting), down to
+        # every resource field the native loop writes back.
         adj = _adj()
         spec = DEGRADATION_PRESETS[preset]
+        sims = _capture_runs(monkeypatch)
         results = {}
         for check_level in (1, 0):
             results[check_level] = simulate_spmm(
@@ -566,7 +628,9 @@ class TestDegradedPresets:
                 PIUMAConfig(n_cores=4, check_level=check_level,
                             degradation=spec),
             )
+        assert loop_calls == ["reference", "replay"]
         assert _fingerprint(results[0]) == _fingerprint(results[1])
+        assert _resource_state(sims[1]) == _resource_state(sims[0])
 
 
 class TestWatchdogParity:
@@ -631,3 +695,52 @@ class TestWatchdogParity:
                 _resource_state(sim),
             )
         assert state[True] == state[False]
+
+
+class TestNativeBuild:
+    """Building and loading the native replay core."""
+
+    def test_no_compiler_takes_reference_loop(self, loop_calls,
+                                              monkeypatch, tmp_path):
+        # A compiler command that does not exist and an empty cache:
+        # one RuntimeWarning, no replay, the reference loop, the same
+        # results.
+        adj = _adj()
+        config = PIUMAConfig(n_cores=2)
+        replayed = simulate_spmm(adj, 16, config, window_edges=1024)
+        monkeypatch.setattr(native, "compiler",
+                            lambda: ["no-such-compiler-for-replay"])
+        monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(native, "_lib", native._UNSET)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert not Simulator(config).can_replay
+            fallback = simulate_spmm(adj, 16, config, window_edges=1024)
+        assert [str(w.message) for w in caught if
+                issubclass(w.category, RuntimeWarning)] == [
+            str(caught[0].message)]
+        assert "native replay core unavailable" in str(caught[0].message)
+        assert loop_calls == ["replay", "reference"]
+        assert _fingerprint(fallback) == _fingerprint(replayed)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fresh_interpreter_loads_without_subprocess(self):
+        native.load()
+        code = textwrap.dedent("""
+            import os
+            import subprocess
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("started a subprocess")
+
+            subprocess.Popen = refuse
+            os.fork = os.posix_spawn = os.system = refuse
+            from repro.piuma import native
+            assert native.load() is not None
+        """)
+        src = Path(native.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
