@@ -11,7 +11,7 @@ both main loops the engine ships:
   (``repro.piuma.vector_engine``) — one numeric plan row per
   (op, core), ``run()`` hands them to the native C loop
   (``_replay.c``), which replays them in exact (when, seq) event
-  order, deferred integral counters settled post-run;
+  order, adding every counter per event in the handlers' order;
 * ``reference``: the plain pop/execute/push loop kept as the
   semantics oracle.  It is also the loop every run replay cannot take
   runs, checked runs included.
@@ -39,8 +39,7 @@ time carries no guard.
 On replay's expectations, honestly: the native loop takes ``run()``
 from the ~2 us per event the Python closure replay spent to
 0.19-0.27 us on this point (ten runs on a 2-vCPU host; copying the
-simulator state in and out and settling the deferred counters
-included).  The two costs that dominated the Python loop, the thread
+simulator state in and out included).  The two costs that dominated the Python loop, the thread
 switch on the event heap and the DRAM-timeline merges of the striped
 DMAs, are still paid on every event in exactly the reference order
 (the ``(when, seq)`` order and interval placement are the

@@ -10,8 +10,11 @@
  *
  *   - every float is a double and the library is built with
  *     -ffp-contract=off, so no multiply-add is fused;
- *   - integral byte counts and countdowns are int64, as Python keeps
- *     them as ints; mixed adds convert to double exactly as Python does;
+ *   - integral byte counts, countdowns and request counts are int64, as
+ *     Python keeps them as ints; mixed adds convert to double exactly as
+ *     Python does;
+ *   - counters accumulate per event in handler order, so every float
+ *     sum rounds as the reference's does;
  *   - stall deferral uses fmod, which equals Python's float % because
  *     both operands are non-negative;
  *   - timeline compaction sums retired intervals left to right, as
@@ -56,40 +59,53 @@ enum {
 };
 
 /* One plan (vector_engine.ReplayState): its integer row, padded to one
- * 64-byte cache line, and its float row. */
+ * 64-byte cache line, and its float row: timing constants, then what
+ * one execution adds to the counters (the pipeline's instructions, the
+ * tag record's bytes, and the payload of an atomic or DMA, which its
+ * atomic unit or DMA engine serves and an atomic injects). */
 typedef struct {
-    int64_t kind, core, record, t0, nt, flag, count, pad;
+    int64_t kind, core, record, t0, nt, flag, payload, pad;
 } plan_i_t;
 
 typedef struct {
     double dur, lat, x, inj;
+    double units, bytes, amount;
 } plan_f_t;
 
-/* One slice a plan touches. */
+/* One slice a plan touches; `bytes` is what the slice serves, and what
+ * a remote store or DMA target injects. */
 typedef struct {
     int64_t slice, remote;
 } target_i_t;
 
 typedef struct {
-    double lat, service, lat_ns;
+    double lat, service, lat_ns, bytes;
 } target_f_t;
 
+/* FluidResource. */
 typedef struct {
-    double busy_until, busy_time;
+    double busy_until, busy_time, units_served;
+    int64_t requests;
 } fluid_t;
 
+/* DMAEngine: staging and failure state, and its own counters. */
 typedef struct {
-    double inflight_bytes, backoff_ns;
-} dma_f_t;
+    double inflight_bytes, backoff_ns, bytes_moved;
+    int64_t fail_period, countdown, retries, ops;
+} dma_t;
 
-typedef struct {
-    int64_t fail_period, countdown, retries;
-} dma_i_t;
-
+/* DRAMSlice, with its timeline's retired busy time. */
 typedef struct {
     double retired_busy, priority_horizon, priority_busy;
-    double stall_period, stall_duration;
+    double stall_period, stall_duration, bytes_served;
+    int64_t requests;
 } slice_t;
+
+/* TagStats. */
+typedef struct {
+    double wait_ns, bytes;
+    int64_t count;
+} tag_t;
 
 typedef struct {
     /* Programs. */
@@ -107,14 +123,13 @@ typedef struct {
     int64_t *heap_idx;
     /* Resources: the fluid ones are the n_pipes pipelines, then per
      * core the injection ports, atomic units and DMA engines; the rest
-     * have one row per core. */
+     * have one row per core.  Tags are the plans' records. */
     int64_t n_cores;
     int64_t n_pipes;
     fluid_t *fluid;
-    dma_f_t *dma_f;
-    dma_i_t *dma_i;
+    dma_t *dma;
     slice_t *slices;
-    double *wait_ns;
+    tag_t *tags;
     /* Slice timelines: slice s owns [tl_off[s], tl_off[s] + tl_cap[s]),
      * its live intervals start at tl_off[s]; tl_len is in/out. */
     double *tl_starts;
@@ -140,7 +155,6 @@ typedef struct {
     int64_t events;
     int64_t stalled;
     int64_t dead_core;
-    int64_t dead_pipe;
     double now;
     double latest;
 } replay_args_t;
@@ -278,13 +292,51 @@ static inline double allocate(timeline_t *t, double arrival, double service)
     return backfill(t, arrival, service);
 }
 
-/* DRAMSlice._stall_defer; the caller checks stall_period != 0. */
+/* FluidResource.reserve: `units` arriving at `now`, served for `dur`
+ * ns.  Returns the end of service. */
+static inline double reserve(fluid_t *r, double now, double dur,
+                             double units)
+{
+    double start = now > r->busy_until ? now : r->busy_until;
+    double end = start + dur;
+    r->busy_until = end;
+    r->busy_time += dur;
+    r->units_served += units;
+    r->requests++;
+    return end;
+}
+
+/* DRAMSlice._stall_defer, applied when the slice has stall windows. */
 static inline double stall_defer(const slice_t *sl, double now)
 {
+    if (sl->stall_period == 0.0)
+        return now;
     double phase = fmod(now, sl->stall_period);
     if (phase < sl->stall_duration)
         return now + (sl->stall_duration - phase);
     return now;
+}
+
+/* DRAMSlice.bulk_request past the stall deferral: the slice's counters
+ * and its timeline.  Returns the end of service. */
+static inline double serve(slice_t *sl, timeline_t *t, double arrival,
+                           const target_f_t *tf)
+{
+    sl->bytes_served += tf->bytes;
+    sl->requests++;
+    return allocate(t, arrival, tf->service);
+}
+
+/* A flaky engine fails every fail_period-th descriptor, retried after a
+ * backoff the issuing thread observes.  Returns the issue time. */
+static inline double retry(dma_t *d, double issued)
+{
+    if (d->fail_period && !--d->countdown) {
+        d->countdown = d->fail_period;
+        d->retries++;
+        issued += d->backoff_ns;
+    }
+    return issued;
 }
 
 /* Timeline.compact: retire intervals ending before `cutoff`. */
@@ -327,10 +379,9 @@ int piuma_replay(replay_args_t *a)
     fluid_t *inj = pipes + a->n_pipes;
     fluid_t *atomic = inj + n_cores;
     fluid_t *eng = atomic + n_cores;
-    dma_f_t *dma_f = a->dma_f;
-    dma_i_t *dma_i = a->dma_i;
+    dma_t *dma = a->dma;
     slice_t *slices = a->slices;
-    double *wait_ns = a->wait_ns;
+    tag_t *tags = a->tags;
     double *q_when = a->q_when;
     int64_t *q_bytes = a->q_bytes;
     const double issue_cost = a->issue_cost;
@@ -423,28 +474,16 @@ int piuma_replay(replay_args_t *a)
                     setup_end = now;
                 resume = completion = now;
                 break;
-            case PLAN_COMPUTE: {
-                double busy = pipe->busy_until;
-                double start = now > busy ? now : busy;
-                double end = start + pf->dur;
-                pipe->busy_until = end;
-                pipe->busy_time += pf->dur;
-                resume = completion = end;
+            case PLAN_COMPUTE:
+                resume = completion = reserve(pipe, now, pf->dur, pf->units);
                 break;
-            }
             case PLAN_LOAD: {
                 const target_f_t *tf = target_f + pi->t0;
                 int64_t s = target_i[pi->t0].slice;
                 slice_t *sl = slices + s;
-                double busy = pipe->busy_until;
-                double start = now > busy ? now : busy;
-                double issued = start + pf->dur;
-                pipe->busy_until = issued;
-                pipe->busy_time += pf->dur;
-                double arrival = issued + pf->lat;
-                if (sl->stall_period != 0.0)
-                    arrival = stall_defer(sl, arrival);
-                double end = allocate(&tl[s], arrival, tf->service);
+                double issued = reserve(pipe, now, pf->dur, pf->units);
+                double arrival = stall_defer(sl, issued + pf->lat);
+                double end = serve(sl, &tl[s], arrival, tf);
                 double done_t;
                 if (pi->flag) {
                     double horizon = sl->priority_horizon;
@@ -456,58 +495,41 @@ int piuma_replay(replay_args_t *a)
                 } else {
                     done_t = end + tf->lat_ns + pf->x;
                 }
-                wait_ns[pi->record] += done_t - issued;
+                tags[pi->record].wait_ns += done_t - issued;
                 resume = completion = done_t;
                 break;
             }
             case PLAN_SEQUENTIAL: {
-                double busy = pipe->busy_until;
-                double start = now > busy ? now : busy;
-                double issued = start + pf->dur;
-                pipe->busy_until = issued;
-                pipe->busy_time += pf->dur;
+                double issued = reserve(pipe, now, pf->dur, pf->units);
                 double served = issued;
                 for (int64_t t = pi->t0; t < pi->t0 + pi->nt; t++) {
                     const target_f_t *tf = target_f + t;
-                    int64_t s = target_i[t].slice;
-                    double arrival = issued + tf->lat;
-                    if (slices[s].stall_period != 0.0)
-                        arrival = stall_defer(&slices[s], arrival);
-                    double end = allocate(&tl[s], arrival, tf->service);
+                    slice_t *sl = slices + target_i[t].slice;
+                    double end = serve(sl, &tl[target_i[t].slice],
+                                       stall_defer(sl, issued + tf->lat), tf);
                     double done_t = end + tf->lat_ns + tf->lat;
                     if (done_t > served)
                         served = done_t;
                 }
-                double done_t = served + (double)pi->count * pf->x;
-                wait_ns[pi->record] += done_t - issued;
+                /* x: the delay of the remaining dependent round trips. */
+                double done_t = served + pf->x;
+                tags[pi->record].wait_ns += done_t - issued;
                 resume = completion = done_t;
                 break;
             }
             case PLAN_STORE: {
-                fluid_t *port = inj + pi->core;
-                double busy = pipe->busy_until;
-                double start = now > busy ? now : busy;
-                double issued = start + pf->dur;
-                pipe->busy_until = issued;
-                pipe->busy_time += pf->dur;
+                double issued = reserve(pipe, now, pf->dur, pf->units);
                 double done_t = issued;
                 for (int64_t t = pi->t0; t < pi->t0 + pi->nt; t++) {
                     const target_f_t *tf = target_f + t;
-                    int64_t s = target_i[t].slice;
-                    double arrival;
-                    if (!target_i[t].remote) {
-                        arrival = issued;
-                    } else {
-                        double b = port->busy_until;
-                        double sent = (issued > b ? issued : b) + pf->inj;
-                        port->busy_until = sent;
-                        port->busy_time += pf->inj;
-                        arrival = sent + tf->lat;
-                    }
-                    if (slices[s].stall_period != 0.0)
-                        arrival = stall_defer(&slices[s], arrival);
-                    double end = allocate(&tl[s], arrival, tf->service);
-                    end += tf->lat_ns;
+                    slice_t *sl = slices + target_i[t].slice;
+                    double arrival = issued;
+                    if (target_i[t].remote)
+                        arrival = reserve(inj + pi->core, issued, pf->inj,
+                                          tf->bytes) + tf->lat;
+                    double end = serve(sl, &tl[target_i[t].slice],
+                                       stall_defer(sl, arrival), tf)
+                                 + tf->lat_ns;
                     if (end > done_t)
                         done_t = end;
                 }
@@ -518,73 +540,37 @@ int piuma_replay(replay_args_t *a)
             case PLAN_ATOMIC: {
                 const target_f_t *tf = target_f + pi->t0;
                 int64_t s = target_i[pi->t0].slice;
-                double busy = pipe->busy_until;
-                double start = now > busy ? now : busy;
-                double issued = start + pf->dur;
-                pipe->busy_until = issued;
-                pipe->busy_time += pf->dur;
-                double arrival;
-                if (!pi->flag) {
-                    arrival = issued;
-                } else {
-                    fluid_t *port = inj + pi->core;
-                    double b = port->busy_until;
-                    double sent = (issued > b ? issued : b) + pf->inj;
-                    port->busy_until = sent;
-                    port->busy_time += pf->inj;
-                    arrival = sent + pf->lat;
-                }
-                fluid_t *unit = atomic + s;
-                double b = unit->busy_until;
-                double ustart = arrival > b ? arrival : b;
-                double unit_done = ustart + pf->x;
-                unit->busy_until = unit_done;
-                unit->busy_time += pf->x;
-                if (slices[s].stall_period != 0.0)
-                    unit_done = stall_defer(&slices[s], unit_done);
-                double end = allocate(&tl[s], unit_done, tf->service);
+                double issued = reserve(pipe, now, pf->dur, pf->units);
+                double arrival = issued;
+                if (pi->flag)
+                    arrival = reserve(inj + pi->core, issued, pf->inj,
+                                      pf->amount) + pf->lat;
+                double unit_done = reserve(atomic + s, arrival, pf->x,
+                                           pf->amount);
+                double end = serve(slices + s, &tl[s],
+                                   stall_defer(slices + s, unit_done), tf);
                 resume = issued;
                 completion = end + tf->lat_ns;
                 break;
             }
             case PLAN_DMA_INTERNAL: {
                 int64_t c = pi->core;
-                double busy = pipe->busy_until;
-                double issued = (now > busy ? now : busy) + issue_cost;
-                pipe->busy_until = issued;
-                pipe->busy_time += issue_cost;
-                if (dma_i[c].fail_period) {
-                    if (!--dma_i[c].countdown) {
-                        dma_i[c].countdown = dma_i[c].fail_period;
-                        dma_i[c].retries++;
-                        issued += dma_f[c].backoff_ns;
-                    }
-                }
-                double b = eng[c].busy_until;
-                double start = issued > b ? issued : b;
-                completion = start + pf->dur;
-                eng[c].busy_until = completion;
-                eng[c].busy_time += pf->dur;
+                double issued = retry(dma + c, reserve(pipe, now, issue_cost,
+                                                       pf->units));
+                completion = reserve(eng + c, issued, pf->dur, pf->amount);
+                dma[c].ops++;
+                dma[c].bytes_moved += pf->amount;
                 resume = issued;
                 break;
             }
             case PLAN_DMA: {
                 int64_t c = pi->core;
-                int64_t nbytes = pi->count;
-                double busy = pipe->busy_until;
-                double issued = (now > busy ? now : busy) + issue_cost;
-                pipe->busy_until = issued;
-                pipe->busy_time += issue_cost;
-                if (dma_i[c].fail_period) {
-                    if (!--dma_i[c].countdown) {
-                        dma_i[c].countdown = dma_i[c].fail_period;
-                        dma_i[c].retries++;
-                        issued += dma_f[c].backoff_ns;
-                    }
-                }
+                int64_t nbytes = pi->payload;
+                double issued = retry(dma + c, reserve(pipe, now, issue_cost,
+                                                       pf->units));
                 /* Staging-buffer credits. */
                 double gate = issued;
-                double inflight = dma_f[c].inflight_bytes;
+                double inflight = dma[c].inflight_bytes;
                 double *qw = q_when + a->q_off[c];
                 int64_t *qb = q_bytes + a->q_off[c];
                 int64_t head = q_head[c], len = a->q_len[c];
@@ -603,34 +589,23 @@ int piuma_replay(replay_args_t *a)
                 }
                 double b = eng[c].busy_until;
                 double start = gate > b ? gate : b;
-                eng[c].busy_until = start + pf->dur;
-                eng[c].busy_time += pf->dur;
+                reserve(eng + c, start, pf->dur, pf->amount);
+                dma[c].ops++;
+                dma[c].bytes_moved += pf->amount;
                 completion = start;
-                fluid_t *port = inj + c;
-                double inj_busy = port->busy_until;
-                double inj_time = port->busy_time;
                 for (int64_t t = pi->t0; t < pi->t0 + pi->nt; t++) {
                     const target_f_t *tf = target_f + t;
-                    int64_t s = target_i[t].slice;
-                    double arrival;
-                    if (!target_i[t].remote) {
-                        arrival = start;
-                    } else {
-                        double sent = (start > inj_busy ? start : inj_busy)
-                                      + pf->inj;
-                        inj_busy = sent;
-                        inj_time += pf->inj;
-                        arrival = sent + tf->lat;
-                    }
-                    if (slices[s].stall_period != 0.0)
-                        arrival = stall_defer(&slices[s], arrival);
-                    double end = allocate(&tl[s], arrival, tf->service);
-                    end += tf->lat_ns;
+                    slice_t *sl = slices + target_i[t].slice;
+                    double arrival = start;
+                    if (target_i[t].remote)
+                        arrival = reserve(inj + c, start, pf->inj, tf->bytes)
+                                  + tf->lat;
+                    double end = serve(sl, &tl[target_i[t].slice],
+                                       stall_defer(sl, arrival), tf)
+                                 + tf->lat_ns;
                     if (end > completion)
                         completion = end;
                 }
-                port->busy_until = inj_busy;
-                port->busy_time = inj_time;
                 /* Append (completion, nbytes), first sliding the live
                  * entries to the region start when the tail is at the
                  * end or the dead prefix outgrows them. */
@@ -648,20 +623,19 @@ int piuma_replay(replay_args_t *a)
                 }
                 q_head[c] = head;
                 a->q_len[c] = len;
-                dma_f[c].inflight_bytes = inflight + (double)nbytes;
+                dma[c].inflight_bytes = inflight + (double)nbytes;
                 resume = issued;
                 break;
             }
-            default: {  /* PLAN_DMA_DEAD: the issue slot, then the trip */
-                double busy = pipe->busy_until;
-                double issued = (now > busy ? now : busy) + issue_cost;
-                pipe->busy_until = issued;
-                pipe->busy_time += issue_cost;
+            default:    /* PLAN_DMA_DEAD: the issue slot, then the trip */
+                reserve(pipe, now, issue_cost, pf->units);
                 a->dead_core = pi->core;
-                a->dead_pipe = thread_pipe[idx];
                 code = RUN_DEAD_DMA;
                 goto done;
             }
+            if (pi->kind != PLAN_PHASE) {
+                tags[pi->record].count++;
+                tags[pi->record].bytes += pf->bytes;
             }
             pc++;
             if (completion > latest)

@@ -171,8 +171,8 @@ def simulate_dense_mm(n_rows, in_dim, out_dim, config, window_rows=None):
     ]
     spawned_rows = sum(len(rows) for rows in thread_rows)
     # Dense MM's op stream is static: while the run can replay, every
-    # thread's steps are emitted at once; otherwise (or when compiling
-    # rules replay out) the generators run on the reference loop.
+    # thread's steps are emitted at once; otherwise the generators run
+    # on the reference loop.
     shared = {}
     if not (simulator.can_replay and simulator.spawn_programs(
             emit_dense(thread_rows, in_dim, out_dim, config, shared),

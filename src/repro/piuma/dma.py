@@ -10,8 +10,10 @@ data, not by the engine — so back-to-back requests pipeline.
 This module holds the per-core state only.  The one implementation of
 a descriptor is the simulator's DMA dispatch closure
 (``Simulator._dispatch[DMAOp]``, built by ``Simulator._make_exec_dma``),
-which every main loop runs; the compiled replay plans share its
-per-(op, core) plan cache and repeat its arithmetic.
+which the reference loop runs; the compiled replay plans
+(``vector_engine._build_plan``) build their own DMA rows from the same
+resources and repeat its arithmetic, and the differential suite holds
+the two to each other.
 """
 
 from __future__ import annotations

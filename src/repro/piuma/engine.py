@@ -166,12 +166,10 @@ class Simulator:
         # per-(op, core) plan rows and the flat step list, built at
         # spawn_programs time so run() only replays; run() drops it.
         self._vector_state = None
-        # Memoized topology tables: stripe-target core lists and the
-        # matching (slice, core) pairs for DMA, both keyed by
-        # (base_core, stripe count) — recomputing them per edge was a
-        # measurable share of host time.
+        # Memoized stripe-target core lists, keyed by (base_core,
+        # nbytes) — recomputing them per edge was a measurable share of
+        # host time.
         self._stripe_cache = {}
-        self._dma_target_cache = {}
         # Constants of the inlined DMA issue-slot reserve (identical
         # floats to FluidResource.reserve's `amount / rate + 0.0`).
         self._dma_issue_instrs = config.dma_issue_instrs
@@ -181,6 +179,8 @@ class Simulator:
         # invocations per simulated edge — is a closure over pre-bound
         # resources rather than a method, eliminating both the
         # per-invocation ``self`` lookups and the layered calls.
+        # Replay runs only while the table holds this very closure.
+        self._exec_dma = self._make_exec_dma()
         self._dispatch = {
             PhaseMarker: self._exec_phase_marker,
             Compute: self._exec_compute,
@@ -188,7 +188,7 @@ class Simulator:
             SequentialAccess: self._exec_sequential,
             Store: self._exec_store,
             AtomicUpdate: self._exec_atomic,
-            DMAOp: self._make_exec_dma(),
+            DMAOp: self._exec_dma,
         }
         # Runtime invariant sanitizer (repro.piuma.invariants): at
         # check_level>=1 it installs an instance `_execute` wrapper —
@@ -226,9 +226,9 @@ class Simulator:
         (:func:`~repro.piuma.vector_engine.compile_programs`) and every
         thread is registered with its generator view, which the
         reference loop runs should replay be lost later.  Returns False
-        and registers nothing when the run cannot replay or compiling
-        rules replay out (a fractional deferred addend); the caller
-        then spawns its generators.
+        and registers nothing when the run cannot replay (including
+        after a generator thread was spawned); the caller then spawns
+        its generators.
         """
         if len(placements) != program.n_threads:
             raise ValueError("one placement per program thread")
@@ -260,20 +260,15 @@ class Simulator:
         """Whether :meth:`run` can still replay compiled programs.
 
         Replay takes the default engine, no ``_execute`` hook bound
-        (the sanitizer binds one in ``__init__``), the engine's own DMA
-        dispatch entry (a wrapper must stay on-path), nothing compiled
-        so far that rules it out
-        (:func:`~repro.piuma.vector_engine.compile_programs`), and the
+        (the sanitizer binds one in ``__init__``), the DMA dispatch
+        entry ``__init__`` built (a wrapper must stay on-path), and the
         native replay core (:mod:`repro.piuma.native`, built on first
         use).  Kernels read it before emitting their programs, so a run
         that cannot replay spawns plain generators and emits nothing.
         """
-        state = self._vector_state
         return (self.config.engine == "fast"
                 and "_execute" not in self.__dict__
-                and getattr(self._dispatch[DMAOp], "plans", None)
-                is not None
-                and (state is None or state.replayable)
+                and self._dispatch[DMAOp] is self._exec_dma
                 and native.load() is not None)
 
     def _push(self, when, idx, value):
@@ -315,32 +310,6 @@ class Simulator:
             n_cores = cfg.n_cores
             targets = [(base_core + i) % n_cores for i in range(n)]
             self._stripe_cache[key] = targets
-        return targets
-
-    def _dma_stripe_targets(self, base_core, nbytes):
-        """Memoized ``(DRAMSlice, core)`` pairs for a striped DMA access.
-
-        Keyed by the raw ``(base_core, nbytes)`` pair — the kernels
-        intern their op shapes, so the key population is tiny and the
-        ceil-division runs once per shape instead of once per edge.
-        """
-        key = (base_core, nbytes)
-        targets = self._dma_target_cache.get(key)
-        if targets is None:
-            cfg = self.config
-            lines = (
-                int(nbytes) + cfg.cache_line_bytes - 1
-            ) // cfg.cache_line_bytes
-            if lines < 1:
-                lines = 1
-            n = min(cfg.stripe_lines, lines, cfg.n_cores)
-            slices = self.slices
-            n_cores = cfg.n_cores
-            targets = [
-                (slices[(base_core + i) % n_cores], (base_core + i) % n_cores)
-                for i in range(n)
-            ]
-            self._dma_target_cache[key] = targets
         return targets
 
     # -- per-op handlers (type-dispatch table) --------------------------------
@@ -432,23 +401,25 @@ class Simulator:
 
         This is the simulator's one DMA implementation: the reference
         loop dispatches DMA ops through it, and the compiled replay
-        plans share its plan cache and repeat its arithmetic, so the
-        loops cannot disagree on DMA semantics.  It is the
-        hottest code in the simulator (a couple of executions per
-        simulated edge), so the pipeline issue-slot reserve, the
-        engine's staging-credit bookkeeping and occupancy
+        plans (``vector_engine._build_plan``) repeat its arithmetic
+        expression for expression, which the differential suite holds
+        to it.  It is the hottest code in the simulator (a couple of
+        executions per simulated edge), so the pipeline issue-slot
+        reserve, the engine's staging-credit bookkeeping and occupancy
         (:class:`~repro.piuma.dma.DMAEngine` state), the network
         injection, and the DRAM slice request are all inlined here
         against the resources' slots — bit-identical to the layered
         ``FluidResource.reserve``/``Network.transfer``/
-        ``DRAMSlice.request`` calls.
+        ``DRAMSlice.request`` calls.  Its per-(op, core) plan cache is
+        private to the reference loop.
         """
         pipelines = self.pipelines
         engines = self.dma_engines
         stats = self.stats
         network = self.network
         injections = network._injection
-        stripe_targets = self._dma_stripe_targets
+        slices = self.slices
+        stripe_targets = self._stripe_targets
         issue_cost = self._dma_issue_cost
         issue_instrs = self._dma_issue_instrs
         # Per-(op, core) execution plans.  The kernels intern their op
@@ -489,7 +460,8 @@ class Simulator:
                 share = nbytes / len(raw)
                 inj = injections[core]
                 resolved = []
-                for memory, dst_core in raw:
+                for dst_core in raw:
+                    memory = slices[dst_core]
                     lat = (
                         None if dst_core == core
                         else network.latency(core, dst_core)
@@ -622,11 +594,6 @@ class Simulator:
             record.count += 1
             record.bytes += nbytes
             return issued, done
-
-        # Replay plan assembly shares this cache (and its builder) so
-        # DMA plans are resolved once per (op, core).
-        exec_dma.plans = plans
-        exec_dma.build_plan = build_plan
         return exec_dma
 
     def _execute(self, op, now, core, mtp):

@@ -18,7 +18,6 @@ they are spawned as generators and the run takes the reference loop
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -192,8 +191,9 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     config:
         :class:`PIUMAConfig`.
     thread_factory:
-        ``f(work: ThreadWork, embedding_dim, config) -> generator`` —
-        one of the kernels in ``spmm_loop`` / ``spmm_dma``.
+        ``f(work: ThreadWork, embedding_dim, config, shared) ->
+        generator`` — one of the kernels :func:`~repro.piuma.spmm_kernel`
+        returns; ``shared`` is the invocation's op intern table.
     window_edges:
         Simulated window size; default :func:`auto_window`.
     splitter:
@@ -205,35 +205,27 @@ def run_spmm_kernel(adj, embedding_dim, config, thread_factory,
     simulator = Simulator(config)
     work_items = window_work(adj, config, window_edges, splitter)
     simulated_edges = sum(len(w.cols) for w in work_items)
-    # Kernels that take a `shared` intern table get one per invocation
-    # (ops are immutable, so one instance can serve every thread);
-    # custom factories without the parameter still work.
-    params = inspect.signature(thread_factory).parameters
-    accepts_shared = "shared" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    shared = {} if accepts_shared else None
+    # One op intern table per invocation (ops are immutable, so one
+    # instance can serve every thread).
+    shared = {}
     # While the run can replay (the default engine, no sanitizer
     # armed), a factory with an emitter (`emit`: its static op stream
     # for every thread at once, in numpy) is compiled in one pass, and
     # the replay loop executes it without generator resumption.  When
-    # the run cannot replay, compiling rules it out, or the factory has
-    # no emitter (e.g. the dynamic work-stealing kernel, whose stream
-    # depends on runtime interleaving), the generators are spawned and
-    # the run takes the reference loop.
+    # the run cannot replay or the factory has no emitter (e.g. the
+    # dynamic work-stealing kernel, whose stream depends on runtime
+    # interleaving), the generators are spawned and the run takes the
+    # reference loop.
     emit = getattr(thread_factory, "emit", None)
     if not (emit is not None and simulator.can_replay
             and simulator.spawn_programs(
                 emit(work_items, embedding_dim, config, shared),
                 [(work.core, work.mtp) for work in work_items])):
         for work in work_items:
-            if accepts_shared:
-                generator = thread_factory(
-                    work, embedding_dim, config, shared=shared
-                )
-            else:
-                generator = thread_factory(work, embedding_dim, config)
-            simulator.spawn(generator, work.core, work.mtp)
+            simulator.spawn(
+                thread_factory(work, embedding_dim, config, shared=shared),
+                work.core, work.mtp,
+            )
     end = simulator.run()
     # Steady state excludes the per-thread setup (binary search): in a
     # full run it is amortized over thousands of edges per thread; a

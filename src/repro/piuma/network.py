@@ -10,10 +10,9 @@ choke it and verify the claim.
 
 Under a :class:`~repro.piuma.degradation.DegradationModel` individual
 links run at multiplied latency or go down entirely; down links reroute
-through the cheapest healthy intermediate core.  Latency stays pure
-(static per model), so the per-pair memo remains valid — but only for
-the degradation state it was filled under, which is why the memo is
-tied to a *degradation epoch* (see :meth:`Network.set_degradation`).
+through the cheapest healthy intermediate core.  A network's
+degradation is fixed at construction, so latency is pure and the
+per-pair memo never goes stale.
 """
 
 from __future__ import annotations
@@ -38,30 +37,9 @@ class Network:
         # hottest lines of the DES before caching.
         self._latency_cache = {}
         self._mean_remote = None
-        # Memo epoch: bumped by every degradation change so tests and
-        # tools can assert the caches were actually dropped instead of
-        # silently serving values computed under the previous link
-        # state (the historical stale-memo hazard).
-        self._epoch = 0
         if degradation is None:
             degradation = DegradationModel.for_config(config)
         self._degradation = degradation
-
-    @property
-    def degradation_epoch(self):
-        """Monotone counter of link-state changes seen by the memos."""
-        return self._epoch
-
-    def set_degradation(self, model):
-        """Switch the link-state model and invalidate every memo."""
-        self._degradation = model
-        self.invalidate()
-
-    def invalidate(self):
-        """Drop all latency memos (link parameters changed)."""
-        self._latency_cache.clear()
-        self._mean_remote = None
-        self._epoch += 1
 
     def _tier_latency(self, src_core, dst_core):
         """Healthy tier latency: the pure-topology cost of a link."""
@@ -114,7 +92,7 @@ class Network:
         random vertex lands on a random slice, including the local one.
 
         The value is pure topology (plus the static degradation state),
-        so it is computed once and memoized until :meth:`invalidate`.
+        so it is computed once and memoized.
         """
         if self._mean_remote is None:
             n = self._config.n_cores

@@ -157,7 +157,9 @@ class DMAOp(_Op):
     traffic to/from ``target_core``'s slice; ``"internal"`` occupies the
     engine only (scratchpad buffer init / copy-add).  The issuing thread
     pays ``dma_issue_instrs`` pipeline instructions and continues — only
-    the end-of-kernel barrier waits for completions.
+    the end-of-kernel barrier waits for completions.  ``nbytes`` is a
+    whole number of bytes: the engine's staging queue holds payloads as
+    integers.
     """
 
     __slots__ = ("kind", "nbytes", "target_core", "tag")
@@ -165,6 +167,8 @@ class DMAOp(_Op):
     def __init__(self, kind, nbytes, target_core, tag):
         if kind not in DMA_KINDS:
             raise ValueError(f"unknown DMA kind {kind!r}")
+        if nbytes != int(nbytes):
+            raise ValueError(f"DMA payload {nbytes!r} is not whole bytes")
         self.kind = kind
         self.nbytes = nbytes
         self.target_core = target_core

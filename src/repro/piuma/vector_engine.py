@@ -11,29 +11,22 @@ the kernels emit all of them at once with numpy into one
 * **Plan compilation** (at ``spawn_programs`` time, one pass per
   program): every ``(op, core)`` pair the program's threads use is
   compiled once to a numeric *plan row* — a kind code, the issuing
-  core, the tag record, a flag, an integral constant and four floats —
-  plus one *target row* per DRAM slice it touches.  The four MTPs of a
-  core share the plan; the thread's pipeline is bound at replay time.
-  Every float is built from the exact expression of the reference
-  handlers, and DMA timing comes from (and fills) the per-(op, core)
-  plan cache of the dispatch closure in ``engine.py``.
+  core, the tag record, a flag, the DMA payload, the timing floats and
+  what one execution adds to each counter — plus one *target row* per
+  DRAM slice it touches.  The four MTPs of a core share the plan; the
+  thread's pipeline is bound at replay time.  Every float is built
+  from the exact expression of the reference handlers
+  (``engine.py``/``resources.py``/``dma.py``).
 * **Replay** is one C loop (``_replay.c``, built and loaded by
   :mod:`repro.piuma.native`) over one flat ``int32`` array of plan ids,
   each thread's run ending in plan 0.  :func:`run_programs` copies the
   mutable state into arrays, calls the loop, writes every field back
   and raises what the loop reports (a watchdog trip, a dead DMA
-  engine) with the reference loop's message, at the same event.
-* **Deferred counters**: monotone counters the run never *reads*
+  engine) with the reference loop's message, at the same event.  The
+  loop adds every counter the reference handlers add
   (``units_served``/``requests``/``bytes_served``/``ops``/
-  ``bytes_moved``/tag ``count``/``bytes``) are settled once after the
-  loop from per-plan execution counts (one ``numpy.bincount`` over
-  every thread's executed step prefix).  Every deferred addend is
-  checked integral at compile time, and sums of integers below 2**53
-  are exact in IEEE doubles *in any order*, so the totals are
-  bit-identical to the reference's per-event accumulation; a run with
-  a non-integral addend (a fractional stripe share) runs the reference
-  loop instead.  Order-dependent floats (``busy_until``/``busy_time``
-  chains, ``wait_ns``) stay live in event order.
+  ``bytes_moved``/tag ``count``/``bytes``/``wait_ns``) per event, in
+  the handlers' order, so float sums round exactly as theirs do.
 
 The loop keeps the reference loop's exact ``(when, seq)`` event order:
 a thread whose resume time strictly precedes every queued event keeps
@@ -44,11 +37,11 @@ grow).  Event accounting, the watchdog ceilings and the ``events &
 
 Replay runs only when every thread is a compiled program and
 ``Simulator.can_replay`` holds (the default engine, no ``_execute``
-hook bound, the engine's own DMA dispatch entry, every deferred addend
-integral, the native library loaded).  Every other run goes to
-``_run_reference``, which drives each program's generator view.  The
-compiled state lives on ``Simulator._vector_state`` from the first
-``spawn_programs`` until :meth:`Simulator.run` returns, which drops it.
+hook bound, the engine's own DMA dispatch entry, the native library
+loaded).  Every other run goes to ``_run_reference``, which drives
+each program's generator view.  The compiled state lives on
+``Simulator._vector_state`` from the first ``spawn_programs`` until
+:meth:`Simulator.run` returns, which drops it.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ from repro.piuma.ops import (
     OP_PHASE,
     OP_SEQUENTIAL,
     OP_STORE,
-    DMAOp,
     op_kind_code,
 )
 from repro.runtime.errors import HardwareExhausted
@@ -84,11 +76,24 @@ PLAN_DMA_INTERNAL = 7
 PLAN_DMA = 8
 PLAN_DMA_DEAD = 9
 
-_NO_FLOATS = (0.0, 0.0, 0.0, 0.0)
+_NO_FLOATS = (0.0,) * 7
 
 #: Return codes of the native loop.
 (RUN_DONE, RUN_MAX_EVENTS, RUN_MAX_SIM_NS, RUN_STALL, RUN_DEAD_DMA,
  RUN_NO_MEMORY, RUN_OVERFLOW) = range(7)
+
+#: Rows of the loop's resource tables: ``fluid_t``, ``dma_t``,
+#: ``slice_t`` and ``tag_t`` of ``_replay.c``, field for field.  Counts
+#: are ``int64`` and come back as ints, every other field as a float.
+_FLUID = np.dtype([("busy_until", "f8"), ("busy_time", "f8"),
+                   ("units_served", "f8"), ("requests", "i8")])
+_DMA = np.dtype([("inflight_bytes", "f8"), ("backoff_ns", "f8"),
+                 ("bytes_moved", "f8"), ("fail_period", "i8"),
+                 ("countdown", "i8"), ("retries", "i8"), ("ops", "i8")])
+_SLICE = np.dtype([(name, "f8") for name in (
+    "retired_busy", "priority_horizon", "priority_busy", "stall_period",
+    "stall_duration", "bytes_served")] + [("requests", "i8")])
+_TAG = np.dtype([("wait_ns", "f8"), ("bytes", "f8"), ("count", "i8")])
 
 
 class _Args(ctypes.Structure):
@@ -102,45 +107,34 @@ class _Args(ctypes.Structure):
             "heap_when", "heap_seq", "heap_idx")] + [
         (name, ctypes.c_int64) for name in ("n_cores", "n_pipes")] + [
         (name, ctypes.c_void_p) for name in (
-            "fluid", "dma_f", "dma_i", "slices", "wait_ns",
+            "fluid", "dma", "slices", "tags",
             "tl_starts", "tl_ends", "tl_off", "tl_cap", "tl_len",
             "q_when", "q_bytes", "q_off", "q_cap", "q_len")] + [
         (name, ctypes.c_double) for name in (
             "issue_cost", "max_events", "max_sim_ns", "stall_limit",
             "setup_end")] + [
         (name, ctypes.c_int64) for name in (
-            "seq", "events", "stalled", "dead_core", "dead_pipe")] + [
+            "seq", "events", "stalled", "dead_core")] + [
         ("now", ctypes.c_double), ("latest", ctypes.c_double)]
 
 
-def _collapse(entries, addends):
-    """Intern one plan's raw deferred-counter entries.
-
-    Returns a tuple of ``(obj, attrname, int_amount)`` triples — the
-    per-execution counter delta of one plan, each triple shared through
-    ``addends`` by every plan that adds the same amount to the same
-    counter — or ``None`` when any amount is not integral (fractional
-    stripe shares), which rules out replay for the whole run: mixing
-    batched integral adds with live fractional adds on the same counter
-    would change float rounding order.  Zero amounts are dropped
-    (value-identical no-ops); a counter may appear more than once, and
-    the settle pass adds its triples up.
-    """
-    out = []
-    for obj, attr, amount in entries:
-        if amount:
-            i = int(amount)
-            if i != amount:
-                return None
-            key = (id(obj), attr, i)
-            triple = addends.get(key)
-            if triple is None:
-                triple = addends[key] = (obj, attr, i)
-            out.append(triple)
-    return tuple(out)
+def _stripes(sim, core, target_core, nbytes):
+    """``(share, rows)`` of a store or DMA striped from ``core``: the
+    handlers' ``share`` and one ``(slice, remote, lat, service, lat_ns,
+    share)`` target row per slice of ``Simulator._stripe_targets``."""
+    raw = sim._stripe_targets(target_core, nbytes)
+    share = nbytes / len(raw)
+    rows = []
+    for dst in raw:
+        slice_ = sim.slices[dst]
+        remote = dst != core
+        rows.append((dst, remote,
+                     sim.network.latency(core, dst) if remote else 0.0,
+                     share / slice_.rate, slice_.latency_ns, share))
+    return share, rows
 
 
-def _build_plan(sim, op, core, exec_dma):
+def _build_plan(sim, op, core):
     """Compile one (op, core) pair to a plan row.
 
     Every float here is produced by the same expression the reference
@@ -148,75 +142,47 @@ def _build_plan(sim, op, core, exec_dma):
     replay arithmetic is bit-identical.  Pipeline durations divide by
     the configured instruction rate, which every pipeline of the
     simulator shares, so one plan serves all MTPs of the core.
-    Returns ``(kind, flag, count, floats, targets, units, deferred)``:
-    the plan's kind, flag, integral constant and ``(dur, lat, x, inj)``
-    floats (their meaning per kind is ``_replay.c``'s), the ``(slice,
-    remote, lat, service, lat_ns)`` rows of the slices one execution
-    touches, the pipeline instructions one execution charges (``None``
-    for a phase marker, which charges no pipeline request), and the raw
-    ``(obj, attr, amount)`` entries of every other deferred counter one
-    execution adds (see :func:`_collapse`).
+    Returns ``(kind, flag, payload, floats, targets)``: the plan's
+    kind, flag and DMA payload, its ``(dur, lat, x, inj, units, bytes,
+    amount)`` floats, and the ``(slice, remote, lat, service, lat_ns,
+    bytes)`` rows of the slices one execution touches (their meaning
+    per kind is ``_replay.c``'s).  ``units``, ``bytes``, ``amount`` and
+    a target's ``bytes`` are what one execution adds to the counters.
     """
     kind = op_kind_code(op)
     if kind == OP_PHASE:
-        return PLAN_PHASE, 0, 0, _NO_FLOATS, (), None, ()
+        return PLAN_PHASE, 0, 0, _NO_FLOATS, ()
     rate = sim.config.clock_ghz
     network = sim.network
     slices = sim.slices
-    record = sim.stats[op.tag]
     if kind == OP_DMA_READ or kind == OP_DMA_WRITE or kind == OP_DMA_INTERNAL:
         engine = sim.dma_engines[core]
         issue_instrs = sim._dma_issue_instrs
         if not engine.alive:
-            # The issue slot is accounted live when the run trips here,
-            # so the raising step is never settled.
-            return PLAN_DMA_DEAD, 0, 0, _NO_FLOATS, (), issue_instrs, ()
-        dma_plan = exec_dma.plans.get((id(op), core))
-        if dma_plan is None:
-            dma_plan = exec_dma.build_plan(op, core)
-        eng = engine._engine
+            return PLAN_DMA_DEAD, 0, 0, (
+                0.0, 0.0, 0.0, 0.0, issue_instrs, 0.0, 0.0), ()
         nbytes = op.nbytes
-        entries = [
-            (eng, "units_served", nbytes), (eng, "requests", 1),
-            (engine, "ops", 1), (engine, "bytes_moved", nbytes),
-            (record, "count", 1), (record, "bytes", nbytes),
-        ]
-        if dma_plan[0] is None:
-            return PLAN_DMA_INTERNAL, 0, 0, (dma_plan[1], 0.0, 0.0, 0.0), \
-                (), issue_instrs, entries
-        resolved, duration, share, inj, inj_service, limit = dma_plan
-        targets = []
-        remote = 0
-        raw = sim._dma_stripe_targets(op.target_core, nbytes)
-        for (memory, _tl, lat, service, lat_ns), (_m, dst) in zip(
-                resolved, raw):
-            targets.append((dst, lat is not None,
-                            0.0 if lat is None else lat, service, lat_ns))
-            remote += lat is not None
-            # A stalling slice is accounted like any other: its addends
-            # are integral or the plan rules replay out.
-            entries.append((memory, "bytes_served", share))
-            entries.append((memory, "requests", 1))
-        if remote:
-            # One injection per remote target, folded.  A fractional
-            # share still rules replay out: every target carries it in
-            # its own entry.
-            entries.append((inj, "units_served", share * remote))
-            entries.append((inj, "requests", remote))
-        return PLAN_DMA, 0, nbytes, (duration, 0.0, limit, inj_service), \
-            targets, issue_instrs, entries
+        duration = nbytes / engine._engine.rate + engine._overhead_ns
+        if kind == OP_DMA_INTERNAL:
+            return PLAN_DMA_INTERNAL, 0, 0, (
+                duration, 0.0, 0.0, 0.0, issue_instrs, nbytes, nbytes), ()
+        share, targets = _stripes(sim, core, op.target_core, nbytes)
+        limit = engine._inflight_limit
+        if nbytes > limit:
+            limit = nbytes
+        return PLAN_DMA, 0, nbytes, (
+            duration, 0.0, limit, share / network._injection[core].rate,
+            issue_instrs, nbytes, nbytes,
+        ), targets
     if kind == OP_LOAD:
         nbytes = op.nbytes
         dst = op.target_core
         slice_ = slices[dst]
         return PLAN_LOAD, bool(op.priority), 0, (
             op.grouped / rate + 0.0, network.latency(core, dst),
-            network.latency(dst, core), 0.0,
-        ), [(dst, False, 0.0, nbytes / slice_.rate, slice_.latency_ns)], \
-            op.grouped, [
-                (slice_, "bytes_served", nbytes), (slice_, "requests", 1),
-                (record, "count", 1), (record, "bytes", nbytes),
-            ]
+            network.latency(dst, core), 0.0, op.grouped, nbytes, 0.0,
+        ), [(dst, False, 0.0, nbytes / slice_.rate, slice_.latency_ns,
+             nbytes)]
     if kind == OP_SEQUENTIAL:
         n_units = op.n_rounds * op.instrs_per_round
         total_bytes = op.n_rounds * op.bytes_per_round
@@ -224,41 +190,24 @@ def _build_plan(sim, op, core, exec_dma):
         share = total_bytes / len(raw)
         targets = []
         worst_trip = 0.0
-        entries = [(record, "count", 1), (record, "bytes", total_bytes)]
         for dst in raw:
             hop = network.latency(core, dst)
             slice_ = slices[dst]
             targets.append((dst, False, hop, share / slice_.rate,
-                            slice_.latency_ns))
-            entries.append((slice_, "bytes_served", share))
-            entries.append((slice_, "requests", 1))
+                            slice_.latency_ns, share))
             trip = 2 * hop + slice_.latency_ns
             if trip > worst_trip:
                 worst_trip = trip
-        return PLAN_SEQUENTIAL, 0, op.n_rounds - 1, (
-            n_units / rate + 0.0, 0.0, worst_trip, 0.0,
-        ), targets, n_units, entries
+        return PLAN_SEQUENTIAL, 0, 0, (
+            n_units / rate + 0.0, 0.0, (op.n_rounds - 1) * worst_trip, 0.0,
+            n_units, total_bytes, 0.0,
+        ), targets
     if kind == OP_STORE:
-        nbytes = op.nbytes
-        raw = sim._stripe_targets(op.target_core, nbytes)
-        share = nbytes / len(raw)
-        inj = network._injection[core]
-        targets = []
-        entries = [(record, "count", 1), (record, "bytes", nbytes)]
-        for dst in raw:
-            slice_ = slices[dst]
-            remote = dst != core
-            targets.append((dst, remote,
-                            network.latency(core, dst) if remote else 0.0,
-                            share / slice_.rate, slice_.latency_ns))
-            if remote:
-                entries.append((inj, "units_served", share))
-                entries.append((inj, "requests", 1))
-            entries.append((slice_, "bytes_served", share))
-            entries.append((slice_, "requests", 1))
+        share, targets = _stripes(sim, core, op.target_core, op.nbytes)
         return PLAN_STORE, 0, 0, (
-            1 / rate + 0.0, 0.0, 0.0, share / inj.rate + 0.0,
-        ), targets, 1, entries
+            1 / rate + 0.0, 0.0, 0.0,
+            share / network._injection[core].rate + 0.0, 1, op.nbytes, 0.0,
+        ), targets
     if kind == OP_ATOMIC:
         nbytes = op.nbytes
         dst = op.target_core
@@ -267,24 +216,16 @@ def _build_plan(sim, op, core, exec_dma):
         aunit = sim.atomic_units[dst]
         slice_ = slices[dst]
         two = 2 * nbytes
-        entries = [
-            (aunit, "units_served", nbytes), (aunit, "requests", 1),
-            (slice_, "bytes_served", two), (slice_, "requests", 1),
-            (record, "count", 1), (record, "bytes", two),
-        ]
-        if remote:
-            entries.append((inj, "units_served", nbytes))
-            entries.append((inj, "requests", 1))
         return PLAN_ATOMIC, remote, 0, (
             1 / rate + 0.0,
             network.latency(core, dst) if remote else 0.0,
             nbytes / aunit.rate + sim.config.atomic_overhead_ns,
             (nbytes / inj.rate + 0.0) if remote else 0.0,
-        ), [(dst, False, 0.0, two / slice_.rate, slice_.latency_ns)], 1, \
-            entries
+            1, two, nbytes,
+        ), [(dst, False, 0.0, two / slice_.rate, slice_.latency_ns, two)]
     # kind == OP_COMPUTE
-    return PLAN_COMPUTE, 0, 0, (op.n_instrs / rate + 0.0, 0.0, 0.0, 0.0), \
-        (), op.n_instrs, [(record, "count", 1)]
+    return PLAN_COMPUTE, 0, 0, (
+        op.n_instrs / rate + 0.0, 0.0, 0.0, 0.0, op.n_instrs, 0, 0.0), ()
 
 
 class ReplayState:
@@ -298,21 +239,16 @@ class ReplayState:
     plans:
         ``(id(op), core) -> uid``: the plan compiled for a table entry
         on a core.  Plan ``uid`` has the integer row ``plan_i[uid]``
-        (kind, core, record, first target row, target count, flag,
-        count, padding), the float row ``plan_f[uid]`` (dur, lat, x,
-        inj), the pipeline instructions ``units[uid]`` one execution
-        charges (``None`` for a phase marker) and the deferred counter
-        deltas ``deferred[uid]`` (:func:`_collapse`), their ``(obj,
-        attr, amount)`` addends interned across plans through
-        ``addends`` — most plans of a run repeat the same few — and its
-        op is ``ops[uid]``.  Uid 0 is ``PLAN_END``, the step that ends
-        every thread.
+        (kind, core, record, first target row, target count, flag, DMA
+        payload, padding) and the float row ``plan_f[uid]`` (dur, lat,
+        x, inj, units, bytes, amount), and its op is ``ops[uid]``.  Uid
+        0 is ``PLAN_END``, the step that ends every thread.
     target_i / target_f:
         The target rows, ``(slice, remote)`` and ``(lat, service,
-        lat_ns)``, each plan's rows contiguous and in plan order.
+        lat_ns, bytes)``, each plan's rows contiguous and in plan order.
     tags:
-        The tags whose records plans charge ``wait_ns`` to, each
-        mapped to its index among them.
+        The tags of the stats records plans charge, each mapped to its
+        index among them.
     steps:
         The flat step list in ``int32`` chunks, one per registration:
         every registered thread's plan ids, thread after thread, each
@@ -320,38 +256,23 @@ class ReplayState:
     starts / pipes:
         Per thread, in spawn order: its first pc in the flat step list
         and its pipeline index (``core * mtps_per_core + mtp``).
-    keys / cores:
-        ``uid * mtps_per_core + mtp`` of every step (chunked like
-        ``steps``), which the settle pass counts, and each plan's core.
-    replayable:
-        False once compiling ruled replay out for this run (see
-        :func:`compile_programs`); ``Simulator.can_replay`` then reads
-        False and the tables are empty.
     """
 
     __slots__ = ("plans", "plan_i", "plan_f", "target_i", "target_f",
-                 "tags", "units", "deferred",
-                 "addends", "ops", "steps", "n_steps", "starts", "pipes",
-                 "keys", "cores", "replayable")
+                 "tags", "ops", "steps", "n_steps", "starts", "pipes")
 
     def __init__(self):
         self.plans = {}
         self.plan_i = [(PLAN_END,) + (0,) * 7]
-        self.plan_f = [(0.0,) * 4]
+        self.plan_f = [_NO_FLOATS]
         self.target_i = []
         self.target_f = []
         self.tags = {}
-        self.units = [None]
-        self.deferred = [()]
-        self.addends = {}
         self.ops = [None]
         self.steps = []
         self.n_steps = 0
         self.starts = []
         self.pipes = []
-        self.keys = []
-        self.cores = [0]
-        self.replayable = True
 
 
 def compile_programs(sim, program, placements):
@@ -361,23 +282,21 @@ def compile_programs(sim, program, placements):
     resources every plan reads exist from ``__init__``), so ``run()``
     itself only replays.  Plans are built only for the (table entry,
     core) pairs the program's threads use, once per ``(op, core)``
-    across registrations, in table order (so per-tag stats records are
-    created in the order the kernels' streams first reach each tag);
-    every step then maps to its plan in one numpy gather, and the
+    across registrations, in table order (so the run creates per-tag
+    stats records in the order the kernels' streams first reach each
+    tag); every step then maps to its plan in one numpy gather, and the
     threads' plan ids join the flat step list, each thread followed by
     plan 0.  Only called while ``Simulator.can_replay`` holds.
     Returns one generator view per thread (:func:`_thread_view`), which
     the caller registers; the program itself is not kept.  Returns
-    None, having ruled replay out for the run and freed what was
-    compiled, when a thread without a program was spawned first or a
-    plan has a non-integral deferred addend.
+    None, dropping what was compiled, when a thread without a program
+    was spawned first: such a run cannot replay.
     """
-    state = sim._vector_state
-    if state is None:
-        state = sim._vector_state = ReplayState()
+    state = sim._vector_state or ReplayState()
     if len(state.starts) != len(sim._threads):
-        _rule_out(sim)
+        sim._vector_state = None
         return None
+    sim._vector_state = state
     table = program.table
     n_cores = sim.config.n_cores
     lengths = np.diff(program.bounds)
@@ -389,34 +308,23 @@ def compile_programs(sim, program, placements):
     )
     used = np.flatnonzero(np.bincount(pair, minlength=len(table) * n_cores))
     lut = np.zeros(len(table) * n_cores, dtype=np.int32)
-    exec_dma = sim._dispatch[DMAOp]
     plans = state.plans
-    addends = state.addends
     for key in used.tolist():
         entry, core = divmod(key, n_cores)
         op = table[entry]
         uid = plans.get((id(op), core))
         if uid is None:
-            kind, flag, count, floats, targets, units, entries = \
-                _build_plan(sim, op, core, exec_dma)
-            deferred = _collapse(entries, addends)
-            if (deferred is None or count != int(count)
-                    or (units is not None and units != int(units))):
-                _rule_out(sim)
-                return None
-            uid = plans[(id(op), core)] = len(state.units)
+            kind, flag, payload, floats, targets = _build_plan(sim, op, core)
+            uid = plans[(id(op), core)] = len(state.ops)
             record = (0 if kind == PLAN_PHASE
                       else state.tags.setdefault(op.tag, len(state.tags)))
             state.plan_i.append((kind, core, record, len(state.target_i),
-                                 len(targets), flag, int(count), 0))
+                                 len(targets), flag, payload, 0))
             state.plan_f.append(floats)
-            for dst, remote, lat, service, lat_ns in targets:
+            for dst, remote, *target_floats in targets:
                 state.target_i.append((dst, remote))
-                state.target_f.append((lat, service, lat_ns))
+                state.target_f.append(target_floats)
             state.ops.append(op)
-            state.units.append(units)
-            state.cores.append(core)
-            state.deferred.append(deferred)
         lut[key] = uid
     # Each thread's steps, then its PLAN_END slot (uid 0).
     uids = np.insert(lut[pair], program.bounds[1:], 0)
@@ -427,12 +335,6 @@ def compile_programs(sim, program, placements):
     state.steps.append(uids)
     state.n_steps += len(uids)
     mtps = sim.config.mtps_per_core
-    keys = uids * np.int32(mtps)
-    keys += np.repeat(
-        np.array([mtp for _core, mtp in placements], dtype=np.int32),
-        lengths + 1,
-    )
-    state.keys.append(keys)
     state.pipes.extend(core * mtps + mtp for core, mtp in placements)
     return [
         _thread_view(state.ops, uids, start, start + length)
@@ -448,75 +350,6 @@ def _thread_view(ops, uids, lo, hi):
         yield ops[uid]
 
 
-def _rule_out(sim):
-    """Give replay up for this run and free what was compiled."""
-    state = sim._vector_state = ReplayState()
-    state.replayable = False
-
-
-def _settle(sim, state, pcs):
-    """Add the deferred counters of every executed step.
-
-    ``pcs`` gives every thread's final pc, so thread ``t`` executed the
-    steps ``[starts[t], pcs[t])`` of the flat step list — exact even
-    when the run raised mid-stream (watchdog, dead DMA), so the settled
-    totals match what the reference loop would have accumulated live
-    up to the same event.  One ``bincount`` keyed by (plan, MTP) counts
-    them; a plan belongs to one core, so the key names the pipeline
-    too.  When every thread ran to its end, all steps are counted,
-    end steps included (plan 0 charges nothing).  The counts and
-    ``n * amount`` are integers (numpy ``int64`` for the pipeline
-    counters, Python ints for the rest); the float adds at the end are
-    exact while a counter stays below 2**53, which is the same bound at
-    which the reference's own per-event float accumulation would start
-    rounding.
-    """
-    n_steps = state.n_steps
-    mtps = sim.config.mtps_per_core
-    n_plans = len(state.units)
-    keys = (state.keys[0] if len(state.keys) == 1
-            else np.concatenate(state.keys))
-    starts = np.array(state.starts, dtype=np.int64)
-    pcs = np.array(pcs, dtype=np.int64)
-    ends = np.append(starts[1:], n_steps) - 1
-    if not np.array_equal(pcs, ends):
-        # +1 at every start, -1 at every final pc (pc <= the thread's
-        # end step, which precedes the next start, so no two collide).
-        ran = np.zeros(n_steps + 1, dtype=np.int32)
-        ran[starts] += 1
-        ran[pcs] -= 1
-        keys = keys[np.cumsum(ran[:-1], dtype=np.int32).astype(bool)]
-        del ran
-    counts = np.bincount(
-        keys, minlength=n_plans * mtps
-    ).reshape(n_plans, mtps)
-    del keys
-    units = np.array([u or 0 for u in state.units], dtype=np.int64)
-    issues = np.array([u is not None for u in state.units], dtype=np.int64)
-    cores = np.array(state.cores, dtype=np.int64)
-    pipe_units = np.zeros((sim.config.n_cores, mtps), dtype=np.int64)
-    np.add.at(pipe_units, cores, counts * units[:, None])
-    pipe_requests = np.zeros((sim.config.n_cores, mtps), dtype=np.int64)
-    np.add.at(pipe_requests, cores, counts * issues[:, None])
-    for core, mtp in zip(*np.nonzero(pipe_requests)):
-        pipe = sim.pipelines[core][mtp]
-        pipe.units_served += int(pipe_units[core, mtp])
-        pipe.requests += int(pipe_requests[core, mtp])
-    totals = {}
-    t_get = totals.get
-    for uid, n in enumerate(counts.sum(axis=1).tolist()):
-        if n:
-            for obj, attr, amount in state.deferred[uid]:
-                key = (id(obj), attr)
-                cur = t_get(key)
-                if cur is None:
-                    totals[key] = [obj, attr, n * amount]
-                else:
-                    cur[2] += n * amount
-    for obj, attr, total in totals.values():
-        setattr(obj, attr, getattr(obj, attr) + total)
-
-
 def run_programs(sim):
     """Run every spawned thread; returns kernel ns.
 
@@ -530,11 +363,7 @@ def run_programs(sim):
     if (state is None or not sim.can_replay
             or len(state.starts) != len(sim._threads)):
         return sim._run_reference()
-    pcs = np.array(state.starts, dtype=np.int64)
-    try:
-        return _replay_native(sim, state, pcs)
-    finally:
-        _settle(sim, state, pcs)
+    return _replay_native(sim, state)
 
 
 def _pack(columns, room, dtypes):
@@ -562,15 +391,14 @@ def _unpack(buffers, offsets, lengths):
         yield [buffer[off:off + n].tolist() for buffer in buffers]
 
 
-def _replay_native(sim, state, pcs):
+def _replay_native(sim, state):
     """The native replay entry: every thread is a compiled program.
 
     Copies the mutable simulator state into arrays, runs the C loop
     (``piuma_replay`` in ``_replay.c``), writes every field back, and
     raises what the loop reports at the event it reports it.  Event
     order, event counts, watchdog trip points, and all accounting are
-    identical to ``_run_reference``.  ``pcs`` (in: each thread's start
-    pc) receives every thread's final pc.
+    identical to ``_run_reference``.
     """
     heap = sim._heap
     if any(entry[3] is not None for entry in heap):
@@ -586,8 +414,8 @@ def _replay_native(sim, state, pcs):
     kinds, cores, n_targets = plan_i[:, 0], plan_i[:, 1], plan_i[:, 4]
     touches = np.bincount(target_i[:, 0], np.repeat(runs, n_targets),
                           cfg.n_cores)
-    dma = kinds == PLAN_DMA
-    pushes = np.bincount(cores[dma], runs[dma], cfg.n_cores)
+    striped = kinds == PLAN_DMA
+    pushes = np.bincount(cores[striped], runs[striped], cfg.n_cores)
     engines = sim.dma_engines
     slices = sim.slices
     pipes = [pipe for row in sim.pipelines for pipe in row]
@@ -598,26 +426,28 @@ def _replay_native(sim, state, pcs):
                touches, (np.float64, np.float64))
     q = _pack([tuple(zip(*e._inflight)) or ((), ()) for e in engines],
               pushes, (np.float64, np.int64))
+    pcs = np.array(state.starts, dtype=np.int64)
     arrays = dict(
         steps=steps, plan_i=plan_i,
         plan_f=np.array(state.plan_f, dtype=np.float64),
         target_i=target_i,
-        target_f=np.array(state.target_f, dtype=np.float64).reshape(-1, 3),
+        target_f=np.array(state.target_f, dtype=np.float64).reshape(-1, 4),
         thread_pipe=np.array(state.pipes, dtype=np.int64), pcs=pcs,
         heap_when=np.array([e[0] for e in heap], dtype=np.float64),
         heap_seq=np.array([e[1] for e in heap], dtype=np.int64),
         heap_idx=np.array([e[2] for e in heap], dtype=np.int64),
-        fluid=np.array([(r.busy_until, r.busy_time) for r in fluids],
-                       dtype=np.float64),
-        dma_f=np.array([(e._inflight_bytes, e._retry_backoff_ns)
-                        for e in engines], dtype=np.float64),
-        dma_i=np.array([(e._fail_period, e._fail_countdown, e.retries)
-                        for e in engines], dtype=np.int64),
+        fluid=np.array([(r.busy_until, r.busy_time, r.units_served,
+                         r.requests) for r in fluids], dtype=_FLUID),
+        dma=np.array([(e._inflight_bytes, e._retry_backoff_ns,
+                       e.bytes_moved, e._fail_period, e._fail_countdown,
+                       e.retries, e.ops) for e in engines], dtype=_DMA),
         slices=np.array([
             (s._timeline._retired_busy, s._priority_horizon,
-             s._priority_busy, s.stall_period_ns, s.stall_duration_ns)
-            for s in slices], dtype=np.float64),
-        wait_ns=np.array([r.wait_ns for r in records], dtype=np.float64),
+             s._priority_busy, s.stall_period_ns, s.stall_duration_ns,
+             s.bytes_served, s.requests)
+            for s in slices], dtype=_SLICE),
+        tags=np.array([(r.wait_ns, r.bytes, r.count) for r in records],
+                      dtype=_TAG),
         **dict(zip(("tl_starts", "tl_ends", "tl_off", "tl_cap", "tl_len"),
                    tl)),
         **dict(zip(("q_when", "q_bytes", "q_off", "q_cap", "q_len"), q)),
@@ -636,27 +466,31 @@ def _replay_native(sim, state, pcs):
     if code == RUN_NO_MEMORY:
         raise MemoryError("native replay could not allocate its queue")
 
-    for fluid, (busy_until, busy_time) in zip(fluids,
-                                              arrays["fluid"].tolist()):
-        fluid.busy_until = busy_until
-        fluid.busy_time = busy_time
-    for engine, (inflight, _), (_, countdown, retries), entries in zip(
-            engines, arrays["dma_f"].tolist(), arrays["dma_i"].tolist(),
-            _unpack(q[:2], q[2], q[4])):
+    for fluid, row in zip(fluids, arrays["fluid"].tolist()):
+        (fluid.busy_until, fluid.busy_time, fluid.units_served,
+         fluid.requests) = row
+    for engine, (inflight, _, moved, _, countdown, retries, ops), entries \
+            in zip(engines, arrays["dma"].tolist(),
+                   _unpack(q[:2], q[2], q[4])):
         engine._inflight_bytes = inflight
+        engine.bytes_moved = moved
         engine._fail_countdown = countdown
         engine.retries = retries
+        engine.ops = ops
         engine._inflight.clear()
         engine._inflight.extend(zip(*entries))
-    for slice_, (retired, horizon, priority, _, _), (starts, ends) in zip(
-            slices, arrays["slices"].tolist(), _unpack(tl[:2], tl[2], tl[4])):
+    for slice_, (retired, horizon, priority, _, _, served, requests), \
+            (starts, ends) in zip(slices, arrays["slices"].tolist(),
+                                  _unpack(tl[:2], tl[2], tl[4])):
         slice_._timeline._starts[:] = starts
         slice_._timeline._ends[:] = ends
         slice_._timeline._retired_busy = retired
         slice_._priority_horizon = horizon
         slice_._priority_busy = priority
-    for record, wait_ns in zip(records, arrays["wait_ns"].tolist()):
-        record.wait_ns = wait_ns
+        slice_.bytes_served = served
+        slice_.requests = requests
+    for record, row in zip(records, arrays["tags"].tolist()):
+        record.wait_ns, record.bytes, record.count = row
     sim.setup_end = args.setup_end
     sim._seq = args.seq
     sim.events = args.events
@@ -675,9 +509,6 @@ def _replay_native(sim, state, pcs):
     if code == RUN_STALL:
         raise sim._diverged_stall(args.stalled, args.now)
     if code == RUN_DEAD_DMA:
-        pipe = pipes[args.dead_pipe]
-        pipe.units_served += sim._dma_issue_instrs
-        pipe.requests += 1
         raise HardwareExhausted(
             f"DMA engine on core {args.dead_core} is dead",
             cause="dead-dma",

@@ -172,41 +172,6 @@ class TestLinks:
                 assert net.latency(src, dst) >= healthy.latency(src, dst)
 
 
-class TestNetworkEpoch:
-    """Regression for the stale-memo hazard: the per-pair latency memo
-    must be dropped (and observably so, via the epoch counter) whenever
-    the degradation state changes."""
-
-    def test_set_degradation_invalidates_memo(self):
-        config = PIUMAConfig(n_cores=8)
-        net = Network(config)
-        before = net.latency(0, 5)
-        mean_before = net.mean_remote_latency()
-        assert net.degradation_epoch == 0
-
-        spec = DegradationSpec(
-            degraded_link_fraction=1.0, link_latency_scale=4.0
-        )
-        net.set_degradation(DegradationModel(spec, config))
-        assert net.degradation_epoch == 1
-        # A stale memo would keep serving the healthy value here.
-        assert net.latency(0, 5) == 4.0 * before
-        assert net.mean_remote_latency() > mean_before
-
-        net.set_degradation(None)
-        assert net.degradation_epoch == 2
-        assert net.latency(0, 5) == before
-        assert net.mean_remote_latency() == mean_before
-
-    def test_invalidate_bumps_epoch_and_clears(self):
-        net = Network(PIUMAConfig(n_cores=4))
-        net.latency(0, 1)
-        assert net._latency_cache
-        net.invalidate()
-        assert not net._latency_cache
-        assert net.degradation_epoch == 1
-
-
 class TestThreadPlacements:
     def test_healthy_matches_historical_formula(self):
         config = PIUMAConfig(n_cores=4, threads_per_mtp=8)

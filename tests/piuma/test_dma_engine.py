@@ -1,8 +1,10 @@
 """The per-core DMA engine, driven through the simulator's DMA dispatch.
 
-``Simulator._dispatch[DMAOp]`` is the one DMA implementation every
-main loop runs; each call executes one descriptor issued by a thread
-on ``(core, mtp)`` at ``now`` and returns ``(resume, completion)``.
+``Simulator._dispatch[DMAOp]`` is the one DMA implementation the
+reference loop runs (replay's compiled DMA rows repeat its arithmetic,
+held to it by the differential suite); each call executes one
+descriptor issued by a thread on ``(core, mtp)`` at ``now`` and returns
+``(resume, completion)``.
 The engine's own horizon (``DMAEngine._engine.busy_until``) is when it
 can accept its next descriptor.
 """

@@ -1,8 +1,8 @@
 """Bit-identity of the two DES main loops.
 
 ``PIUMAConfig.engine`` has two values.  The default ``fast`` engine
-replays op programs compiled at spawn time, with deferred integral
-counters settled post-run, and runs the reference loop for any run it
+replays op programs compiled at spawn time in a native loop that adds
+every counter per event, and runs the reference loop for any run it
 cannot replay; ``reference`` always runs the plain pop/execute/push
 loop.  Both loops must produce **bit-identical results** — same
 ``end_time``, per-tag stats, utilizations, bandwidth, and event count.
@@ -320,13 +320,6 @@ class TestStripeTargets:
         assert noisy == exact
         assert len(sim._stripe_targets(0, 128.5)) == len(exact)
 
-    def test_dma_targets_match_stripe_targets(self):
-        sim = Simulator(PIUMAConfig(n_cores=8))
-        cores = sim._stripe_targets(3, 1024)
-        dma = sim._dma_stripe_targets(3, 1024)
-        assert [core for _slice, core in dma] == cores
-        assert all(s is sim.slices[c] for s, c in dma)
-
 
 class TestOpInterning:
     def test_shared_table_interns_across_threads(self):
@@ -356,3 +349,11 @@ class TestOpInterning:
     def test_dma_kind_validated_at_construction(self):
         with pytest.raises(ValueError):
             DMAOp(kind="sideways", nbytes=0, target_core=0, tag="x")
+
+    def test_dma_payload_validated_at_construction(self):
+        # The staging queue holds payloads as integers in both loops,
+        # so a fractional payload is rejected before either runs it.
+        with pytest.raises(ValueError, match="not whole bytes"):
+            DMAOp(kind="read", nbytes=53.5, target_core=0, tag="x")
+        assert DMAOp(kind="read", nbytes=64, target_core=0,
+                     tag="x").nbytes == 64

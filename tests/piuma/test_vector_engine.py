@@ -4,14 +4,14 @@
 (bit-identical fingerprints across every loop); this suite aims at the
 machinery that makes replay fast enough to matter — the spawn-time
 per-(op, core) plan cache, the native loop's timeline backfill, the
-deferred integral counters settled from executed step prefixes, the
-write-back of every resource field, the release of every replayed
-simulator and of the native buffers, the native core's build and load —
-and at which loop a default-engine run executes: native compiled replay
-when every thread is a program, no ``_execute`` hook is bound, every
-deferred addend is integral and the native core loaded, the reference
-loop otherwise (a generator thread, a wrapped DMA dispatch, the
-sanitizer armed, a fractional addend, no working compiler).
+counters it adds live per event, the write-back of every resource field
+with its type, the release of every replayed simulator and of the
+native buffers, the native core's build and load — and at which loop a
+default-engine run executes: native compiled replay when every thread
+is a program, no ``_execute`` hook is bound and the native core loaded
+(fractional stripe shares included), the reference loop otherwise (a
+generator thread, a wrapped DMA dispatch, the sanitizer armed, no
+working compiler).
 """
 
 import ctypes
@@ -33,7 +33,10 @@ from repro.piuma.config import PIUMAConfig
 from repro.piuma.degradation import DEGRADATION_PRESETS
 from repro.piuma.engine import Simulator
 from repro.piuma.kernels import split_work
-from repro.piuma.ops import DMAOp, OpProgram, PhaseMarker
+from repro.piuma.ops import (
+    AtomicUpdate, Compute, DMAOp, Load, OpProgram, PhaseMarker,
+    SequentialAccess, Store,
+)
 from repro.piuma.resources import Timeline
 from repro.piuma.spmm_dma import dma_thread
 from repro.piuma import native, vector_engine
@@ -69,21 +72,32 @@ def _sim_fingerprint(sim):
     )
 
 
-def _resource_state(sim):
-    """Every counter and horizon of every resource, exact floats.
+def _typed(value):
+    """``value`` with every leaf paired with its type, so ``==`` also
+    compares types: ``5 == 5.0``, but ``(int, 5) != (float, 5.0)``."""
+    if isinstance(value, (list, tuple)):
+        return [_typed(item) for item in value]
+    return (type(value), value)
 
-    The deferred counters (``units_served``, ``requests``,
+
+def _resource_state(sim):
+    """Every counter and horizon of every resource, exact floats and
+    their types.
+
+    The resource counters (``units_served``, ``requests``,
     ``bytes_served``, ``ops``, ``bytes_moved``) only exist here, not in
-    the kernel fingerprint, so this is what holds the settle pass to
-    the live accounting of the other loops; the rest is every field the
+    the kernel fingerprint, so this is what holds the native loop's
+    counters to the reference loop's; the rest is every field the
     native loop copies back (timelines with their retired busy time,
     priority horizons, staging queues, failure countdowns,
-    ``setup_end``), so a field it forgets fails here.
+    ``setup_end``), so a field it forgets fails here.  Every leaf
+    carries its type, so a write-back that turns an int counter into a
+    float fails too.
     """
     def fluid(r):
         return (r.busy_until, r.busy_time, r.units_served, r.requests)
 
-    return (
+    return _typed((
         [fluid(p) for row in sim.pipelines for p in row],
         [fluid(a) for a in sim.atomic_units],
         [fluid(i) for i in sim.network._injection],
@@ -99,7 +113,7 @@ def _resource_state(sim):
             for e in sim.dma_engines
         ],
         sim.setup_end,
-    )
+    ))
 
 
 def _capture_runs(monkeypatch):
@@ -206,7 +220,7 @@ class TestPlanCache:
         sim = Simulator(config)
         _spawn_all(sim, _adj(), 32, config, as_programs=True)
         state = sim._vector_state
-        assert state is not None and state.replayable
+        assert state is not None
         assert len(state.starts) == len(sim._threads)
         # One flat step list: every thread's plan ids, then plan 0.
         steps = np.concatenate(state.steps)
@@ -256,10 +270,11 @@ class TestPlanCache:
         # One binary-search op per (probe count, target slice).
         assert len(searches) == len(shapes) < len(programs)
 
-    def test_settled_counters_match_live_accounting(self):
-        # A completed replay settles every deferred counter once; the
-        # totals must equal the reference loop's per-event accounting
-        # on every resource, not just in the kernel fingerprint.
+    def test_live_counters_match_reference_accounting(self):
+        # The native loop adds every counter per event, in handler
+        # order; the totals must equal the reference loop's per-event
+        # accounting on every resource, not just in the kernel
+        # fingerprint.
         adj = _adj()
         replayed = Simulator(PIUMAConfig(n_cores=2, threads_per_mtp=2))
         _spawn_all(replayed, adj, 32, replayed.config, as_programs=True)
@@ -345,6 +360,55 @@ class TestEquivalence:
         replayed.run()
         assert _sim_fingerprint(sim) == _sim_fingerprint(replayed)
 
+    @pytest.mark.parametrize("preset", [None, "moderate"])
+    def test_fractional_amounts_replay_exactly(self, loop_calls, preset):
+        # Every op kind with non-integral amounts (instructions, bytes,
+        # stripe shares): the native loop adds them per event in
+        # handler order, so replay matches the reference loop down to
+        # every counter, on a healthy and a degraded fabric.
+        rng = random.Random(0xF4AC)
+        n_cores = 4
+        threads = []
+        for _ in range(24):
+            ops = []
+            for _ in range(rng.randrange(5, 40)):
+                target = rng.randrange(n_cores)
+                ops.append(rng.choice((
+                    lambda: Compute(rng.uniform(0.5, 9.5)),
+                    lambda: Load(rng.uniform(1.0, 300.0), target, "load",
+                                 grouped=rng.randrange(1, 4),
+                                 priority=rng.random() < 0.5),
+                    lambda: SequentialAccess(rng.randrange(1, 4),
+                                             rng.uniform(8.0, 200.0),
+                                             target, 2, "seq"),
+                    lambda: Store(rng.uniform(1.0, 500.0), target, "store"),
+                    lambda: AtomicUpdate(rng.uniform(1.0, 300.0), target,
+                                         "atomic"),
+                    # Three-line payloads: a share of 1/3 per slice.
+                    lambda: DMAOp(rng.choice(("read", "write", "internal")),
+                                  rng.randrange(129, 193), target, "dma"),
+                ))())
+            threads.append(ops)
+        config = PIUMAConfig(
+            n_cores=n_cores, threads_per_mtp=2,
+            degradation=preset and DEGRADATION_PRESETS[preset],
+        )
+        sims = []
+        for engine in ("fast", "reference"):
+            sim = Simulator(config.with_(engine=engine))
+            for t, ops in enumerate(threads):
+                core, mtp = t % n_cores, (t // n_cores) % 4
+                if engine == "fast":
+                    sim.spawn_program(OpProgram.from_generator(ops),
+                                      core, mtp)
+                else:
+                    sim.spawn((op for op in ops), core, mtp)
+            sim.run()
+            sims.append(sim)
+        assert loop_calls == ["replay", "reference"]
+        assert _sim_fingerprint(sims[0]) == _sim_fingerprint(sims[1])
+        assert _resource_state(sims[0]) == _resource_state(sims[1])
+
     def test_dense_kernel_bit_identical(self):
         # DenseMM replays by default too: replay and the reference
         # loop, checked and unchecked, agree exactly.
@@ -376,8 +440,7 @@ class TestLoopSelection:
     """Which main loop a default-engine run executes.
 
     Native compiled replay (``_replay_native``) needs every thread
-    compiled, no ``_execute`` hook bound, every deferred addend
-    integral and the native core loaded;
+    compiled, no ``_execute`` hook bound and the native core loaded;
     every other run goes to ``Simulator._run_reference``, which drives
     the programs' generator views.
     """
@@ -507,14 +570,13 @@ class TestLoopSelection:
         sim.run()
         assert loop_calls == ["reference"]
 
-    def test_fractional_addend_takes_reference_loop(self, loop_calls,
-                                                    monkeypatch):
+    def test_fractional_share_replays(self, loop_calls, monkeypatch):
         # K=40 rows are 160 bytes, three cache lines, so a DMA read
-        # stripes 53.33 bytes over three slices: a counter addend no
-        # batched integer settle can reproduce, so the run is not
-        # replayed and still matches the reference loop.  Compiling the
-        # emitted program rules replay out before any thread is
-        # registered; every thread spawns as a generator, none drained.
+        # stripes 53.33 bytes over three slices.  The native loop adds
+        # that fractional share per event in handler order, as the
+        # reference handlers do, so the run replays its emitted program
+        # (no generator drained) and matches the reference loop down to
+        # every resource counter.
         drains = []
         from_generator = OpProgram.from_generator
 
@@ -523,15 +585,19 @@ class TestLoopSelection:
             return from_generator(generator)
 
         monkeypatch.setattr(OpProgram, "from_generator", spy_drain)
+        sims = _capture_runs(monkeypatch)
         adj = _adj()
         config = PIUMAConfig(n_cores=4, threads_per_mtp=2)
         result = simulate_spmm(adj, 40, config, window_edges=1024)
-        assert loop_calls == ["reference"]
+        assert loop_calls == ["replay"]
         assert drains == []
+        assert any(s.bytes_served != int(s.bytes_served)
+                   for s in sims[0].slices)
         reference = simulate_spmm(
             adj, 40, config.with_(engine="reference"), window_edges=1024,
         )
         assert _fingerprint(result) == _fingerprint(reference)
+        assert _resource_state(sims[0]) == _resource_state(sims[1])
 
 
 def _rss_mb():
@@ -579,27 +645,6 @@ class TestReplayLeak:
         assert loop_calls == ["replay"] * 65
         assert _rss_mb() - before < 4.0
 
-    def test_rule_out_frees_compiled_state(self):
-        # Threads compiled before a fractional addend rules replay out
-        # are dropped at once, not held until the run ends.
-        config = PIUMAConfig(n_cores=4, threads_per_mtp=2)
-        sim = Simulator(config)
-        shared = {}
-        for work in split_work(_adj(), config, 1024):
-            generator = dma_thread(work, 16, config, shared=shared)
-            sim.spawn_program(
-                OpProgram.from_generator(generator), work.core, work.mtp
-            )
-        assert sim.can_replay
-        work = split_work(_adj(), config, 1024)[0]
-        sim.spawn_program(
-            OpProgram.from_generator(dma_thread(work, 40, config)),
-            work.core, work.mtp,
-        )
-        state = sim._vector_state
-        assert not sim.can_replay and not state.replayable
-        assert (state.plans, state.steps, state.starts) == ({}, [], [])
-
     def test_run_drops_compiled_state(self):
         config = PIUMAConfig(n_cores=2, threads_per_mtp=2)
         sim = Simulator(config)
@@ -636,10 +681,10 @@ class TestDegradedPresets:
 class TestWatchdogParity:
     """Divergence ceilings trip at the *same event* in every loop.
 
-    The deferred counters make this subtle: a mid-run raise must
-    settle the executed prefix exactly, so the structured payloads —
-    cause, event count, simulated time — must match the reference
-    loop's.
+    The structured payloads — cause, event count, simulated time — and
+    every counter at the trip must match the reference loop's: the
+    native loop stops mid-stream with every counter added up to the
+    tripping event, and Python writes them back before raising.
     """
 
     def _trip(self, engine, **ceilings):
@@ -675,10 +720,9 @@ class TestWatchdogParity:
         assert loop_calls == ["replay", "reference"]
         assert payloads["reference"] == payloads["fast"]
 
-    def test_partial_settle_is_exact(self):
-        # After a max_events trip, the replay's settled counters must
-        # equal the reference loop's live accounting at the same event
-        # — the executed-prefix settle, exercised end-to-end.
+    def test_live_counters_exact_at_trip(self):
+        # After a max_events trip, the replay's live counters must
+        # equal the reference loop's accounting at the same event.
         state = {}
         for as_programs in (True, False):
             config = PIUMAConfig(n_cores=2, max_events=900)

@@ -96,8 +96,8 @@ class TestMutationsCaught:
     def test_sanitizer_fires_with_exact_attribution(self, name):
         # Every seeded perturbation must be caught by its named
         # invariant.  A checked run cannot replay, so it takes the
-        # reference loop; replay's deferred bookkeeping is held to
-        # that loop by the differential oracle instead.
+        # reference loop; replay's counters are held to that loop by
+        # the differential oracle instead.
         mutation = MUTATIONS[name]
         assert mutation.level >= 1
         error = run_mutation(name)
