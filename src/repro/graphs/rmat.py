@@ -53,6 +53,8 @@ class RMATParams:
             raise ValueError("edge_factor must be positive")
         if len(self.abcd) != 4 or abs(sum(self.abcd) - 1.0) > 1e-9:
             raise ValueError("abcd must be four probabilities summing to 1")
+        if min(self.abcd) < 0:
+            raise ValueError("abcd probabilities must be non-negative")
 
     @property
     def n_vertices(self):
@@ -69,24 +71,44 @@ def rmat_edges(params, seed=0):
     Returns ``(src, dst)`` int64 arrays of length ``params.n_edges``.
     Duplicate edges and self loops are kept (coalescing, if wanted, is
     the caller's choice via CSR conversion), matching SNAP behaviour.
+
+    Each level draws one uniform per edge into a reused buffer (the
+    same stream as one ``rng.random(n_edges)`` call per level) and
+    shifts the two quadrant bits into the endpoints in place, in
+    ``int32`` while ``scale <= 30``.
     """
     rng = np.random.default_rng(seed)
     n_edges = params.n_edges
     a, b, c, _ = params.abcd
-    src = np.zeros(n_edges, dtype=np.int64)
-    dst = np.zeros(n_edges, dtype=np.int64)
+    ab, abc = a + b, a + b + c
+    dtype = np.int32 if params.scale <= 30 else np.int64
+    src = np.zeros(n_edges, dtype=dtype)
+    dst = np.zeros(n_edges, dtype=dtype)
+    draws = np.empty(n_edges, dtype=np.float64)
+    down = np.empty(n_edges, dtype=bool)
+    right = np.empty(n_edges, dtype=bool)
+    far = np.empty(n_edges, dtype=bool)
     for _ in range(params.scale):
-        draws = rng.random(n_edges)
+        rng.random(out=draws)
         # Quadrants in row-major order: a=(0,0), b=(0,1), c=(1,0), d=(1,1).
-        go_right = ((draws >= a) & (draws < a + b)) | (draws >= a + b + c)
-        go_down = draws >= a + b
-        src = (src << 1) | go_down.astype(np.int64)
-        dst = (dst << 1) | go_right.astype(np.int64)
-    return src, dst
+        # Right is [a, a+b) or [a+b+c, 1); with non-negative
+        # probabilities a <= a+b, so [a, a+b) is (>= a) xor (>= a+b).
+        np.greater_equal(draws, ab, out=down)
+        np.greater_equal(draws, a, out=right)
+        np.greater_equal(draws, abc, out=far)
+        right ^= down
+        right |= far
+        src <<= 1
+        src |= down
+        dst <<= 1
+        dst |= right
+    return src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
 
 
-def rmat_graph(params, seed=0, symmetric=False, coalesce=True):
+def rmat_graph(params, seed=0, symmetric=False):
     """Generate an RMAT graph as a CSR adjacency matrix.
+
+    Duplicate edges are summed by the CSR conversion.
 
     Parameters
     ----------
@@ -97,12 +119,7 @@ def rmat_graph(params, seed=0, symmetric=False, coalesce=True):
     symmetric:
         When true, every edge is mirrored so the adjacency is symmetric
         (undirected graph), as GCN normalization expects.
-    coalesce:
-        Duplicate edges are always summed by CSR conversion; this flag is
-        kept for signature clarity and must be true.
     """
-    if not coalesce:
-        raise ValueError("CSR storage always coalesces duplicates")
     src, dst = rmat_edges(params, seed)
     if symmetric:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
@@ -121,14 +138,16 @@ def rmat_for_size(n_vertices, n_edges, abcd=GRAPH500, seed=0, symmetric=False):
     if n_vertices < 1:
         raise ValueError("n_vertices must be positive")
     scale = max(1, int(np.ceil(np.log2(n_vertices))))
-    directed_edges = n_edges if symmetric is False else max(1, n_edges // 2)
+    directed_edges = max(1, n_edges // 2) if symmetric else n_edges
     params = RMATParams(
         scale=scale,
         edge_factor=max(directed_edges / (1 << scale), 1e-9),
         abcd=abcd,
     )
     src, dst = rmat_edges(params, seed)
-    src, dst = src % n_vertices, dst % n_vertices
+    if n_vertices != 1 << scale:
+        np.remainder(src, n_vertices, out=src)
+        np.remainder(dst, n_vertices, out=dst)
     if symmetric:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     return CSRMatrix.from_edges(src, dst, shape=(n_vertices, n_vertices))

@@ -126,42 +126,60 @@ def auto_window(config, total_edges, edges_per_thread=48, floor=4096, cap=131072
     return int(min(total_edges, max(floor, min(want, cap))))
 
 
+def edge_ranges(adj, starts, stops):
+    """``(start, cols, rows)`` of each edge range ``[starts[i], stops[i])``.
+
+    ``rows`` holds the owning row of every edge of the range.  One
+    ``searchsorted`` finds the rows of all ranges, and each range's
+    ``cols`` and ``rows`` are views.  Ranges must be non-empty.
+    """
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    # Position j of the concatenation, in range i, is edge
+    # j + stops[i] - ends[i].
+    edges = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    edges += np.repeat(stops - ends, lengths)
+    rows = np.searchsorted(adj.indptr, edges, side="right") - 1
+    return [
+        (start, adj.indices[start:stop], rows[end - stop + start:end])
+        for start, stop, end in zip(starts.tolist(), stops.tolist(),
+                                    ends.tolist())
+    ]
+
+
+def placed_work(adj, config, starts, takes):
+    """One :class:`ThreadWork` per thread ``t`` with ``takes[t] > 0``.
+
+    Thread ``t`` simulates edges ``[starts[t], starts[t] + takes[t])``
+    at its :func:`thread_placements` slot.
+    """
+    placements = thread_placements(config)
+    threads = np.flatnonzero(takes > 0)
+    starts = starts[threads]
+    ranges = edge_ranges(adj, starts, starts + takes[threads])
+    return [
+        ThreadWork(*placements[t], cols, rows, start)
+        for t, (start, cols, rows) in zip(threads.tolist(), ranges)
+    ]
+
+
 def split_work(adj, config, window_edges):
     """Build per-thread :class:`ThreadWork` for an edge-parallel window.
 
     Thread ``t`` owns the contiguous global slice ``[tE/T, (t+1)E/T)``
     (Algorithm 2 line 3) and simulates its leading ``~window/T`` edges.
+    A thread whose slice is empty gets no :class:`ThreadWork`.
 
     Placement comes from :func:`thread_placements`: the historical
     contiguous layout on a healthy fabric (bit-identical results), and
     a redistribution of the same ``T`` work shares over the surviving
     pipelines when the degradation spec disables cores or MTPs.
     """
-    total_edges = adj.nnz
     n_threads = config.n_threads
-    placements = thread_placements(config)
-    bounds = np.linspace(0, total_edges, n_threads + 1).astype(np.int64)
+    bounds = np.linspace(0, adj.nnz, n_threads + 1).astype(np.int64)
     per_thread = max(1, int(round(window_edges / n_threads)))
-    work = []
-    for t in range(n_threads):
-        start, end = int(bounds[t]), int(bounds[t + 1])
-        stop = min(end, start + per_thread)
-        if stop <= start:
-            continue
-        cols = adj.indices[start:stop]
-        rows = (
-            np.searchsorted(
-                adj.indptr, np.arange(start, stop, dtype=np.int64), side="right"
-            )
-            - 1
-        )
-        core, mtp = placements[t]
-        work.append(
-            ThreadWork(
-                core=core, mtp=mtp, cols=cols, rows=rows, start_edge=start
-            )
-        )
-    return work
+    takes = np.minimum(np.diff(bounds), per_thread)
+    return placed_work(adj, config, bounds[:-1], takes)
 
 
 def window_work(adj, config, window_edges=None, splitter=None):

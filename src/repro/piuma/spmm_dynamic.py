@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.piuma.degradation import thread_placements
-from repro.piuma.kernels import ThreadWork
+from repro.piuma.kernels import edge_ranges
 from repro.piuma.ops import DMAOp, Load, PhaseMarker
 from repro.piuma.spmm_loop import as_int_list, nnz_line_core, owner_cores
 
@@ -30,24 +30,12 @@ def make_chunks(adj, config, window_edges, rows_per_chunk=None):
     if rows_per_chunk is None:
         want_chunks = max(1, config.n_threads * 8)
         rows_per_chunk = max(1, adj.n_rows // want_chunks)
-    chunks = []
-    for row_start in range(0, adj.n_rows, rows_per_chunk):
-        row_end = min(row_start + rows_per_chunk, adj.n_rows)
-        lo = int(adj.indptr[row_start])
-        hi = int(adj.indptr[row_end])
-        take = int(round((hi - lo) * fraction))
-        if take <= 0:
-            continue
-        stop = lo + take
-        cols = adj.indices[lo:stop]
-        rows = (
-            np.searchsorted(
-                adj.indptr, np.arange(lo, stop, dtype=np.int64), side="right"
-            )
-            - 1
-        )
-        chunks.append((lo, cols, rows))
-    return chunks
+    row_starts = np.arange(0, adj.n_rows, rows_per_chunk)
+    row_ends = np.minimum(row_starts + rows_per_chunk, adj.n_rows)
+    lo, hi = adj.indptr[row_starts], adj.indptr[row_ends]
+    takes = np.round((hi - lo) * fraction).astype(np.int64)
+    keep = takes > 0
+    return edge_ranges(adj, lo[keep], lo[keep] + takes[keep])
 
 
 def dynamic_thread(queue, embedding_dim, config, thread_id, shared=None):

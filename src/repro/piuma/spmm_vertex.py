@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.piuma.degradation import thread_placements
-from repro.piuma.kernels import ThreadWork
+from repro.piuma.kernels import placed_work
 from repro.piuma.ops import DMAOp, Load
 from repro.piuma.spmm_dma import dma_init_op, dma_read_op
 from repro.piuma.spmm_loop import (
@@ -39,34 +38,14 @@ def split_work_vertex(adj, config, window_edges):
     hub-heavy thread simulates proportionally more edges and the window
     exhibits the same imbalance as a full run.
     """
-    n_threads = config.n_threads
     total_edges = adj.nnz
     fraction = min(1.0, window_edges / total_edges) if total_edges else 0.0
-    placements = thread_placements(config)
-    row_bounds = np.linspace(0, adj.n_rows, n_threads + 1).astype(np.int64)
-    work = []
-    for t in range(n_threads):
-        row_start, row_end = int(row_bounds[t]), int(row_bounds[t + 1])
-        lo = int(adj.indptr[row_start])
-        hi = int(adj.indptr[row_end])
-        owned = hi - lo
-        take = int(round(owned * fraction))
-        if take <= 0:
-            continue
-        stop = lo + take
-        cols = adj.indices[lo:stop]
-        rows = (
-            np.searchsorted(
-                adj.indptr, np.arange(lo, stop, dtype=np.int64), side="right"
-            )
-            - 1
-        )
-        core, mtp = placements[t]
-        work.append(
-            ThreadWork(core=core, mtp=mtp, cols=cols, rows=rows,
-                       start_edge=lo)
-        )
-    return work
+    row_bounds = np.linspace(0, adj.n_rows, config.n_threads + 1).astype(
+        np.int64
+    )
+    edge_bounds = adj.indptr[row_bounds]
+    takes = np.round(np.diff(edge_bounds) * fraction).astype(np.int64)
+    return placed_work(adj, config, edge_bounds[:-1], takes)
 
 
 def vertex_parallel_thread(work, embedding_dim, config, shared=None):

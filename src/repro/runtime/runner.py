@@ -29,6 +29,7 @@ small task descriptors and JSON records cross the process boundary.
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import queue
@@ -45,21 +46,41 @@ from repro.runtime.progress import ProgressTracker
 #: Valid ``on_error`` policies of :func:`run_sweep`.
 ON_ERROR_POLICIES = ("raise", "skip", "fallback")
 
-#: Per-process memo of materialized graphs: tasks reference datasets by
+#: Byte budget of :data:`_GRAPH_MEMO`, counting each window's
+#: ``indptr``, ``indices`` and ``data``.  Every Table I window at the
+#: default 16,384 vertices fits at once (about 92 MB together).
+GRAPH_MEMO_BYTES = 128 << 20
+
+#: Per-process LRU of materialized graphs: tasks reference datasets by
 #: (name, max_vertices, seed), so a worker builds each graph once and
-#: reuses it for every point it executes.
-_GRAPH_MEMO = {}
+#: reuses it for every point it executes.  Bounded by
+#: :data:`GRAPH_MEMO_BYTES`, so a long-lived pool worker holds at most
+#: that much however many windows it is asked for.  Not locked: its
+#: callers (pool workers, a batch's inline path) run one task at a time.
+_GRAPH_MEMO = collections.OrderedDict()
+
+
+def _window_bytes(adj):
+    return adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes
 
 
 def _materialized(dataset, max_vertices, seed):
     from repro.graphs.datasets import get_dataset
 
     key = (dataset, max_vertices, seed)
-    if key not in _GRAPH_MEMO:
-        _GRAPH_MEMO[key] = get_dataset(dataset).materialize(
+    adj = _GRAPH_MEMO.pop(key, None)
+    if adj is None:
+        adj = get_dataset(dataset).materialize(
             max_vertices=max_vertices, seed=seed
         )
-    return _GRAPH_MEMO[key]
+        size = _window_bytes(adj)
+        if size > GRAPH_MEMO_BYTES:
+            return adj
+        held = sum(map(_window_bytes, list(_GRAPH_MEMO.values())))
+        while _GRAPH_MEMO and held + size > GRAPH_MEMO_BYTES:
+            held -= _window_bytes(_GRAPH_MEMO.popitem(last=False)[1])
+    _GRAPH_MEMO[key] = adj
+    return adj
 
 
 @functools.lru_cache(maxsize=4096)

@@ -11,6 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def _run_starts(sorted_keys):
+    """Mask of the first entry of each run of equal (non-empty) keys."""
+    starts = np.empty(sorted_keys.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
 class COOMatrix:
     """A sparse matrix in coordinate (edge-list) format.
 
@@ -65,20 +73,28 @@ class COOMatrix:
     def coalesce(self):
         """Return a new :class:`COOMatrix` with duplicate coordinates summed.
 
-        Entries are sorted in row-major order, matching CSR layout.
+        Entries are sorted in row-major order, matching CSR layout.  The
+        keys are sorted once.  Duplicates of an all-ones matrix (every
+        generator's edge list) sum to their run length, exactly; other
+        values are summed per run in input order, the order
+        ``np.add.at`` adds them.
         """
         if self.nnz == 0:
             return COOMatrix(self.rows, self.cols, self.vals, self.shape)
-        keys = self.rows * self.shape[1] + self.cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = self.vals[order]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(unique_keys.shape[0], dtype=np.float64)
-        np.add.at(summed, inverse, vals)
-        rows = unique_keys // self.shape[1]
-        cols = unique_keys % self.shape[1]
-        return COOMatrix(rows, cols, summed, self.shape)
+        n_cols = self.shape[1]
+        keys = self.rows * n_cols + self.cols
+        if np.all(self.vals == 1.0):
+            keys.sort()
+            first = np.flatnonzero(_run_starts(keys))
+            summed = np.diff(first, append=keys.shape[0]).astype(np.float64)
+        else:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            new = _run_starts(keys)
+            summed = np.bincount(np.cumsum(new) - 1, weights=self.vals[order])
+            first = np.flatnonzero(new)
+        keys = keys[first]
+        return COOMatrix(keys // n_cols, keys % n_cols, summed, self.shape)
 
     def transpose(self):
         """Return the transpose as a new :class:`COOMatrix`."""
@@ -93,8 +109,8 @@ class COOMatrix:
         coalesced = self.coalesce()
         n_rows = self.shape[0]
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, coalesced.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(coalesced.rows, minlength=n_rows),
+                  out=indptr[1:])
         return CSRMatrix(indptr, coalesced.cols, coalesced.vals, self.shape)
 
     def to_dense(self):

@@ -21,6 +21,20 @@ class TestParams:
         with pytest.raises(ValueError):
             RMATParams(scale=4, edge_factor=2, abcd=(0.5, 0.5, 0.5, 0.5))
 
+    def test_rejects_negative_probability(self):
+        # Sums to 1, but the quadrant thresholds a <= a+b <= a+b+c
+        # no longer hold.
+        with pytest.raises(ValueError, match="non-negative"):
+            RMATParams(scale=4, edge_factor=2, abcd=(0.6, -0.1, 0.3, 0.2))
+
+    def test_zero_probability_quadrant_is_never_taken(self):
+        src, dst = rmat_edges(
+            RMATParams(scale=6, edge_factor=8, abcd=(0.5, 0.0, 0.5, 0.0)),
+            seed=4,
+        )
+        # b = d = 0: every edge stays in the left column.
+        assert dst.max() == 0 and src.max() > 0
+
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
             RMATParams(scale=-1, edge_factor=2)
@@ -65,9 +79,23 @@ class TestGeneration:
         dense = g.to_dense()
         np.testing.assert_allclose(dense, dense.T)
 
-    def test_rejects_no_coalesce(self):
-        with pytest.raises(ValueError):
-            rmat_graph(RMATParams(4, 2), coalesce=False)
+    def test_same_stream_as_one_draw_per_level(self):
+        # The level loop's reused buffer draws the stream of one
+        # ``rng.random(n_edges)`` call per level.
+        p = RMATParams(scale=9, edge_factor=3, abcd=(0.45, 0.15, 0.3, 0.1))
+        rng = np.random.default_rng(11)
+        src = np.zeros(p.n_edges, dtype=np.int64)
+        dst = np.zeros(p.n_edges, dtype=np.int64)
+        a, b, c, _ = p.abcd
+        for _ in range(p.scale):
+            draws = rng.random(p.n_edges)
+            right = ((draws >= a) & (draws < a + b)) | (draws >= a + b + c)
+            src = (src << 1) | (draws >= a + b)
+            dst = (dst << 1) | right
+        s, d = rmat_edges(p, seed=11)
+        assert s.dtype == d.dtype == np.int64
+        np.testing.assert_array_equal(s, src)
+        np.testing.assert_array_equal(d, dst)
 
 
 class TestForSize:
@@ -88,3 +116,17 @@ class TestForSize:
     def test_rejects_zero_vertices(self):
         with pytest.raises(ValueError):
             rmat_for_size(0, 10)
+
+    @pytest.mark.parametrize("falsy", [0, None, False])
+    def test_falsy_symmetric_keeps_the_whole_edge_budget(self, falsy):
+        # A falsy ``symmetric`` neither mirrors nor halves the budget.
+        plain = rmat_for_size(500, 4000, seed=2)
+        g = rmat_for_size(500, 4000, seed=2, symmetric=falsy)
+        np.testing.assert_array_equal(g.indptr, plain.indptr)
+        np.testing.assert_array_equal(g.indices, plain.indices)
+
+    def test_symmetric_halves_the_budget_and_mirrors(self):
+        g = rmat_for_size(500, 4000, seed=2, symmetric=1)
+        dense = g.to_dense()
+        np.testing.assert_array_equal(dense, dense.T)
+        assert g.nnz <= 4000

@@ -4,11 +4,13 @@ These tests assert the *shapes* the paper reports, on a small RMAT
 graph and small PIUMA configs so the whole module runs in seconds.
 """
 
+import numpy as np
 import pytest
 
 from repro.graphs.rmat import RMATParams, rmat_graph
 from repro.piuma import PIUMAConfig, simulate_spmm, spmm_model
-from repro.piuma.kernels import auto_window, split_work
+from repro.piuma.degradation import DegradationSpec, thread_placements
+from repro.piuma.kernels import ThreadWork, auto_window, split_work
 from repro.piuma.spmm_loop import nnz_line_core, owner_core
 
 
@@ -63,6 +65,141 @@ class TestWindowing:
                 e = w.start_edge + offset
                 r = w.rows[offset]
                 assert adj.indptr[r] <= e < adj.indptr[r + 1]
+
+
+def per_range_rows(adj, lo, stop):
+    return np.searchsorted(
+        adj.indptr, np.arange(lo, stop, dtype=np.int64), side="right"
+    ) - 1
+
+
+def per_thread_split(adj, config, window_edges):
+    """The original ``split_work``: one ``searchsorted`` per thread."""
+    placements = thread_placements(config)
+    bounds = np.linspace(0, adj.nnz, config.n_threads + 1).astype(np.int64)
+    per_thread = max(1, int(round(window_edges / config.n_threads)))
+    work = []
+    for t in range(config.n_threads):
+        start, end = int(bounds[t]), int(bounds[t + 1])
+        stop = min(end, start + per_thread)
+        if stop <= start:
+            continue
+        core, mtp = placements[t]
+        work.append(ThreadWork(core=core, mtp=mtp,
+                               cols=adj.indices[start:stop],
+                               rows=per_range_rows(adj, start, stop),
+                               start_edge=start))
+    return work
+
+
+def per_thread_vertex_split(adj, config, window_edges):
+    """The original ``split_work_vertex``: one loop step per thread."""
+    fraction = min(1.0, window_edges / adj.nnz) if adj.nnz else 0.0
+    placements = thread_placements(config)
+    row_bounds = np.linspace(0, adj.n_rows, config.n_threads + 1).astype(
+        np.int64)
+    work = []
+    for t in range(config.n_threads):
+        lo = int(adj.indptr[int(row_bounds[t])])
+        hi = int(adj.indptr[int(row_bounds[t + 1])])
+        take = int(round((hi - lo) * fraction))
+        if take <= 0:
+            continue
+        core, mtp = placements[t]
+        work.append(ThreadWork(core=core, mtp=mtp,
+                               cols=adj.indices[lo:lo + take],
+                               rows=per_range_rows(adj, lo, lo + take),
+                               start_edge=lo))
+    return work
+
+
+def per_chunk_make_chunks(adj, config, window_edges, rows_per_chunk):
+    """The original ``make_chunks``: one loop step per row chunk."""
+    fraction = min(1.0, window_edges / adj.nnz) if adj.nnz else 0.0
+    chunks = []
+    for row_start in range(0, adj.n_rows, rows_per_chunk):
+        row_end = min(row_start + rows_per_chunk, adj.n_rows)
+        lo, hi = int(adj.indptr[row_start]), int(adj.indptr[row_end])
+        take = int(round((hi - lo) * fraction))
+        if take > 0:
+            chunks.append(ThreadWork(0, 0, adj.indices[lo:lo + take],
+                                     per_range_rows(adj, lo, lo + take), lo))
+    return chunks
+
+
+class TestSplitOracle:
+    """One ``searchsorted`` per window, identical to one per thread."""
+
+    DEGRADED = DegradationSpec(dead_core_fraction=0.3, dead_mtp_fraction=0.3,
+                               seed=5)
+
+    def assert_same_work(self, got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.core, g.mtp, g.start_edge) == (w.core, w.mtp,
+                                                     w.start_edge)
+            assert type(g.start_edge) is int
+            for a, b in ((g.cols, w.cols), (g.rows, w.rows)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("degraded", [False, True],
+                             ids=["healthy", "degraded"])
+    @pytest.mark.parametrize("n_cores", [1, 8, 32])
+    def test_matches_per_thread_loop(self, adj, n_cores, degraded):
+        config = PIUMAConfig(n_cores=n_cores,
+                             degradation=self.DEGRADED if degraded else None)
+        for window in (auto_window(config, adj.nnz), 1, 5000, adj.nnz):
+            self.assert_same_work(split_work(adj, config, window),
+                                  per_thread_split(adj, config, window))
+
+    def test_degraded_placements_differ(self):
+        healthy = thread_placements(PIUMAConfig(n_cores=8))
+        degraded = thread_placements(
+            PIUMAConfig(n_cores=8, degradation=self.DEGRADED))
+        assert healthy != degraded
+
+    @pytest.mark.parametrize("n_cores", [1, 8, 32])
+    def test_graph_smaller_than_thread_count(self, n_cores):
+        small = rmat_graph(RMATParams(scale=4, edge_factor=2), seed=3)
+        config = PIUMAConfig(n_cores=n_cores)
+        assert small.nnz < config.n_threads
+        work = split_work(small, config, auto_window(config, small.nnz))
+        # Threads whose slice is empty get no work.
+        assert len(work) == small.nnz
+        self.assert_same_work(work, per_thread_split(
+            small, config, auto_window(config, small.nnz)))
+
+    @pytest.mark.parametrize("degraded", [False, True],
+                             ids=["healthy", "degraded"])
+    @pytest.mark.parametrize("n_cores", [1, 8, 32])
+    def test_vertex_split_matches_per_thread_loop(self, adj, n_cores,
+                                                  degraded):
+        from repro.piuma.spmm_vertex import split_work_vertex
+
+        config = PIUMAConfig(n_cores=n_cores,
+                             degradation=self.DEGRADED if degraded else None)
+        for window in (auto_window(config, adj.nnz), 1, 5000, adj.nnz):
+            self.assert_same_work(
+                split_work_vertex(adj, config, window),
+                per_thread_vertex_split(adj, config, window))
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 64, 5000])
+    def test_chunks_match_per_chunk_loop(self, adj, rows_per_chunk):
+        from repro.piuma.spmm_dynamic import make_chunks
+
+        config = PIUMAConfig(n_cores=2)
+        for window in (1, 777, 5000, adj.nnz):
+            got = make_chunks(adj, config, window, rows_per_chunk)
+            self.assert_same_work(
+                [ThreadWork(0, 0, cols, rows, lo) for lo, cols, rows in got],
+                per_chunk_make_chunks(adj, config, window, rows_per_chunk))
+
+    def test_rows_are_views_of_one_array(self, adj):
+        work = split_work(adj, PIUMAConfig(n_cores=8), 4096)
+        base = work[0].rows.base
+        assert base is not None
+        assert all(w.rows.base is base for w in work)
 
 
 class TestKernelResults:

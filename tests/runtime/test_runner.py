@@ -243,3 +243,65 @@ class TestValidationIntegration:
         assert [p.des_gflops for p in routed.points] == [
             p.des_gflops for p in inline.points
         ]
+
+
+class TestGraphMemo:
+    """The per-process window memo is an LRU bounded by array bytes."""
+
+    WINDOWS = [("arxiv", 512, seed) for seed in range(6)]
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.runtime import runner
+
+        sizes = [runner._window_bytes(get_dataset(d).materialize(
+            max_vertices=v, seed=s)) for d, v, s in self.WINDOWS]
+        # Room for any two of the windows, and never for three.
+        cap = 2 * max(sizes)
+        assert sum(sorted(sizes)[:3]) > cap
+        monkeypatch.setattr(runner, "GRAPH_MEMO_BYTES", cap)
+        monkeypatch.setattr(runner, "_GRAPH_MEMO", OrderedDict())
+        return runner
+
+    def held(self, runner):
+        return sum(map(runner._window_bytes, runner._GRAPH_MEMO.values()))
+
+    def test_bytes_stay_under_the_cap(self, memo):
+        for window in self.WINDOWS:
+            memo._materialized(*window)
+            assert self.held(memo) <= memo.GRAPH_MEMO_BYTES
+            assert list(memo._GRAPH_MEMO)[-1] == window
+        assert len(memo._GRAPH_MEMO) < len(self.WINDOWS)
+
+    def test_hit_returns_the_same_object(self, memo):
+        first = memo._materialized(*self.WINDOWS[0])
+        assert memo._materialized(*self.WINDOWS[0]) is first
+
+    def test_hit_refreshes_recency(self, memo):
+        a = memo._materialized(*self.WINDOWS[0])
+        memo._materialized(*self.WINDOWS[1])
+        memo._materialized(*self.WINDOWS[0])
+        memo._materialized(*self.WINDOWS[2])
+        assert self.WINDOWS[1] not in memo._GRAPH_MEMO
+        assert memo._materialized(*self.WINDOWS[0]) is a
+
+    def test_rebuilt_after_eviction_is_identical(self, memo):
+        first = memo._materialized(*self.WINDOWS[0])
+        for window in self.WINDOWS[1:]:
+            memo._materialized(*window)
+        assert self.WINDOWS[0] not in memo._GRAPH_MEMO
+        again = memo._materialized(*self.WINDOWS[0])
+        assert again is not first
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(again, name), getattr(first, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_window_over_the_cap_is_returned_not_kept(self, memo,
+                                                      monkeypatch):
+        memo._materialized(*self.WINDOWS[0])
+        monkeypatch.setattr(memo, "GRAPH_MEMO_BYTES", 1)
+        big = memo._materialized(*self.WINDOWS[1])
+        assert big.nnz > 0
+        assert list(memo._GRAPH_MEMO) == [self.WINDOWS[0]]
