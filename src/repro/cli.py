@@ -752,16 +752,14 @@ def _cmd_multinode(args, out):
                 f"{verdict['degraded_shards']} shard(s) degraded to "
                 f"Eq.5 fallback, envelope widened x{verdict['widened']:.2f}"
                 f" (ratio {verdict['ratio']:.2f})")
-        stats = {}
-        for r in rows:
-            for name, value in (r.get("recovery") or {}).items():
-                stats[name] = stats.get(name, 0) + value
-        if stats.get("retries") or stats.get("hedges_launched"):
+        # The study ran as one batch: its counters are already totals.
+        stats = result["recovery"]
+        if stats["retries"] or stats["hedges_launched"]:
             out("recovery: "
-                f"{stats.get('retries', 0)} retried shard attempt(s), "
-                f"{stats.get('hedges_won', 0)}/"
-                f"{stats.get('hedges_launched', 0)} hedge(s) won, "
-                f"{stats.get('fallbacks', 0)} fallback(s)")
+                f"{stats['retries']} retried shard attempt(s), "
+                f"{stats['hedges_won']}/"
+                f"{stats['hedges_launched']} hedge(s) won, "
+                f"{stats['fallbacks']} fallback(s)")
     else:
         breaches = [r for r in rows if not low <= r["dgas_ratio"] <= high]
         out(f"Eq.5 DGAS envelope [{low}, {high}]: "

@@ -270,6 +270,98 @@ def multinode_verdict(estimate, config, kernel="dma"):
     }
 
 
+def _run_points(dataset, points, embedding_dim=None, kernel="dma",
+                max_vertices=16384, seed=0, window_edges=None,
+                config_overrides=None, sweep_kwargs=None,
+                checkpoint_dir=None, resume=False, recovery=None,
+                task_filter=None):
+    """Shard, simulate, and assemble ``(strategy, n_nodes)`` points.
+
+    The shard tasks of every point go out as one batch — one
+    :func:`~repro.runtime.shard.run_shards` call under ``recovery``,
+    one :func:`~repro.runtime.runner.run_sweep` call otherwise — so
+    the points share one scheduler, one process pool, and one
+    checkpoint manifest, and no worker idles at a barrier between
+    points.  Records return in submission order; each point is
+    assembled from its own slice.
+
+    Returns ``(report, results)``: the batch report and, per point in
+    order, ``(estimate, outcomes)`` — the assembled
+    :class:`MultinodeEstimate` and the report ``outcomes`` of that
+    point's shard tasks.
+    """
+    from repro.graphs.datasets import get_dataset
+    from repro.piuma.config import PIUMAConfig
+    from repro.runtime.checkpoint import SweepCheckpoint
+    from repro.runtime.runner import run_sweep
+
+    spec = get_dataset(dataset)
+    if embedding_dim is None:
+        embedding_dim = spec.feature_dim
+    overrides = dict(config_overrides or {})
+    groups = []
+    for strategy, n_nodes in points:
+        group = shard_tasks(
+            dataset, embedding_dim, n_nodes, strategy=strategy,
+            kernel=kernel, max_vertices=max_vertices, seed=seed,
+            window_edges=window_edges, **overrides,
+        )
+        if task_filter is not None:
+            group = list(task_filter(group))
+        groups.append(group)
+    tasks = [task for group in groups for task in group]
+    kwargs = dict(sweep_kwargs or {})
+    checkpoint = None
+    if checkpoint_dir is not None:
+        checkpoint = SweepCheckpoint.for_tasks(tasks, directory=checkpoint_dir)
+        kwargs.update(checkpoint=checkpoint, resume=resume)
+    if recovery is not None:
+        for knob in ("check_level", "degradation", "engine"):
+            value = kwargs.pop(knob, None)
+            if value is not None:
+                method = f"with_{knob}"
+                tasks = [getattr(task, method)(value)
+                         if hasattr(task, method) else task
+                         for task in tasks]
+        report = run_shards(
+            tasks, recovery=recovery,
+            workers=kwargs.get("workers"), cache=kwargs.get("cache"),
+            checkpoint=checkpoint, resume=resume,
+            progress=kwargs.get("progress"),
+        )
+    else:
+        report = run_sweep(tasks, **kwargs)
+    if checkpoint is not None and not report.failures:
+        checkpoint.discard()
+    fabric = HaloFabric.from_config(PIUMAConfig(**overrides))
+    results = []
+    stop = 0
+    for (strategy, n_nodes), group in zip(points, groups):
+        start, stop = stop, stop + len(group)
+        records = [r for r in report.records[start:stop]
+                   if r and "shard" in r]
+        if len(records) != n_nodes:
+            failed = n_nodes - len(records)
+            raise RuntimeError(
+                f"{failed} of {n_nodes} shard(s) failed without a fallback "
+                "record; re-run with on_error='fallback' or a ShardRecovery "
+                "to assemble anyway"
+            )
+        simulated_edges = sum(r["shard"]["edges"] for r in records)
+        scale = (spec.n_edges / simulated_edges
+                 if 0 < simulated_edges < spec.n_edges else 1.0)
+        estimate = assemble_multinode(
+            records,
+            dataset=dataset,
+            strategy=strategy,
+            embedding_dim=embedding_dim,
+            fabric=fabric,
+            scale_factor=scale,
+        )
+        results.append((estimate, report.outcomes[start:stop]))
+    return report, results
+
+
 def run_multinode(dataset, n_nodes, strategy="block", embedding_dim=None,
                   kernel="dma", max_vertices=16384, seed=0,
                   window_edges=None, config_overrides=None,
@@ -297,77 +389,26 @@ def run_multinode(dataset, n_nodes, strategy="block", embedding_dim=None,
     :func:`multinode_verdict` widens the envelope accordingly; the run
     completes instead of raising.  The shard execution then goes
     through :func:`~repro.runtime.shard.run_shards` (``workers`` /
-    ``cache`` / ``engine`` / ``check_level`` / ``degradation`` are
-    honored from ``sweep_kwargs``; the remaining sweep knobs are
-    superseded by the recovery spec).
+    ``cache`` / ``progress`` / ``engine`` / ``check_level`` /
+    ``degradation`` are honored from ``sweep_kwargs``; the remaining
+    sweep knobs are superseded by the recovery spec).
 
     ``task_filter`` (when given) maps the built shard task list to the
     one actually executed — the chaos orchestrator's injection hook.
 
+    This is the one-point case of :func:`strong_scaling`'s batch.
     Returns ``(estimate, report)``: the assembled
     :class:`MultinodeEstimate` (with :attr:`~MultinodeEstimate.
     scale_factor` projecting to the full dataset size) and the
     underlying :class:`~repro.runtime.runner.SweepReport` (or
     :class:`~repro.runtime.shard.ShardRunReport` under ``recovery``).
     """
-    from repro.graphs.datasets import get_dataset
-    from repro.piuma.config import PIUMAConfig
-    from repro.runtime.checkpoint import SweepCheckpoint
-    from repro.runtime.runner import run_sweep
-
-    spec = get_dataset(dataset)
-    if embedding_dim is None:
-        embedding_dim = spec.feature_dim
-    overrides = dict(config_overrides or {})
-    tasks = shard_tasks(
-        dataset, embedding_dim, n_nodes, strategy=strategy, kernel=kernel,
-        max_vertices=max_vertices, seed=seed, window_edges=window_edges,
-        **overrides,
-    )
-    if task_filter is not None:
-        tasks = list(task_filter(tasks))
-    kwargs = dict(sweep_kwargs or {})
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = SweepCheckpoint.for_tasks(tasks, directory=checkpoint_dir)
-        kwargs.update(checkpoint=checkpoint, resume=resume)
-    if recovery is not None:
-        for knob in ("check_level", "degradation", "engine"):
-            value = kwargs.pop(knob, None)
-            if value is not None:
-                method = f"with_{knob}"
-                tasks = [getattr(task, method)(value)
-                         if hasattr(task, method) else task
-                         for task in tasks]
-        report = run_shards(
-            tasks, recovery=recovery,
-            workers=kwargs.get("workers"), cache=kwargs.get("cache"),
-            checkpoint=checkpoint, resume=resume,
-            progress=kwargs.get("progress"),
-        )
-    else:
-        report = run_sweep(tasks, **kwargs)
-    if checkpoint is not None and not report.failures:
-        checkpoint.discard()
-    records = [r for r in report.records if r and "shard" in r]
-    if len(records) != n_nodes:
-        failed = n_nodes - len(records)
-        raise RuntimeError(
-            f"{failed} of {n_nodes} shard(s) failed without a fallback "
-            "record; re-run with on_error='fallback' or a ShardRecovery "
-            "to assemble anyway"
-        )
-    config = PIUMAConfig(**overrides)
-    simulated_edges = sum(r["shard"]["edges"] for r in records)
-    scale = (spec.n_edges / simulated_edges
-             if 0 < simulated_edges < spec.n_edges else 1.0)
-    estimate = assemble_multinode(
-        records,
-        dataset=dataset,
-        strategy=strategy,
-        embedding_dim=embedding_dim,
-        fabric=HaloFabric.from_config(config),
-        scale_factor=scale,
+    report, [(estimate, _outcomes)] = _run_points(
+        dataset, [(strategy, n_nodes)], embedding_dim=embedding_dim,
+        kernel=kernel, max_vertices=max_vertices, seed=seed,
+        window_edges=window_edges, config_overrides=config_overrides,
+        sweep_kwargs=sweep_kwargs, checkpoint_dir=checkpoint_dir,
+        resume=resume, recovery=recovery, task_filter=task_filter,
     )
     return estimate, report
 
@@ -379,62 +420,59 @@ def strong_scaling(dataset, nodes=(1, 2, 4, 8), strategies=("block",),
                    recovery=None):
     """Strong-scaling study: fixed problem, growing node count.
 
-    Runs :func:`run_multinode` for every (strategy, node-count) pair and
-    returns ``{"rows": [...], "estimates": {...}}`` where each row adds
-    speedup (vs the same strategy's 1-node time — or its smallest node
-    count when 1 is not swept), parallel efficiency, and the Eq.5 DGAS
-    cross-check ratio.  Shard records are content-addressed, so
+    Runs every (strategy, node-count) point as one batch (see
+    :func:`run_multinode` for the knobs) and returns ``{"rows": [...],
+    "estimates": {...}}`` where each row adds speedup (vs the same
+    strategy's 1-node time — or its smallest node count when 1 is not
+    swept), parallel efficiency, the Eq.5 DGAS cross-check ratio, and
+    the point's own ``cache_hits`` and ``failures`` (fallback shards).
+    Under ``recovery`` the study's retry, hedge, and fallback counters
+    describe the whole batch, so they are reported once, as
+    ``result["recovery"]``.  Shard records are content-addressed, so
     repeated or overlapping studies re-simulate nothing.
     """
     from repro.ext.distributed import piuma_multinode_spmm_time
-    from repro.graphs.datasets import get_dataset
     from repro.piuma.config import PIUMAConfig
 
-    spec = get_dataset(dataset)
-    if embedding_dim is None:
-        embedding_dim = spec.feature_dim
     config = PIUMAConfig(**dict(config_overrides or {}))
+    points = [(strategy, n) for strategy in strategies for n in sorted(nodes)]
+    report, results = _run_points(
+        dataset, points, embedding_dim=embedding_dim, kernel=kernel,
+        max_vertices=max_vertices, seed=seed, window_edges=window_edges,
+        config_overrides=config_overrides, sweep_kwargs=sweep_kwargs,
+        checkpoint_dir=checkpoint_dir, resume=resume, recovery=recovery,
+    )
 
     rows = []
     estimates = {}
-    for strategy in strategies:
-        base_time = None
-        for n in sorted(nodes):
-            estimate, report = run_multinode(
-                dataset, n, strategy=strategy, embedding_dim=embedding_dim,
-                kernel=kernel, max_vertices=max_vertices, seed=seed,
-                window_edges=window_edges, config_overrides=config_overrides,
-                sweep_kwargs=sweep_kwargs, checkpoint_dir=checkpoint_dir,
-                resume=resume, recovery=recovery,
-            )
-            if base_time is None:
-                base_time = estimate.time_ns
-            # Speedup is relative to the smallest swept node count
-            # (conventionally 1), so speedup == 1.0 there and the ideal
-            # curve is n / min(nodes).
-            speedup = base_time / estimate.time_ns if estimate.time_ns else 0.0
-            dgas_ns = piuma_multinode_spmm_time(
-                estimate.conserved["rows"], estimate.total_edges,
-                embedding_dim, config, n,
-            )
-            row = estimate.row()
-            row["speedup"] = speedup
-            row["efficiency"] = speedup / n if n else 0.0
-            row["dgas_ns"] = dgas_ns
-            row["dgas_ratio"] = (estimate.time_ns / dgas_ns
-                                 if dgas_ns > 0 else 0.0)
-            row["cache_hits"] = report.cache_hits
-            row["failures"] = len(report.failures)
-            row["envelope_verdict"] = multinode_verdict(
-                estimate, config, kernel=kernel,
-            )
-            if recovery is not None:
-                row["recovery"] = dict(
-                    getattr(report, "recovery", None) or {}
-                )
-            rows.append(row)
-            estimates[(strategy, n)] = estimate
-    return {"rows": rows, "estimates": estimates}
+    base_times = {}
+    for (strategy, n), (estimate, outcomes) in zip(points, results):
+        # Speedup is relative to the smallest swept node count
+        # (conventionally 1), so speedup == 1.0 there and the ideal
+        # curve is n / min(nodes).
+        base_time = base_times.setdefault(strategy, estimate.time_ns)
+        speedup = base_time / estimate.time_ns if estimate.time_ns else 0.0
+        dgas_ns = piuma_multinode_spmm_time(
+            estimate.conserved["rows"], estimate.total_edges,
+            estimate.embedding_dim, config, n,
+        )
+        row = estimate.row()
+        row["speedup"] = speedup
+        row["efficiency"] = speedup / n if n else 0.0
+        row["dgas_ns"] = dgas_ns
+        row["dgas_ratio"] = (estimate.time_ns / dgas_ns
+                             if dgas_ns > 0 else 0.0)
+        row["cache_hits"] = outcomes.count("cached")
+        row["failures"] = outcomes.count("failed")
+        row["envelope_verdict"] = multinode_verdict(
+            estimate, config, kernel=kernel,
+        )
+        rows.append(row)
+        estimates[(strategy, n)] = estimate
+    result = {"rows": rows, "estimates": estimates}
+    if recovery is not None:
+        result["recovery"] = dict(report.recovery)
+    return result
 
 
 def scaling_figure(rows, nodes):

@@ -356,7 +356,11 @@ class SweepReport:
     ``records`` is ordered exactly like the submitted task list;
     ``failures`` holds the error payloads of points that ended degraded
     (``"skip"``/``"fallback"`` policies), and ``resumed`` counts points
-    restored from a checkpoint manifest.
+    restored from a checkpoint manifest.  ``outcomes``, in task order
+    too, says how each record was obtained: ``"resumed"``,
+    ``"cached"``, ``"computed"``, or ``"failed"`` (degraded by the
+    policy), so a caller that batches several logical runs can account
+    for each one separately.
     """
 
     tasks: list
@@ -367,6 +371,7 @@ class SweepReport:
     wall_s: float
     failures: list = field(default_factory=list)
     resumed: int = 0
+    outcomes: list = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.records)
@@ -536,8 +541,8 @@ def run_batch(tasks, workers, cache, checkpoint, resume, progress,
     returned as computed.
 
     Returns ``(fields, stats)``: the report fields both callers share
-    (``records`` in task order, ``cache_hits``, ``cache_misses``,
-    ``workers``, ``wall_s``, ``resumed``) and the
+    (``records`` and ``outcomes`` in task order, ``cache_hits``,
+    ``cache_misses``, ``workers``, ``wall_s``, ``resumed``) and the
     :class:`~repro.runtime.jobs.SchedulerStats` of the execution.
     """
     if workers is None:
@@ -546,6 +551,7 @@ def run_batch(tasks, workers, cache, checkpoint, resume, progress,
         progress = ProgressTracker(total=len(tasks))
     started = time.perf_counter()
     records = [None] * len(tasks)
+    outcomes = [None] * len(tasks)
     keys = [None] * len(tasks)
     if cache is not None or checkpoint is not None:
         for index, task in enumerate(tasks):
@@ -563,18 +569,18 @@ def run_batch(tasks, workers, cache, checkpoint, resume, progress,
         except (OSError, AttributeError):
             pass
     prior = checkpoint.load() if checkpoint is not None and resume else {}
-    resumed = 0
     misses = []
     for index, task in enumerate(tasks):
         record = prior.get(keys[index])
-        if record is not None:
-            resumed += 1
-        elif cache is not None:
+        outcome = "resumed"
+        if record is None and cache is not None:
             record = cache.get(keys[index])
+            outcome = "cached"
         if record is None:
             misses.append(index)
             continue
         records[index] = record
+        outcomes[index] = outcome
         progress.point_done(task.label(), 0.0,
                             record.get("sim_time_ns", 0.0), cached=True)
     warned = []
@@ -603,6 +609,7 @@ def run_batch(tasks, workers, cache, checkpoint, resume, progress,
                   lambda: checkpoint.flush(keys[index], record))
         records[index] = (record if job is None or annotate is None
                           else annotate(record, job))
+        outcomes[index] = "computed"
         progress.point_done(
             tasks[index].label(), wall_s,
             record.get("sim_time_ns", 0.0), cached=False,
@@ -613,6 +620,7 @@ def run_batch(tasks, workers, cache, checkpoint, resume, progress,
     def fail(index, error, wall_s):
         record = exhausted(tasks[index], error)
         records[index] = record
+        outcomes[index] = "failed"
         progress.point_done(
             tasks[index].label(), wall_s,
             record.get("sim_time_ns", 0.0), cached=False,
@@ -676,9 +684,10 @@ def run_batch(tasks, workers, cache, checkpoint, resume, progress,
 
     return {
         "records": records,
-        "cache_hits": len(tasks) - len(misses) - resumed,
+        "outcomes": outcomes,
+        "cache_hits": outcomes.count("cached"),
         "cache_misses": len(misses),
         "workers": pool_workers,
         "wall_s": time.perf_counter() - started,
-        "resumed": resumed,
+        "resumed": outcomes.count("resumed"),
     }, stats

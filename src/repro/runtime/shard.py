@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.runtime.runner import SpMMTask, _materialized, run_batch
+from repro.runtime.runner import (
+    SpMMTask,
+    SweepReport,
+    _materialized,
+    run_batch,
+)
 
 
 def shard_subgraph(adj, row_start, row_end):
@@ -394,30 +399,17 @@ class ShardRecovery:
 
 
 @dataclass
-class ShardRunReport:
+class ShardRunReport(SweepReport):
     """Outcome of one :func:`run_shards` call.
 
-    Mirrors :class:`~repro.runtime.runner.SweepReport` (``records`` in
-    submission order, ``failures`` as structured payloads, cache and
-    resume accounting) plus the per-run ``recovery`` counters — how
-    much work retries, hedges, and fallbacks respectively saved.
+    A :class:`~repro.runtime.runner.SweepReport` (``records`` and
+    ``outcomes`` in submission order, ``failures`` as structured
+    payloads, cache and resume accounting) plus the per-run
+    ``recovery`` counters — how much work retries, hedges, and
+    fallbacks respectively saved.
     """
 
-    tasks: list
-    records: list
-    cache_hits: int
-    cache_misses: int
-    workers: int
-    wall_s: float
-    failures: list = field(default_factory=list)
-    resumed: int = 0
     recovery: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
 
 
 def _shard_fallback(task, error):

@@ -136,6 +136,36 @@ class TestMultinode:
         assert code == 0
         assert "held at every point" in text
 
+    def test_recover_prints_study_counters_once(self, tmp_path,
+                                                monkeypatch):
+        """The study runs as one batch, so its recovery counters are
+        already totals: one retried shard prints as one, and no row
+        carries a copy of them."""
+        from repro.runtime.shard import ShardTask
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run = ShardTask.run
+        failed = []
+
+        def flaky(self):
+            point = (self.strategy, self.n_shards, self.shard)
+            if point == ("degree", 2, 1) and not failed:
+                failed.append(point)
+                raise RuntimeError("injected")
+            return run(self)
+
+        monkeypatch.setattr(ShardTask, "run", flaky)
+        artifact = tmp_path / "multinode.json"
+        code, text = run_cli(self.ARGV + ["--recover", "--json",
+                                          str(artifact)])
+        assert code == 0
+        assert text.count("recovery:") == 1
+        assert ("recovery: 1 retried shard attempt(s), 0/0 hedge(s) won, "
+                "0 fallback(s)") in text
+        rows = json.loads(artifact.read_text())["rows"]
+        assert len(rows) == 4
+        assert not any("recovery" in row for row in rows)
+
     def test_rejects_nonpositive_nodes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code, text = run_cli(self.ARGV + ["--nodes", "0"])

@@ -8,15 +8,25 @@ the ``repro multinode`` command and the scaling benchmark sit on.
 
 import pytest
 
+from repro.ext.distributed import piuma_multinode_spmm_time
 from repro.piuma.config import PIUMAConfig
 from repro.piuma.multinode import (
     HaloFabric,
     assemble_multinode,
+    multinode_verdict,
     run_multinode,
     scaling_figure,
     strong_scaling,
 )
-from repro.runtime.shard import conserved_counters, shard_tasks
+from repro.runtime.cache import ResultCache
+from repro.runtime.checkpoint import SweepCheckpoint
+from repro.runtime.jobs import ExecPool
+from repro.runtime.shard import (
+    ShardRecovery,
+    ShardTask,
+    conserved_counters,
+    shard_tasks,
+)
 
 SWEEP = {"workers": 1}  # inline, no process pool in unit tests
 
@@ -168,3 +178,118 @@ class TestStrongScaling:
         assert "speedup[block]" in figure
         assert "speedup[degree]" in figure
         assert "ideal" in figure
+
+
+STUDY = dict(embedding_dim=32, max_vertices=1024, seed=3)
+NODES = (1, 2, 4)
+STRATEGIES = ("block", "degree")
+
+
+@pytest.fixture
+def spawns(monkeypatch):
+    """Counts the process pools spawned while the test runs."""
+    pools = []
+    init = ExecPool.__init__
+
+    def track(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        pools.append(self)
+
+    monkeypatch.setattr(ExecPool, "__init__", track)
+    return lambda: sum(pool.spawns for pool in pools)
+
+
+def _per_point_rows():
+    """The study's rows built from one inline ``run_multinode`` call
+    per point, each with its own report."""
+    config = PIUMAConfig()
+    rows = []
+    for strategy in STRATEGIES:
+        base = None
+        for n in NODES:
+            estimate, report = run_multinode(
+                "arxiv", n, strategy=strategy, sweep_kwargs=SWEEP, **STUDY
+            )
+            base = estimate.time_ns if base is None else base
+            speedup = base / estimate.time_ns
+            dgas_ns = piuma_multinode_spmm_time(
+                estimate.conserved["rows"], estimate.total_edges, 32,
+                config, n,
+            )
+            row = estimate.row()
+            row.update(
+                speedup=speedup, efficiency=speedup / n, dgas_ns=dgas_ns,
+                dgas_ratio=estimate.time_ns / dgas_ns,
+                cache_hits=report.cache_hits,
+                failures=len(report.failures),
+                envelope_verdict=multinode_verdict(estimate, config),
+            )
+            rows.append(row)
+    return rows
+
+
+class TestStudyBatch:
+    """A study runs as one batch: one pool, one manifest, and each row
+    still accounts for its own point."""
+
+    def test_one_pool_per_study_same_rows(self, tmp_path, spawns):
+        study = strong_scaling(
+            "arxiv", nodes=NODES, strategies=STRATEGIES,
+            sweep_kwargs={"workers": 2,
+                          "cache": ResultCache(directory=tmp_path)},
+            recovery=ShardRecovery(retries=1), **STUDY
+        )
+        assert spawns() == 1
+        assert study["rows"] == _per_point_rows()
+        # The counters describe the one batch: 2 x (1 + 2 + 4) shards.
+        assert study["recovery"]["attempts"] == 14
+
+    def test_single_manifest_discarded_on_success(self, tmp_path,
+                                                  monkeypatch):
+        manifests = set()
+        flush = SweepCheckpoint.flush
+
+        def track(self, key, record):
+            manifests.add(self.path)
+            flush(self, key, record)
+
+        monkeypatch.setattr(SweepCheckpoint, "flush", track)
+        strong_scaling("arxiv", nodes=NODES, strategies=STRATEGIES,
+                       sweep_kwargs=SWEEP, checkpoint_dir=tmp_path, **STUDY)
+        assert len(manifests) == 1
+        assert not list(tmp_path.glob("*.jsonl"))
+
+    def test_warm_point_counts_only_its_own_hits(self, tmp_path):
+        cache = ResultCache(directory=tmp_path)
+        sweep = {"workers": 1, "cache": cache}
+        run_multinode("arxiv", 2, strategy="degree", sweep_kwargs=sweep,
+                      **STUDY)
+        study = strong_scaling("arxiv", nodes=NODES, strategies=STRATEGIES,
+                               sweep_kwargs=sweep, **STUDY)
+        hits = {(r["strategy"], r["n_nodes"]): r["cache_hits"]
+                for r in study["rows"]}
+        assert hits == {
+            (s, n): 2 if (s, n) == ("degree", 2) else 0
+            for s in STRATEGIES for n in NODES
+        }
+
+    def test_warm_rerun_dispatches_nothing(self, tmp_path, monkeypatch,
+                                           spawns):
+        cache = ResultCache(directory=tmp_path)
+        cold = strong_scaling(
+            "arxiv", nodes=NODES, strategies=STRATEGIES,
+            sweep_kwargs={"workers": 1, "cache": cache}, **STUDY
+        )
+
+        def refuse(self):
+            raise AssertionError(f"{self.label()} ran on a warm cache")
+
+        monkeypatch.setattr(ShardTask, "run", refuse)
+        warm = strong_scaling(
+            "arxiv", nodes=NODES, strategies=STRATEGIES,
+            sweep_kwargs={"workers": 2, "cache": cache}, **STUDY
+        )
+        assert spawns() == 0
+        assert ([r["cache_hits"] for r in warm["rows"]]
+                == [r["n_nodes"] for r in warm["rows"]])
+        assert [{**r, "cache_hits": 0} for r in warm["rows"]] == cold["rows"]

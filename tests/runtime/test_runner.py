@@ -15,9 +15,11 @@ from repro.graphs.datasets import get_dataset
 from repro.piuma import simulate_spmm
 from repro.piuma.config import ENGINES
 from repro.runtime import (
+    FaultyTask,
     ProgressTracker,
     ResultCache,
     SpMMTask,
+    SweepCheckpoint,
     default_workers,
     run_sweep,
     spmm_task,
@@ -115,6 +117,24 @@ class TestOrderingAndEquivalence:
         # And the mixed run still matches an all-cold baseline.
         baseline = run_sweep(tasks, workers=1)
         assert canon(report.records) == canon(baseline.records)
+
+    def test_outcomes_name_where_each_record_came_from(self, tmp_path):
+        """Per-task accounting, for callers that batch several runs."""
+        ok = [FaultyTask(name=f"ok{i}", scratch=str(tmp_path))
+              for i in range(3)]
+        dead = FaultyTask(name="dead", scratch=str(tmp_path),
+                          plan=("raise",))
+        cache = ResultCache(directory=tmp_path / "cache")
+        checkpoint = SweepCheckpoint(tmp_path / "sweep.manifest.jsonl")
+        run_sweep(ok[:1], workers=1, checkpoint=checkpoint)
+        run_sweep(ok[1:2], workers=1, cache=cache)
+        report = run_sweep(ok + [dead], workers=1, cache=cache,
+                           checkpoint=checkpoint, resume=True,
+                           on_error="skip")
+        assert report.outcomes == ["resumed", "cached", "computed",
+                                   "failed"]
+        assert (report.resumed, report.cache_hits,
+                report.cache_misses) == (1, 1, 2)
 
 
 class TestInstrumentation:

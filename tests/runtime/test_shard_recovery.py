@@ -16,15 +16,18 @@ from repro.piuma.config import PIUMAConfig
 from repro.piuma.multinode import (
     multinode_verdict,
     run_multinode,
+    strong_scaling,
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.errors import TaskError
 from repro.runtime.faults import FaultyTask
+from repro.runtime.progress import ProgressTracker
 from repro.runtime.shard import (
     ON_EXHAUSTED_POLICIES,
     ShardRecovery,
     ShardRunReport,
+    ShardTask,
     run_shards,
     shard_tasks,
 )
@@ -290,3 +293,52 @@ class TestPartialAssembly:
         # envelope: the check itself must be live, whatever the verdict.
         assert verdict["verdict"] in ("ok", "violated")
         assert verdict["kernel"] == "vertex"
+
+
+class TestStudyRecovery:
+    """A strong-scaling study under ``recovery=`` is one shard batch."""
+
+    STUDY = dict(nodes=(1, 2), strategies=("block", "degree"),
+                 embedding_dim=32, max_vertices=1024, seed=3)
+
+    def test_failures_count_only_the_points_fallbacks(self, monkeypatch):
+        run = ShardTask.run
+
+        def dead_shard(self):
+            if (self.strategy, self.n_shards, self.shard) == ("degree", 2, 1):
+                raise RuntimeError("injected shard death")
+            return run(self)
+
+        monkeypatch.setattr(ShardTask, "run", dead_shard)
+        study = strong_scaling(
+            "arxiv", sweep_kwargs={"workers": 1},
+            recovery=ShardRecovery(retries=0), **self.STUDY
+        )
+        failures = {(r["strategy"], r["n_nodes"]):
+                    (r["failures"], r["degraded_shards"])
+                    for r in study["rows"]}
+        assert failures == {("block", 1): (0, 0), ("block", 2): (0, 0),
+                            ("degree", 1): (0, 0), ("degree", 2): (1, 1)}
+        assert study["recovery"]["fallbacks"] == 1
+        assert study["recovery"]["attempts"] == 6
+
+    def test_runs_with_the_benchmark_keyword_set(self, tmp_path):
+        """``perfbench/ops.py``'s ``multinode-recover`` op passes exactly
+        this dict, ``"scheduler": None`` included; under ``recovery=``
+        the study must read only the keys it honors."""
+        cache = ResultCache(directory=tmp_path)
+        progress = ProgressTracker(total=6)
+        sweep_kwargs = {
+            "workers": None, "cache": cache, "timeout": None, "retries": 0,
+            "on_error": "raise", "check_level": None, "engine": None,
+            "scheduler": None, "progress": progress,
+        }
+        study = strong_scaling(
+            "arxiv", sweep_kwargs=sweep_kwargs,
+            checkpoint_dir=cache.directory, resume=False,
+            recovery=ShardRecovery(retries=1), **self.STUDY
+        )
+        assert [r["failures"] for r in study["rows"]] == [0, 0, 0, 0]
+        assert study["recovery"]["fallbacks"] == 0
+        assert progress.done == 6
+        assert not list(tmp_path.glob("*.manifest.jsonl"))
