@@ -574,6 +574,7 @@ def _cmd_sweep(args, out):
         run_sweep,
         spmm_task,
     )
+    from repro.runtime.runner import with_knobs
     from repro.workloads.sweeps import EMBEDDING_SWEEP, grid
 
     dims = tuple(args.dims) if args.dims else EMBEDDING_SWEEP
@@ -591,16 +592,13 @@ def _cmd_sweep(args, out):
         )
         for point in points
     ]
-    if args.degrade:
-        # Rewrite the tasks *before* deriving the checkpoint manifest:
-        # the spec is part of each task's identity, so a degraded sweep
-        # never shares a manifest (or cache records) with a healthy one.
-        spec = _resolve_degradation(args.degrade)
-        tasks = [task.with_degradation(spec) for task in tasks]
-    if args.engine:
-        # Same ordering rule as --degrade: the engine is part of each
-        # task's identity (cache key + checkpoint manifest).
-        tasks = [task.with_engine(args.engine) for task in tasks]
+    # Apply the knobs *before* deriving the checkpoint manifest: each is
+    # part of a task's identity, so a checked, degraded or
+    # reference-engine sweep never shares a manifest (or cache records)
+    # with a plain one.
+    spec = _resolve_degradation(args.degrade) if args.degrade else None
+    tasks = with_knobs(tasks, check_level=args.check_level,
+                       degradation=spec, engine=args.engine)
     cache = ResultCache(directory=args.cache_dir,
                         enabled=not args.no_cache)
     if args.clear_cache:
@@ -613,8 +611,7 @@ def _cmd_sweep(args, out):
     report = run_sweep(tasks, workers=args.workers, cache=cache,
                        progress=progress, timeout=args.timeout,
                        retries=args.retries, on_error=args.on_error,
-                       checkpoint=checkpoint, resume=args.resume,
-                       check_level=args.check_level)
+                       checkpoint=checkpoint, resume=args.resume)
     rows = []
     for task, record in zip(report.tasks, report.records):
         over = dict(task.overrides)
@@ -819,9 +816,9 @@ def _cmd_resilience(args, out):
             n_cores=args.cores, engine=engine,
         )
         if severity > 0.0:
-            task = task.with_degradation(
-                DegradationSpec.at_severity(severity, seed=args.fault_seed)
-            )
+            task = task.with_config(degradation=DegradationSpec.at_severity(
+                severity, seed=args.fault_seed,
+            ))
         return task
 
     tasks = [task_for(s) for s in severities]

@@ -293,7 +293,7 @@ def _run_points(dataset, points, embedding_dim=None, kernel="dma",
     from repro.graphs.datasets import get_dataset
     from repro.piuma.config import PIUMAConfig
     from repro.runtime.checkpoint import SweepCheckpoint
-    from repro.runtime.runner import run_sweep
+    from repro.runtime.runner import KNOBS, run_sweep, with_knobs
 
     spec = get_dataset(dataset)
     if embedding_dim is None:
@@ -309,20 +309,16 @@ def _run_points(dataset, points, embedding_dim=None, kernel="dma",
         if task_filter is not None:
             group = list(task_filter(group))
         groups.append(group)
-    tasks = [task for group in groups for task in group]
     kwargs = dict(sweep_kwargs or {})
+    # The knobs are part of each task's identity: apply them before the
+    # checkpoint manifest is named.
+    tasks = with_knobs([task for group in groups for task in group],
+                       **{knob: kwargs.pop(knob, None) for knob in KNOBS})
     checkpoint = None
     if checkpoint_dir is not None:
         checkpoint = SweepCheckpoint.for_tasks(tasks, directory=checkpoint_dir)
         kwargs.update(checkpoint=checkpoint, resume=resume)
     if recovery is not None:
-        for knob in ("check_level", "degradation", "engine"):
-            value = kwargs.pop(knob, None)
-            if value is not None:
-                method = f"with_{knob}"
-                tasks = [getattr(task, method)(value)
-                         if hasattr(task, method) else task
-                         for task in tasks]
         report = run_shards(
             tasks, recovery=recovery,
             workers=kwargs.get("workers"), cache=kwargs.get("cache"),

@@ -148,42 +148,18 @@ class SpMMTask:
 
         return PIUMAConfig(**dict(self.overrides))
 
-    def with_check_level(self, level):
-        """Copy of this task running under the invariant sanitizer.
+    def with_config(self, **fields):
+        """Copy of this task with ``fields`` merged into its overrides.
 
-        Merges ``check_level=level`` into the override tuple (replacing
-        any existing pair, keeping canonical order).  The config's
-        ``check_level`` participates in the cache key like every other
-        field, so sanitized and unsanitized records never alias.
+        Each field replaces any existing pair of that name, and the
+        tuple stays canonically sorted; ``degradation=None`` restores
+        the healthy fabric.  Every config field is part of the cache
+        key, so a sanitized (``check_level``), degraded
+        (``degradation``) or reference-engine (``engine``) record never
+        aliases a plain one.
         """
         merged = dict(self.overrides)
-        merged["check_level"] = level
-        return replace(self, overrides=tuple(sorted(merged.items())))
-
-    def with_degradation(self, spec):
-        """Copy of this task running on a degraded fabric.
-
-        Merges ``degradation=spec`` into the override tuple (``None``
-        restores the healthy fabric).  The spec is a frozen
-        all-primitive dataclass serialized into ``key_payload`` with
-        the rest of the config, so healthy and degraded records can
-        never collide in the cache or the checkpoint manifest.
-        """
-        merged = dict(self.overrides)
-        merged["degradation"] = spec
-        return replace(self, overrides=tuple(sorted(merged.items())))
-
-    def with_engine(self, name):
-        """Copy of this task running on a specific DES engine.
-
-        Merges ``engine=name`` (``"fast"`` or ``"reference"``) into the
-        override tuple.  Engines are bit-identical in results, so this
-        only moves host wall-clock; like every config field it
-        participates in the cache key, and the record's ``"engine"``
-        provenance field says which engine measured it.
-        """
-        merged = dict(self.overrides)
-        merged["engine"] = name
+        merged.update(fields)
         return replace(self, overrides=tuple(sorted(merged.items())))
 
     def label(self):
@@ -217,20 +193,33 @@ class SpMMTask:
         Equation 5 model numbers (cheap to compute, and every consumer
         — calibration, Fig 5, the CLI — wants the ratio).
         """
+        adj = _materialized(self.dataset, self.max_vertices, self.seed)
+        return self.simulation_record(adj, self.config())
+
+    def fallback_record(self, error=None):
+        """Analytical stand-in record for a point whose DES run failed.
+
+        Carries valid Equation 5 numbers under the same schema as
+        :meth:`run`, flagged ``"source": "model_fallback"`` (with the
+        triggering error payload) so calibration and figures can
+        distinguish degraded points from simulated ones.
+        """
+        n_vertices, n_edges = _window_shape(
+            self.dataset, self.max_vertices, self.seed
+        )
+        return self.model_record(n_vertices, n_edges, self.config(),
+                                 error=error)
+
+    def simulation_record(self, adj, config):
+        """Record of simulating this task's kernel over the CSR ``adj``."""
         from repro.piuma import simulate_spmm, spmm_model
 
-        adj = _materialized(self.dataset, self.max_vertices, self.seed)
-        config = self.config()
         result = simulate_spmm(
             adj, self.embedding_dim, config, kernel=self.kernel,
             window_edges=self.window_edges,
         )
         model = spmm_model(adj.n_rows, adj.nnz, self.embedding_dim, config)
-        record = {
-            "n_vertices": int(adj.n_rows),
-            "n_edges": int(adj.nnz),
-            "embedding_dim": int(self.embedding_dim),
-            "kernel": self.kernel,
+        return self._record(adj.n_rows, adj.nnz, config, "simulation", {
             "gflops": float(result.gflops),
             "projected_time_ns": float(result.projected_time_ns),
             "sim_time_ns": float(result.sim_time_ns),
@@ -250,7 +239,49 @@ class SpMMTask:
                       "wait_ns": float(s.wait_ns)}
                 for tag, s in sorted(result.tag_stats.items())
             },
-            "source": "simulation",
+        })
+
+    def model_record(self, n_vertices, n_edges, config,
+                     source="model_fallback", error=None):
+        """Equation-5-only record of a ``(n_vertices, n_edges)`` window.
+
+        The model's numbers, with ``efficiency`` 1.0, for a window with
+        edges; zeros, with ``efficiency`` 0.0, for one without (a shard
+        that owns no edges has nothing to price).
+        """
+        from repro.piuma import spmm_model
+
+        gflops = time_ns = 0.0
+        if n_edges:
+            model = spmm_model(n_vertices, n_edges, self.embedding_dim,
+                               config)
+            gflops, time_ns = float(model.gflops), float(model.time_ns)
+        return self._record(n_vertices, n_edges, config, source, {
+            "gflops": gflops,
+            "projected_time_ns": time_ns,
+            "sim_time_ns": 0.0,
+            "window_edges": 0,
+            "total_edges": int(n_edges),
+            "memory_utilization": 0.0,
+            "achieved_bandwidth": 0.0,
+            "model_gflops": gflops,
+            "model_time_ns": time_ns,
+            "efficiency": 1.0 if n_edges else 0.0,
+            "events": 0,
+            "host_wall_s": 0.0,
+            "events_per_s": 0.0,
+            "tag_stats": {},
+        }, error)
+
+    def _record(self, n_vertices, n_edges, config, source, kernel_fields,
+                error=None):
+        record = {
+            "n_vertices": int(n_vertices),
+            "n_edges": int(n_edges),
+            "embedding_dim": int(self.embedding_dim),
+            "kernel": self.kernel,
+            **kernel_fields,
+            "source": source,
             # Provenance: the DES engine (fast / reference) that
             # produced the record's host-throughput numbers.  Every
             # loop runs on the one binary-heap event queue; its name
@@ -262,48 +293,6 @@ class SpMMTask:
             # Provenance next to "source": a record measured on a
             # degraded fabric must say so wherever it travels (cache,
             # checkpoint manifest, figures, CLI tables).
-            record["degradation"] = asdict(config.degradation)
-        return record
-
-    def fallback_record(self, error=None):
-        """Analytical stand-in record for a point whose DES run failed.
-
-        Carries valid Equation 5 numbers under the same schema as
-        :meth:`run`, flagged ``"source": "model_fallback"`` (with the
-        triggering error payload) so calibration and figures can
-        distinguish degraded points from simulated ones.
-        """
-        from repro.piuma import spmm_model
-
-        n_vertices, n_edges = _window_shape(
-            self.dataset, self.max_vertices, self.seed
-        )
-        config = self.config()
-        model = spmm_model(n_vertices, n_edges, self.embedding_dim, config)
-        record = {
-            "n_vertices": n_vertices,
-            "n_edges": n_edges,
-            "embedding_dim": int(self.embedding_dim),
-            "kernel": self.kernel,
-            "gflops": float(model.gflops),
-            "projected_time_ns": float(model.time_ns),
-            "sim_time_ns": 0.0,
-            "window_edges": 0,
-            "total_edges": n_edges,
-            "memory_utilization": 0.0,
-            "achieved_bandwidth": 0.0,
-            "model_gflops": float(model.gflops),
-            "model_time_ns": float(model.time_ns),
-            "efficiency": 1.0,
-            "events": 0,
-            "host_wall_s": 0.0,
-            "events_per_s": 0.0,
-            "tag_stats": {},
-            "source": "model_fallback",
-            "scheduler": "heap",
-            "engine": config.engine,
-        }
-        if config.degradation is not None:
             record["degradation"] = asdict(config.degradation)
         if error is not None:
             record["error"] = error.payload()
@@ -327,6 +316,26 @@ def spmm_task(dataset, embedding_dim, kernel="dma", max_vertices=16384,
         window_edges=window_edges,
         overrides=tuple(sorted(config_overrides.items())),
     )
+
+
+#: The config fields :func:`run_sweep` can set on every task at once.
+KNOBS = ("check_level", "degradation", "engine")
+
+
+def with_knobs(tasks, **knobs):
+    """``tasks`` with every knob (:data:`KNOBS`) that is not ``None``
+    merged into each task's config (:meth:`SpMMTask.with_config`).
+
+    The knobs are config fields, so they are part of a task's cache key
+    and of a checkpoint manifest's name: apply them before either is
+    taken.  A task without ``with_config`` (a fault wrapper) passes
+    through unchanged.
+    """
+    fields = {name: value for name, value in knobs.items()
+              if value is not None}
+    return [task.with_config(**fields)
+            if fields and hasattr(task, "with_config") else task
+            for task in tasks]
 
 
 def default_workers():
@@ -441,45 +450,26 @@ def run_sweep(tasks, workers=None, cache=None, progress=None, *,
     resume:
         Load the checkpoint manifest first and skip the points it
         already holds.
-    check_level:
-        When not ``None``, rewrite every task to run under the runtime
-        invariant sanitizer at this level (``task.with_check_level``);
-        an :class:`~repro.runtime.errors.InvariantViolation` is
+    check_level / degradation / engine:
+        The task knobs, applied by :func:`with_knobs` before any key is
+        taken.  ``check_level`` runs every task under the runtime
+        invariant sanitizer at that level; an
+        :class:`~repro.runtime.errors.InvariantViolation` is
         deterministic and therefore never retried, like
-        ``SimulationDiverged``.
-    degradation:
-        When not ``None``, a
-        :class:`~repro.piuma.degradation.DegradationSpec` applied to
-        every task (``task.with_degradation``) — the whole sweep runs
-        on the same degraded fabric.  The spec lands in each task's
-        cache key and its records' ``"degradation"`` provenance field;
-        a :class:`~repro.runtime.errors.HardwareExhausted` point is
-        deterministic and never retried.
-    engine:
-        When not ``None``, the DES engine (``"fast"`` or
-        ``"reference"``) every task runs on (``task.with_engine``).
-        Engines are bit-identical in results; the choice lands in each
-        task's cache key and its records' ``"engine"`` provenance field.
+        ``SimulationDiverged``.  ``degradation``, a
+        :class:`~repro.piuma.degradation.DegradationSpec`, runs the
+        whole sweep on the same degraded fabric and lands in the
+        records' ``"degradation"`` provenance field; a
+        :class:`~repro.runtime.errors.HardwareExhausted` point is
+        deterministic and never retried.  ``engine`` (``"fast"`` or
+        ``"reference"``) picks the DES engine: engines are
+        bit-identical in results, and the records' ``"engine"``
+        provenance field names it.  A caller that names a checkpoint
+        manifest applies the knobs itself first (:func:`with_knobs`),
+        so that the manifest's name covers them.
     """
-    tasks = list(tasks)
-    if check_level is not None:
-        tasks = [
-            task.with_check_level(check_level)
-            if hasattr(task, "with_check_level") else task
-            for task in tasks
-        ]
-    if degradation is not None:
-        tasks = [
-            task.with_degradation(degradation)
-            if hasattr(task, "with_degradation") else task
-            for task in tasks
-        ]
-    if engine is not None:
-        tasks = [
-            task.with_engine(engine)
-            if hasattr(task, "with_engine") else task
-            for task in tasks
-        ]
+    tasks = with_knobs(tasks, check_level=check_level,
+                       degradation=degradation, engine=engine)
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(
             f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"

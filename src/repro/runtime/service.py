@@ -181,7 +181,7 @@ def task_from_query(query):
         window_edges=query["window_edges"], **query["overrides"],
     )
     if query["degradation"] is not None:
-        task = task.with_degradation(query["degradation"])
+        task = task.with_config(degradation=query["degradation"])
     return task
 
 

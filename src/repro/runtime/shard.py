@@ -6,9 +6,12 @@ its own discrete-event task on one PIUMA node's worth of hardware.  A
 :class:`ShardTask` is exactly an :class:`~repro.runtime.runner.SpMMTask`
 plus the partition coordinates ``(n_shards, shard, strategy)`` — it
 rides the same process pool, content-addressed cache, checkpoint
-manifest, retry and fallback machinery, and its record keeps the full
-monolithic schema so every downstream consumer (figures, calibration,
-the CLI) reads it unchanged.
+manifest, retry and fallback machinery.  Its records come from the
+same builders (:meth:`~repro.runtime.runner.SpMMTask.simulation_record`
+and :meth:`~repro.runtime.runner.SpMMTask.model_record`), so they keep
+the full monolithic schema and every downstream consumer (figures,
+calibration, the CLI) reads them unchanged; a shard adds only
+``"shard"`` (partition/halo geometry) and ``"conserved"`` (counters).
 
 Two contracts make the sharding trustworthy (enforced by
 ``tests/runtime/test_shard.py``):
@@ -134,26 +137,6 @@ def aggregate_conserved(records):
     return totals
 
 
-def _zero_kernel_fields(model, total_edges):
-    """Record fields of a shard that owns no edges (nothing to simulate)."""
-    return {
-        "gflops": 0.0,
-        "projected_time_ns": 0.0,
-        "sim_time_ns": 0.0,
-        "window_edges": 0,
-        "total_edges": int(total_edges),
-        "memory_utilization": 0.0,
-        "achieved_bandwidth": 0.0,
-        "model_gflops": float(model.gflops) if model is not None else 0.0,
-        "model_time_ns": float(model.time_ns) if model is not None else 0.0,
-        "efficiency": 0.0,
-        "events": 0,
-        "host_wall_s": 0.0,
-        "events_per_s": 0.0,
-        "tag_stats": {},
-    }
-
-
 @dataclass(frozen=True)
 class ShardTask(SpMMTask):
     """One shard of a partitioned graph as a sweep point.
@@ -209,114 +192,35 @@ class ShardTask(SpMMTask):
         }
         return payload
 
-    def _shard_geometry(self, adj):
-        """Partition the materialized graph; returns this shard's slice
-        and its halo accounting against the other shards."""
-        return shard_geometry(adj, self.n_shards, self.shard, self.strategy)
-
     def run(self):
         """Simulate this shard; returns the monolithic record schema
         plus ``"shard"`` (partition/halo geometry) and ``"conserved"``
-        (exactly-additive traffic counters)."""
-        from repro.piuma import simulate_spmm, spmm_model
+        (exactly-additive traffic counters).
 
-        adj = _materialized(self.dataset, self.max_vertices, self.seed)
-        config = self.config()
-        sub, shard_info = self._shard_geometry(adj)
-        conserved = conserved_counters(
-            sub.n_rows, sub.nnz, self.embedding_dim, config
-        )
-        if sub.nnz == 0:
-            # A legal (if degenerate) shard: nothing to aggregate, so
-            # no window to simulate — the record is structurally
-            # complete with zero kernel observables.
-            record = {
-                "n_vertices": int(sub.n_rows),
-                "n_edges": 0,
-                "embedding_dim": int(self.embedding_dim),
-                "kernel": self.kernel,
-                **_zero_kernel_fields(None, 0),
-                "source": "simulation",
-                "scheduler": "heap",
-                "engine": config.engine,
-            }
-        else:
-            result = simulate_spmm(
-                sub, self.embedding_dim, config, kernel=self.kernel,
-                window_edges=self.window_edges,
-            )
-            model = spmm_model(
-                sub.n_rows, sub.nnz, self.embedding_dim, config
-            )
-            record = {
-                "n_vertices": int(sub.n_rows),
-                "n_edges": int(sub.nnz),
-                "embedding_dim": int(self.embedding_dim),
-                "kernel": self.kernel,
-                "gflops": float(result.gflops),
-                "projected_time_ns": float(result.projected_time_ns),
-                "sim_time_ns": float(result.sim_time_ns),
-                "window_edges": int(result.window_edges),
-                "total_edges": int(result.total_edges),
-                "memory_utilization": float(result.memory_utilization),
-                "achieved_bandwidth": float(result.achieved_bandwidth),
-                "model_gflops": float(model.gflops),
-                "model_time_ns": float(model.time_ns),
-                "efficiency": (float(result.gflops / model.gflops)
-                               if model.gflops > 0 else 0.0),
-                "events": int(result.events),
-                "host_wall_s": float(result.host_wall_s),
-                "events_per_s": float(result.events_per_s),
-                "tag_stats": {
-                    tag: {"count": int(s.count), "bytes": float(s.bytes),
-                          "wait_ns": float(s.wait_ns)}
-                    for tag, s in sorted(result.tag_stats.items())
-                },
-                "source": "simulation",
-                "scheduler": "heap",
-                "engine": config.engine,
-            }
-        if config.degradation is not None:
-            from dataclasses import asdict
-
-            record["degradation"] = asdict(config.degradation)
-        record["shard"] = shard_info
-        record["conserved"] = conserved
-        return record
+        A shard that owns no edges is legal but has no window to
+        simulate: its ``"simulation"`` record is the all-zero Eq.5-only
+        one.
+        """
+        return self._shard_record(simulate=True)
 
     def fallback_record(self, error=None):
         """Eq.5 stand-in for a failed shard, with shard geometry intact
         (the assembly still needs the halo volumes)."""
-        from repro.piuma import spmm_model
+        return self._shard_record(error=error)
 
+    def _shard_record(self, simulate=False, error=None):
         adj = _materialized(self.dataset, self.max_vertices, self.seed)
         config = self.config()
-        sub, shard_info = self._shard_geometry(adj)
-        model = (spmm_model(sub.n_rows, sub.nnz, self.embedding_dim, config)
-                 if sub.nnz else None)
-        record = {
-            "n_vertices": int(sub.n_rows),
-            "n_edges": int(sub.nnz),
-            "embedding_dim": int(self.embedding_dim),
-            "kernel": self.kernel,
-            **_zero_kernel_fields(model, sub.nnz),
-            "source": "model_fallback",
-            "scheduler": "heap",
-            "engine": config.engine,
-        }
-        if model is not None:
-            record.update({
-                "gflops": float(model.gflops),
-                "projected_time_ns": float(model.time_ns),
-                "efficiency": 1.0,
-            })
-        if config.degradation is not None:
-            from dataclasses import asdict
-
-            record["degradation"] = asdict(config.degradation)
-        if error is not None:
-            record["error"] = error.payload()
-        record["shard"] = shard_info
+        sub, info = shard_geometry(adj, self.n_shards, self.shard,
+                                   self.strategy)
+        if simulate and sub.nnz:
+            record = self.simulation_record(sub, config)
+        else:
+            record = self.model_record(
+                sub.n_rows, sub.nnz, config, error=error,
+                source="simulation" if simulate else "model_fallback",
+            )
+        record["shard"] = info
         record["conserved"] = conserved_counters(
             sub.n_rows, sub.nnz, self.embedding_dim, config
         )

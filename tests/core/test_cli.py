@@ -98,6 +98,32 @@ class TestSweep:
         assert "1 miss(es)" in text
 
 
+    def test_check_level_names_its_own_manifest(self, tmp_path,
+                                                monkeypatch):
+        from repro.runtime import SweepCheckpoint
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        flushed = set()
+        flush = SweepCheckpoint.flush
+
+        def track(self, key, record):
+            flushed.add(self.path.name)
+            flush(self, key, record)
+
+        monkeypatch.setattr(SweepCheckpoint, "flush", track)
+        argv = ["sweep", "--dataset", "power-12", "--max-vertices", "1024",
+                "--dims", "8", "--cores", "1", "--workers", "1",
+                "--no-cache"]
+        names = []
+        for extra in ([], ["--check-level", "1"]):
+            flushed.clear()
+            code, _text = run_cli(argv + extra)
+            assert code == 0
+            [name] = flushed
+            names.append(name)
+        assert names[0] != names[1]
+
+
 class TestMultinode:
     ARGV = ["multinode", "--dataset", "arxiv", "--nodes", "1", "2",
             "--strategy", "both", "--hidden", "16", "--max-vertices",

@@ -10,6 +10,7 @@ import pytest
 
 from repro.ext.distributed import piuma_multinode_spmm_time
 from repro.piuma.config import PIUMAConfig
+from repro.piuma.degradation import DEGRADATION_PRESETS
 from repro.piuma.multinode import (
     HaloFabric,
     assemble_multinode,
@@ -139,6 +140,42 @@ class TestRunMultinode:
             sweep_kwargs=SWEEP, checkpoint_dir=tmp_path,
         )
         assert not list(tmp_path.glob("*.jsonl"))
+
+
+class TestManifestIdentity:
+    """The task knobs are part of the checkpoint manifest's name, so
+    runs that differ only in a knob never share a manifest."""
+
+    KNOBS = {
+        "healthy": {},
+        "moderate": {"degradation": DEGRADATION_PRESETS["moderate"]},
+        "checked": {"check_level": 1},
+        "reference": {"engine": "reference"},
+    }
+
+    @pytest.mark.parametrize("recovery", [None, ShardRecovery(retries=0)],
+                             ids=["sweep", "recover"])
+    def test_each_knob_names_its_own_manifest(self, tmp_path, monkeypatch,
+                                              recovery):
+        flushed = set()
+        flush = SweepCheckpoint.flush
+
+        def track(self, key, record):
+            flushed.add(self.path.name)
+            flush(self, key, record)
+
+        monkeypatch.setattr(SweepCheckpoint, "flush", track)
+        names = {}
+        for run, knobs in self.KNOBS.items():
+            flushed.clear()
+            run_multinode("arxiv", 2, max_vertices=1024,
+                          checkpoint_dir=tmp_path, recovery=recovery,
+                          sweep_kwargs={**SWEEP, **knobs})
+            [names[run]] = flushed
+        assert len(set(names.values())) == len(self.KNOBS)
+        # A run with no knob keeps the name it had before the knobs
+        # joined the manifest identity, so its old manifests resume.
+        assert names["healthy"] == "sweep-e645f0f77af51f64.manifest.jsonl"
 
 
 class TestStrongScaling:

@@ -34,7 +34,7 @@ HOST_TIMING_FIELDS = ("host_wall_s", "events_per_s")
 def degraded_task(embedding_dim=8, n_cores=2, spec=SPEC):
     return spmm_task(
         "products", embedding_dim, **WINDOW, n_cores=n_cores,
-    ).with_degradation(spec)
+    ).with_config(degradation=spec)
 
 
 def canon(records):
@@ -52,7 +52,7 @@ class TestTaskAndCacheIdentity:
         assert dict(task.overrides)["degradation"] == SPEC
 
     def test_with_degradation_none_restores_healthy(self):
-        task = degraded_task().with_degradation(None)
+        task = degraded_task().with_config(degradation=None)
         assert task.config().degradation is None
 
     def test_healthy_and_degraded_keys_never_collide(self):
@@ -61,7 +61,7 @@ class TestTaskAndCacheIdentity:
         keys.add(cache_key(degraded_task().key_payload()))
         for preset in DEGRADATION_PRESETS.values():
             keys.add(cache_key(
-                healthy.with_degradation(preset).key_payload()
+                healthy.with_config(degradation=preset).key_payload()
             ))
         # SPEC is the "moderate" preset, so those two keys *should*
         # alias (equal specs are the same point); everything else is

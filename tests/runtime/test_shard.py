@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.graphs.rmat import RMATParams, rmat_graph
+from repro.piuma.config import PIUMAConfig
+from repro.piuma.multinode import run_multinode
 from repro.runtime.errors import TaskError
-from repro.runtime.runner import spmm_task
+from repro.runtime.runner import _materialized, spmm_task
 from repro.runtime.shard import (
     ShardTask,
     aggregate_conserved,
@@ -171,3 +173,53 @@ class TestShardTask:
         # halo volumes survive for the assembly.
         assert record["projected_time_ns"] > 0
         assert record["conserved"]["edges"] == record["shard"]["edges"]
+
+
+class TestEmptyShard:
+    """Shard 23 of the 32-way block split of the 64-vertex ``arxiv``
+    window owns 2 rows and no edges: a real window, nothing to
+    simulate."""
+
+    ZERO_FIELDS = (
+        "gflops", "projected_time_ns", "sim_time_ns", "window_edges",
+        "total_edges", "memory_utilization", "achieved_bandwidth",
+        "model_gflops", "model_time_ns", "events",
+    )
+
+    @pytest.fixture
+    def task(self):
+        return shard_tasks("arxiv", 64, 32, max_vertices=64)[23]
+
+    def test_run_records_an_empty_simulation(self, task):
+        record = task.run()
+        assert record["source"] == "simulation"
+        assert record["n_edges"] == 0
+        for name in self.ZERO_FIELDS:
+            assert record[name] == 0, name
+        assert record["tag_stats"] == {}
+        assert record["efficiency"] == 0.0
+        assert record["conserved"]["rows"] == 2
+        assert record["conserved"]["edges"] == 0
+
+    def test_fallback_record_prices_nothing(self, task):
+        record = task.fallback_record(TaskError("boom", label=task.label()))
+        assert record["source"] == "model_fallback"
+        for name in ("gflops", "projected_time_ns", "model_gflops",
+                     "model_time_ns", "efficiency"):
+            assert record[name] == 0.0, name
+        assert record["conserved"]["rows"] == 2
+        assert record["conserved"]["edges"] == 0
+
+    def test_multinode_assembles_empty_shards(self):
+        estimate, report = run_multinode(
+            "arxiv", 32, max_vertices=64, embedding_dim=64,
+            sweep_kwargs={"workers": 1},
+        )
+        empty = [r for r in report.records if r["shard"]["edges"] == 0]
+        assert len(empty) == 3
+        assert all(r["source"] == "simulation" for r in empty)
+        adj = _materialized("arxiv", 64, 0)
+        assert estimate.conserved == conserved_counters(
+            adj.n_rows, adj.nnz, 64, PIUMAConfig()
+        )
+        assert estimate.degraded_shards == 0
